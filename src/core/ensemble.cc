@@ -80,11 +80,27 @@ size_t UspEnsemble::EstimateCandidates(size_t budget) const {
   return total;
 }
 
+std::optional<uint32_t> UspEnsemble::FullScanBins(size_t budget) const {
+  const size_t bins = indexes_.front()->num_bins();
+  for (const auto& index : indexes_) {
+    // The chosen model's bin count is known without scoring only when every
+    // model has the same count.
+    if (index->num_bins() != bins || budget < bins) return std::nullopt;
+  }
+  const size_t probed = config_.combine == EnsembleCombine::kUnion
+                            ? bins * indexes_.size()
+                            : bins;
+  return static_cast<uint32_t>(probed);
+}
+
 BatchSearchResult UspEnsemble::SearchBatch(const SearchRequest& request) const {
   USP_CHECK(!base_.empty() && !models_.empty());
   // Planner hook: sparse selectors skip the whole score/merge/rerank pipeline
   // in favor of an allowed-set scan (index/query_planner.h).
   if (auto planned = MaybeReroute(*this, request)) return std::move(*planned);
+  if (const auto bins = FullScanBins(request.options.budget)) {
+    return FlatScanKnn(*dist_, request, *bins);
+  }
   const MatrixView queries = request.queries;
   const SearchOptions& options = request.options;
   const size_t num_probes = options.budget;
@@ -153,6 +169,9 @@ BatchSearchResult UspEnsemble::SearchBatch(const SearchRequest& request) const {
 
 RadiusResult UspEnsemble::RadiusSearchBatch(const RadiusRequest& request) const {
   USP_CHECK(!base_.empty() && !models_.empty());
+  if (const auto bins = FullScanBins(request.options.budget)) {
+    return FlatScanRadius(*dist_, request, *bins);
+  }
   const MatrixView queries = request.queries;
   const size_t num_probes = request.options.budget;
   const size_t e = models_.size();

@@ -56,15 +56,17 @@ class UspEnsemble : public Index {
   /// candidates before the rerank (selector pushdown). `options.num_threads`
   /// caps the per-query search sharding (0 = pool default, 1 = serial; model
   /// scoring still uses the pool's GEMM); results are identical at every
-  /// setting.
+  /// setting. A budget that covers every bin of every model makes the
+  /// candidate set the whole base, so the request runs FlatScanKnn
+  /// (knn/brute_force.h) instead, bit-identical and without model scoring.
   using Index::SearchBatch;
   BatchSearchResult SearchBatch(const SearchRequest& request) const override;
 
   /// Radius search: collect candidates exactly as SearchBatch does (the most
   /// confident model's probed bins, or the all-model union), then
   /// range-filter by exact distance. At full budget every model probes every
-  /// bin, so the candidate set covers the base and the result is bit-identical
-  /// to BruteForceRadius.
+  /// bin, so the candidate set covers the base: the request runs
+  /// FlatScanRadius and the result is bit-identical to BruteForceRadius.
   RadiusResult RadiusSearchBatch(const RadiusRequest& request) const override;
 
   size_t dim() const override { return base_.cols(); }
@@ -89,6 +91,12 @@ class UspEnsemble : public Index {
   size_t ParameterCount() const;
 
  private:
+  /// bins_probed of a request whose `budget` covers every bin of every model
+  /// (the chosen model's bin count, or the sum under kUnion), which then
+  /// runs the flat scan; nullopt when some model probes only part of its
+  /// bins or the models' bin counts differ.
+  std::optional<uint32_t> FullScanBins(size_t budget) const;
+
   UspEnsembleConfig config_;
   MatrixView base_;
   std::optional<DistanceComputer> dist_;  ///< exact rerank (squared L2)

@@ -65,14 +65,22 @@ BatchSearchResult PartitionIndex::SearchBatch(
   // SearchBatchWithScores below is the raw pushdown path — callers that
   // precompute scores (eval sweeps) opt out of planning by construction.
   if (auto planned = MaybeReroute(*this, request)) return std::move(*planned);
+  // Probes that cover every bin score every row: a flat scan in id order
+  // needs no bin scores and gives the gather path's rows bit for bit.
+  if (request.options.budget >= buckets_.size()) {
+    return FlatScanKnn(dist_, request, static_cast<uint32_t>(num_bins()));
+  }
   return SearchBatchWithScores(request.queries, ScoreQueries(request.queries),
                                request.options);
 }
 
 RadiusResult PartitionIndex::RadiusSearchBatch(
     const RadiusRequest& request) const {
-  const Matrix scores = ScoreQueries(request.queries);
   const size_t probes = std::min(request.options.budget, buckets_.size());
+  if (probes == buckets_.size()) {
+    return FlatScanRadius(dist_, request, static_cast<uint32_t>(probes));
+  }
+  const Matrix scores = ScoreQueries(request.queries);
   return CollectRadiusRows(
       request.queries.rows(), request.options,
       [&](size_t q, RadiusResult* result) {
@@ -105,6 +113,10 @@ BatchSearchResult PartitionIndex::SearchBatchWithScores(
   USP_CHECK(scores.cols() == buckets_.size());
   const size_t nq = queries.rows();
   const size_t probes = std::min(options.budget, buckets_.size());
+  if (probes == buckets_.size()) {
+    return FlatScanKnn(dist_, SearchRequest{queries, options},
+                       static_cast<uint32_t>(probes));
+  }
   BatchSearchResult result;
   result.Prepare(nq, options);
 

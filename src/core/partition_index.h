@@ -53,14 +53,16 @@ class PartitionIndex : public Index {
   /// bin-scoring stage (ScoreQueries) always uses the pool's data-parallel
   /// GEMM regardless of the cap. Results are bit-identical at every thread
   /// count: each query's work is independent and writes only its own output
-  /// rows.
+  /// rows. A budget that covers every bin skips bin scoring and the per-query
+  /// gather for FlatScanKnn (knn/brute_force.h), which scores the rows in id
+  /// order and returns the gather path's rows bit for bit.
   using Index::SearchBatch;
   BatchSearchResult SearchBatch(const SearchRequest& request) const override;
 
   /// Radius search: gather candidates from the `options.budget` best bins,
   /// then range-filter them by exact distance (workload/radius.h). At full
-  /// budget every bin is probed, so the result is bit-identical to
-  /// BruteForceRadius over the allowed base.
+  /// budget every bin is probed, so the request runs FlatScanRadius and the
+  /// result is bit-identical to BruteForceRadius over the allowed base.
   RadiusResult RadiusSearchBatch(const RadiusRequest& request) const override;
 
   /// Same but with externally computed scores (one scoring, many sweeps).

@@ -13,8 +13,13 @@
 // (element i feeds lane i % 8) reduced by the fixed tree
 // ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)) — so both sets produce bitwise
 // identical results for identical inputs. `score_block_*` / `score_ids_*`
-// apply the matching 1-vs-1 kernel per row and inherit the guarantee.
-// tests/dist_test.cc enforces this across dims covering every SIMD tail.
+// apply the matching 1-vs-1 arithmetic per row and inherit the guarantee.
+// The AVX2 `score_block_*` keep four rows in flight (one accumulator per
+// row, so the rows' FMA chains overlap) and finish a remainder of fewer than
+// four rows one at a time; each row's arithmetic — lanes, masked tail,
+// reduction tree — is unchanged, so out[r] still equals the 1-vs-1 kernel
+// bit for bit. tests/dist_test.cc enforces this across dims covering every
+// SIMD tail and row counts covering every remainder of the four-row loop.
 #ifndef USP_DIST_DISTANCE_KERNELS_H_
 #define USP_DIST_DISTANCE_KERNELS_H_
 

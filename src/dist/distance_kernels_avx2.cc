@@ -82,15 +82,54 @@ __attribute__((target("avx2,fma"))) inline void PrefetchRow(const float* row,
   if (bytes > 64) __builtin_prefetch(reinterpret_cast<const char*>(row) + 64);
 }
 
+// Block kernels keep four rows in flight: one accumulator per row, so the
+// rows' FMA chains overlap instead of each waiting on the previous row's
+// reduction. Every row still sees exactly the 1-vs-1 arithmetic above (same
+// lanes, masked tail and Reduce8), so out[r] is bit-identical to it.
 __attribute__((target("avx2,fma"))) void ScoreBlockL2Avx2(const float* query,
                                                           const float* rows,
                                                           size_t count,
                                                           size_t d,
                                                           float* out) {
-  for (size_t r = 0; r < count; ++r) {
-    if (r + 1 < count) PrefetchRow(rows + (r + 1) * d, d);
-    out[r] = SquaredL2Avx2(query, rows + r * d, d);
+  size_t r = 0;
+  for (; r + 4 <= count; r += 4) {
+    const float* x0 = rows + r * d;
+    const float* x1 = x0 + d;
+    const float* x2 = x1 + d;
+    const float* x3 = x2 + d;
+    __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
+    __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
+    size_t i = 0;
+    for (; i + 8 <= d; i += 8) {
+      const __m256 q = _mm256_loadu_ps(query + i);
+      const __m256 d0 = _mm256_sub_ps(q, _mm256_loadu_ps(x0 + i));
+      const __m256 d1 = _mm256_sub_ps(q, _mm256_loadu_ps(x1 + i));
+      const __m256 d2 = _mm256_sub_ps(q, _mm256_loadu_ps(x2 + i));
+      const __m256 d3 = _mm256_sub_ps(q, _mm256_loadu_ps(x3 + i));
+      a0 = _mm256_fmadd_ps(d0, d0, a0);
+      a1 = _mm256_fmadd_ps(d1, d1, a1);
+      a2 = _mm256_fmadd_ps(d2, d2, a2);
+      a3 = _mm256_fmadd_ps(d3, d3, a3);
+    }
+    const size_t rem = d - i;
+    if (rem > 0) {
+      const __m256i mask = TailMask(rem);
+      const __m256 q = _mm256_maskload_ps(query + i, mask);
+      const __m256 d0 = _mm256_sub_ps(q, _mm256_maskload_ps(x0 + i, mask));
+      const __m256 d1 = _mm256_sub_ps(q, _mm256_maskload_ps(x1 + i, mask));
+      const __m256 d2 = _mm256_sub_ps(q, _mm256_maskload_ps(x2 + i, mask));
+      const __m256 d3 = _mm256_sub_ps(q, _mm256_maskload_ps(x3 + i, mask));
+      a0 = _mm256_fmadd_ps(d0, d0, a0);
+      a1 = _mm256_fmadd_ps(d1, d1, a1);
+      a2 = _mm256_fmadd_ps(d2, d2, a2);
+      a3 = _mm256_fmadd_ps(d3, d3, a3);
+    }
+    out[r] = Reduce8(a0);
+    out[r + 1] = Reduce8(a1);
+    out[r + 2] = Reduce8(a2);
+    out[r + 3] = Reduce8(a3);
   }
+  for (; r < count; ++r) out[r] = SquaredL2Avx2(query, rows + r * d, d);
 }
 
 __attribute__((target("avx2,fma"))) void ScoreBlockDotAvx2(const float* query,
@@ -98,10 +137,37 @@ __attribute__((target("avx2,fma"))) void ScoreBlockDotAvx2(const float* query,
                                                            size_t count,
                                                            size_t d,
                                                            float* out) {
-  for (size_t r = 0; r < count; ++r) {
-    if (r + 1 < count) PrefetchRow(rows + (r + 1) * d, d);
-    out[r] = DotAvx2(query, rows + r * d, d);
+  size_t r = 0;
+  for (; r + 4 <= count; r += 4) {
+    const float* x0 = rows + r * d;
+    const float* x1 = x0 + d;
+    const float* x2 = x1 + d;
+    const float* x3 = x2 + d;
+    __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
+    __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
+    size_t i = 0;
+    for (; i + 8 <= d; i += 8) {
+      const __m256 q = _mm256_loadu_ps(query + i);
+      a0 = _mm256_fmadd_ps(q, _mm256_loadu_ps(x0 + i), a0);
+      a1 = _mm256_fmadd_ps(q, _mm256_loadu_ps(x1 + i), a1);
+      a2 = _mm256_fmadd_ps(q, _mm256_loadu_ps(x2 + i), a2);
+      a3 = _mm256_fmadd_ps(q, _mm256_loadu_ps(x3 + i), a3);
+    }
+    const size_t rem = d - i;
+    if (rem > 0) {
+      const __m256i mask = TailMask(rem);
+      const __m256 q = _mm256_maskload_ps(query + i, mask);
+      a0 = _mm256_fmadd_ps(q, _mm256_maskload_ps(x0 + i, mask), a0);
+      a1 = _mm256_fmadd_ps(q, _mm256_maskload_ps(x1 + i, mask), a1);
+      a2 = _mm256_fmadd_ps(q, _mm256_maskload_ps(x2 + i, mask), a2);
+      a3 = _mm256_fmadd_ps(q, _mm256_maskload_ps(x3 + i, mask), a3);
+    }
+    out[r] = Reduce8(a0);
+    out[r + 1] = Reduce8(a1);
+    out[r + 2] = Reduce8(a2);
+    out[r + 3] = Reduce8(a3);
   }
+  for (; r < count; ++r) out[r] = DotAvx2(query, rows + r * d, d);
 }
 
 __attribute__((target("avx2,fma"))) void ScoreIdsL2Avx2(

@@ -1,11 +1,9 @@
 #include "knn/brute_force.h"
 
 #include <algorithm>
-#include <limits>
 #include <unordered_map>
 
 #include "dist/distance_kernels.h"
-#include "index/index.h"  // kInvalidId: the filtered-scan padding sentinel
 #include "knn/top_k.h"
 #include "tensor/ops.h"
 #include "util/thread_pool.h"
@@ -63,68 +61,99 @@ KnnResult KnnImpl(MatrixView base, MatrixView queries, size_t k,
   return result;
 }
 
-// Generic-metric brute force: per query, score base rows through the
-// DistanceComputer (already in minimized form) and keep the top k. With a
-// `filter`, the allowed id list is materialized once per call and only those
-// rows are gather-scored (dropped rows are never scored — the pushdown
-// contract — so a 1%-selectivity scan does ~1% of the distance work);
-// ScoreIds applies the same per-row kernel as ScoreRange, so the results are
-// bit-identical to a full scan + drop. When the filter admits fewer than k
-// rows, trailing slots pad with the kInvalidId sentinel / +inf (only
-// reachable with a filter: unfiltered callers check k <= rows).
+// The rows a flat scan scores, in id order: every base row when `filter` is
+// null (`ids` stays empty), else the ids the filter admits.
+struct ScanRows {
+  std::vector<uint32_t> ids;
+  size_t num_rows = 0;
+  size_t count = 0;
+  bool gathered = false;
+
+  ScanRows(size_t rows, const IdSelector* filter) : num_rows(rows) {
+    if (filter == nullptr) {
+      count = num_rows;
+      return;
+    }
+    gathered = true;
+    for (size_t b = 0; b < num_rows; ++b) {
+      const uint32_t id = static_cast<uint32_t>(b);
+      if (filter->is_member(id)) ids.push_back(id);
+    }
+    count = ids.size();
+  }
+
+  // Query q's counters in a BatchSearchResult or RadiusResult: every scanned
+  // row scored, the rest dropped by the filter, `bins_probed` bins probed.
+  template <typename Result>
+  void Count(size_t q, uint32_t bins_probed, Result* result) const {
+    result->candidate_counts[q] = static_cast<uint32_t>(count);
+    if (result->stats) {
+      result->stats->candidates_scored[q] = static_cast<uint32_t>(count);
+      result->stats->bins_probed[q] = bins_probed;
+      result->stats->filtered_out[q] = static_cast<uint32_t>(num_rows - count);
+    }
+  }
+};
+
+// Base-row bytes per block of a flat scan: the block stays in a core's L1
+// data cache while every query of the chunk scores it (64 rows at d = 128).
+constexpr size_t kScanBlockBytes = 32 << 10;
+
+// Scores every query of [q_begin, q_end) against every row of `rows`, one
+// block at a time: each block is scored against the whole chunk of queries
+// before the next block, so it is read from memory once per chunk instead of
+// once per query. `sink(i, ids, first, scores, count)` receives query
+// q_begin + i's scores for one block, in id order: rows ids[0 .. count), or
+// first .. first + count when ids is null.
+template <typename Sink>
+void ScanTile(const DistanceComputer& dist, MatrixView queries,
+              size_t q_begin, size_t q_end, const ScanRows& rows,
+              Sink&& sink) {
+  const size_t tile = q_end - q_begin;
+  std::vector<std::vector<float>> scratch(tile);
+  std::vector<const float*> prepared(tile);
+  for (size_t i = 0; i < tile; ++i) {
+    prepared[i] = dist.PrepareQuery(queries.Row(q_begin + i), &scratch[i]);
+  }
+  const size_t row_bytes =
+      sizeof(float) * std::max<size_t>(1, dist.base().cols());
+  const size_t block = std::max<size_t>(1, kScanBlockBytes / row_bytes);
+  std::vector<float> scores(block);
+  for (size_t b0 = 0; b0 < rows.count; b0 += block) {
+    const size_t count = std::min(rows.count - b0, block);
+    const uint32_t* ids = rows.gathered ? rows.ids.data() + b0 : nullptr;
+    for (size_t i = 0; i < tile; ++i) {
+      if (ids != nullptr) {
+        dist.ScoreIds(prepared[i], ids, count, scores.data());
+      } else {
+        dist.ScoreRange(prepared[i], static_cast<uint32_t>(b0), count,
+                        scores.data());
+      }
+      sink(i, ids, b0, scores.data(), count);
+    }
+  }
+}
+
+// Generic-metric brute force: FlatScanKnn over a computer built for this
+// call. Padding (fewer allowed rows than k) is only reachable with a filter:
+// unfiltered callers check k <= rows.
 KnnResult KnnImplMetric(MatrixView base, MatrixView queries, size_t k,
                         Metric metric, const IdSelector* filter,
                         size_t num_threads) {
   USP_CHECK(base.cols() == queries.cols());
   USP_CHECK(k > 0);
   USP_CHECK(filter != nullptr || k <= base.rows());
-  const size_t nq = queries.rows(), nb = base.rows();
-
+  SearchRequest request;
+  request.queries = queries;
+  request.options.k = k;
+  request.options.num_threads = num_threads;
+  request.options.filter = filter;
+  BatchSearchResult scan =
+      FlatScanKnn(DistanceComputer(base, metric), request, /*bins_probed=*/0);
   KnnResult result;
   result.k = k;
-  result.indices.assign(nq * k, kInvalidId);
-  result.distances.assign(nq * k, std::numeric_limits<float>::infinity());
-
-  const DistanceComputer dist(base, metric);
-  std::vector<uint32_t> allowed;
-  if (filter != nullptr) {
-    for (size_t b = 0; b < nb; ++b) {
-      const uint32_t id = static_cast<uint32_t>(b);
-      if (filter->is_member(id)) allowed.push_back(id);
-    }
-  }
-
-  ParallelFor(nq, 8, num_threads, [&](size_t q_begin, size_t q_end, size_t) {
-    std::vector<float> scores(kBaseBlock);
-    std::vector<float> scratch;
-    for (size_t q = q_begin; q < q_end; ++q) {
-      const float* prepared = dist.PrepareQuery(queries.Row(q), &scratch);
-      TopK heap(k);
-      if (filter == nullptr) {
-        for (size_t b0 = 0; b0 < nb; b0 += kBaseBlock) {
-          const size_t count = std::min(nb - b0, kBaseBlock);
-          dist.ScoreRange(prepared, static_cast<uint32_t>(b0), count,
-                          scores.data());
-          for (size_t b = 0; b < count; ++b) {
-            heap.Push(scores[b], static_cast<uint32_t>(b0 + b));
-          }
-        }
-      } else {
-        for (size_t a0 = 0; a0 < allowed.size(); a0 += kBaseBlock) {
-          const size_t count = std::min(allowed.size() - a0, kBaseBlock);
-          dist.ScoreIds(prepared, allowed.data() + a0, count, scores.data());
-          for (size_t i = 0; i < count; ++i) {
-            heap.Push(scores[i], allowed[a0 + i]);
-          }
-        }
-      }
-      auto sorted = heap.TakeSorted();
-      for (size_t j = 0; j < sorted.size(); ++j) {
-        result.indices[q * k + j] = sorted[j].id;
-        result.distances[q * k + j] = sorted[j].distance;
-      }
-    }
-  });
+  result.indices = std::move(scan.ids);
+  result.distances = std::move(scan.distances);
   return result;
 }
 }  // namespace
@@ -154,65 +183,82 @@ KnnResult BruteForceKnn(MatrixView base, MatrixView queries, size_t k,
   return KnnImplMetric(base, queries, k, metric, filter, num_threads);
 }
 
+BatchSearchResult FlatScanKnn(const DistanceComputer& dist,
+                              const SearchRequest& request,
+                              uint32_t bins_probed) {
+  const MatrixView queries = request.queries;
+  const SearchOptions& options = request.options;
+  const ScanRows rows(dist.base().rows(), options.filter);
+  // The gather stage keeps min(k, scored) neighbors; so does this scan.
+  const size_t keep = std::min(options.k, rows.count);
+  BatchSearchResult result;
+  result.Prepare(queries.rows(), options);
+
+  ParallelFor(queries.rows(), 8, options.num_threads,
+              [&](size_t q_begin, size_t q_end, size_t) {
+    std::vector<TopK> heaps;
+    heaps.reserve(q_end - q_begin);
+    for (size_t q = q_begin; q < q_end; ++q) heaps.emplace_back(keep);
+    ScanTile(dist, queries, q_begin, q_end, rows,
+             [&](size_t i, const uint32_t* ids, size_t first,
+                 const float* scores, size_t count) {
+               TopK& heap = heaps[i];
+               for (size_t j = 0; j < count; ++j) {
+                 heap.Push(scores[j], ids != nullptr
+                                          ? ids[j]
+                                          : static_cast<uint32_t>(first + j));
+               }
+             });
+    for (size_t q = q_begin; q < q_end; ++q) {
+      result.SetRow(q, heaps[q - q_begin].TakeSorted());
+      rows.Count(q, bins_probed, &result);
+    }
+  });
+  return result;
+}
+
+RadiusResult FlatScanRadius(const DistanceComputer& dist,
+                            const RadiusRequest& request,
+                            uint32_t bins_probed) {
+  const MatrixView queries = request.queries;
+  const float radius = request.radius;
+  const ScanRows rows(dist.base().rows(), request.options.filter);
+  return CollectRadiusChunks(
+      queries.rows(), request.options,
+      [&](size_t q_begin, size_t q_end,
+          std::vector<std::vector<Neighbor>>* hits, RadiusResult* result) {
+        ScanTile(dist, queries, q_begin, q_end, rows,
+                 [&](size_t i, const uint32_t* ids, size_t first,
+                     const float* scores, size_t count) {
+                   std::vector<Neighbor>& row = (*hits)[q_begin + i];
+                   for (size_t j = 0; j < count; ++j) {
+                     if (scores[j] > radius) continue;
+                     row.push_back(Neighbor{
+                         scores[j], ids != nullptr
+                                        ? ids[j]
+                                        : static_cast<uint32_t>(first + j)});
+                   }
+                 });
+        for (size_t q = q_begin; q < q_end; ++q) {
+          // Rows arrive in id order; every radius row is sorted by
+          // (distance, id).
+          std::sort((*hits)[q].begin(), (*hits)[q].end());
+          rows.Count(q, bins_probed, result);
+        }
+      });
+}
+
 RadiusResult BruteForceRadius(MatrixView base, MatrixView queries,
                               float radius, Metric metric,
                               const IdSelector* filter, size_t num_threads) {
   USP_CHECK(base.cols() == queries.cols());
-  const size_t nq = queries.rows(), nb = base.rows();
-
-  const DistanceComputer dist(base, metric);
-  std::vector<uint32_t> allowed;
-  if (filter != nullptr) {
-    for (size_t b = 0; b < nb; ++b) {
-      const uint32_t id = static_cast<uint32_t>(b);
-      if (filter->is_member(id)) allowed.push_back(id);
-    }
-  }
-  const size_t scanned = filter == nullptr ? nb : allowed.size();
-  const uint32_t dropped = static_cast<uint32_t>(nb - scanned);
-
-  RadiusOptions options;
-  options.num_threads = num_threads;
-  options.filter = filter;
-  return CollectRadiusRows(
-      nq, options, [&](size_t q, RadiusResult* result) {
-        std::vector<float> scores(kBaseBlock);
-        std::vector<float> scratch;
-        const float* prepared = dist.PrepareQuery(queries.Row(q), &scratch);
-        std::vector<Neighbor> hits;
-        if (filter == nullptr) {
-          for (size_t b0 = 0; b0 < nb; b0 += kBaseBlock) {
-            const size_t count = std::min(nb - b0, kBaseBlock);
-            dist.ScoreRange(prepared, static_cast<uint32_t>(b0), count,
-                            scores.data());
-            for (size_t b = 0; b < count; ++b) {
-              if (scores[b] <= radius) {
-                hits.push_back(Neighbor{scores[b], static_cast<uint32_t>(b0 + b)});
-              }
-            }
-          }
-        } else {
-          for (size_t a0 = 0; a0 < allowed.size(); a0 += kBaseBlock) {
-            const size_t count = std::min(allowed.size() - a0, kBaseBlock);
-            dist.ScoreIds(prepared, allowed.data() + a0, count, scores.data());
-            for (size_t i = 0; i < count; ++i) {
-              if (scores[i] <= radius) {
-                hits.push_back(Neighbor{scores[i], allowed[a0 + i]});
-              }
-            }
-          }
-        }
-        // ScoreRange/ScoreIds walk ids in ascending order and distances only
-        // break ties by id, so `hits` needs an explicit sort by (distance, id)
-        // like every other radius row.
-        std::sort(hits.begin(), hits.end());
-        result->candidate_counts[q] = static_cast<uint32_t>(scanned);
-        if (result->stats) {
-          result->stats->candidates_scored[q] = static_cast<uint32_t>(scanned);
-          result->stats->filtered_out[q] = dropped;
-        }
-        return hits;
-      });
+  RadiusRequest request;
+  request.queries = queries;
+  request.radius = radius;
+  request.options.num_threads = num_threads;
+  request.options.filter = filter;
+  return FlatScanRadius(DistanceComputer(base, metric), request,
+                        /*bins_probed=*/0);
 }
 
 KnnResult BuildKnnMatrix(const Matrix& data, size_t k) {

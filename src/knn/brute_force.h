@@ -10,6 +10,7 @@
 #include "dist/distance_computer.h"
 #include "dist/metric.h"
 #include "index/id_selector.h"
+#include "index/index.h"
 #include "knn/top_k.h"
 #include "tensor/matrix.h"
 #include "workload/radius.h"
@@ -54,10 +55,35 @@ KnnResult BruteForceKnn(MatrixView base, MatrixView queries, size_t k,
 /// candidate-rerank path of the index types; this makes it the reference the
 /// filtered-search acceptance tests pin index results against. When fewer
 /// than k rows are allowed, trailing slots are padded with the 0xFFFFFFFFu
-/// sentinel (index/index.h kInvalidId) and +inf distance.
+/// sentinel (index/index.h kInvalidId) and +inf distance. Every metric but
+/// unfiltered kSquaredL2 runs FlatScanKnn below.
 KnnResult BruteForceKnn(MatrixView base, MatrixView queries, size_t k,
                         Metric metric, const IdSelector* filter,
                         size_t num_threads = 0);
+
+/// Exact k-NN by a query-tiled flat scan of dist.base(): every row, or under
+/// request.options.filter every allowed row, is scored in id order through
+/// ScoreRange (ScoreIds for the allowed ids), one L1-sized block of rows
+/// (32 KiB: 64 rows at d = 128) at a time against every query of a
+/// ParallelFor chunk, so each row is read from memory once per chunk.
+///
+/// This is the full-budget path of the partition types. When a request's
+/// probes cover every bin, the gather stage (RerankCandidatesScored fed
+/// every id) scores the same rows in the same order through the same
+/// per-row kernels, so the rows are bit-identical; the scan skips bin
+/// scoring and the per-query id list, sort and gather. candidate_counts and
+/// stats report the rows scored, filtered_out the rows the filter dropped,
+/// and bins_probed `bins_probed`. options.budget and options.plan are not
+/// consulted (callers plan first).
+BatchSearchResult FlatScanKnn(const DistanceComputer& dist,
+                              const SearchRequest& request,
+                              uint32_t bins_probed);
+
+/// Radius counterpart of FlatScanKnn: bit-identical to RangeFilterCandidates
+/// fed every id, with the same counters.
+RadiusResult FlatScanRadius(const DistanceComputer& dist,
+                            const RadiusRequest& request,
+                            uint32_t bins_probed);
 
 /// Exact radius (range) search: for every query, all base rows whose
 /// minimized-form distance is <= radius (inclusive), as a CSR RadiusResult
@@ -69,7 +95,7 @@ KnnResult BruteForceKnn(MatrixView base, MatrixView queries, size_t k,
 /// filter — so bit-identity holds for offsets, ids, AND distances. (The L2
 /// norm-trick tiles of BruteForceKnn round differently and are deliberately
 /// not used here.) candidate_counts reports rows scored per query (the
-/// allowed count under a filter).
+/// allowed count under a filter). Runs FlatScanRadius.
 RadiusResult BruteForceRadius(MatrixView base, MatrixView queries,
                               float radius, Metric metric,
                               const IdSelector* filter = nullptr,

@@ -290,36 +290,33 @@ BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
 
 RadiusResult ScannIndex::RadiusSearchBatch(const RadiusRequest& request) const {
   const MatrixView queries = request.queries;
-  Matrix scores;
-  if (partitioner_ != nullptr) {
-    scores = partitioner_->ScoreBins(queries);
-  }
   const size_t probes =
       partitioner_ == nullptr
           ? 0
           : std::min(request.options.budget, buckets_.size());
+  // Without a partition, or with probes that cover every bin, the candidates
+  // are the whole base: a flat scan in id order gives the same rows.
+  if (probes == buckets_.size()) {
+    return FlatScanRadius(dist_, request, static_cast<uint32_t>(probes));
+  }
+  const Matrix scores = partitioner_->ScoreBins(queries);
 
   return CollectRadiusRows(
       queries.rows(), request.options, [&](size_t q, RadiusResult* result) {
+        // Same probe order as SearchBatch: bins by descending score, ties by
+        // bin id.
+        const float* s = scores.Row(q);
+        std::vector<uint32_t> order(buckets_.size());
+        std::iota(order.begin(), order.end(), 0u);
+        std::partial_sort(order.begin(), order.begin() + probes, order.end(),
+                          [&](uint32_t a, uint32_t b) {
+                            if (s[a] != s[b]) return s[a] > s[b];
+                            return a < b;
+                          });
         std::vector<uint32_t> candidates;
-        if (partitioner_ == nullptr) {
-          candidates.resize(base_.rows());
-          std::iota(candidates.begin(), candidates.end(), 0u);
-        } else {
-          // Same probe order as SearchBatch: bins by descending score,
-          // ties by bin id.
-          const float* s = scores.Row(q);
-          std::vector<uint32_t> order(buckets_.size());
-          std::iota(order.begin(), order.end(), 0u);
-          std::partial_sort(order.begin(), order.begin() + probes, order.end(),
-                            [&](uint32_t a, uint32_t b) {
-                              if (s[a] != s[b]) return s[a] > s[b];
-                              return a < b;
-                            });
-          for (size_t p = 0; p < probes; ++p) {
-            const auto& bucket = buckets_[order[p]];
-            candidates.insert(candidates.end(), bucket.begin(), bucket.end());
-          }
+        for (size_t p = 0; p < probes; ++p) {
+          const auto& bucket = buckets_[order[p]];
+          candidates.insert(candidates.end(), bucket.begin(), bucket.end());
         }
         RadiusRowCounts counts;
         auto hits = RangeFilterCandidates(dist_, queries.Row(q), &candidates,

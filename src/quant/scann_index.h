@@ -80,12 +80,13 @@ class ScannIndex : public Index {
   using Index::SearchBatch;
   BatchSearchResult SearchBatch(const SearchRequest& request) const override;
 
-  /// Radius search: gather the probed buckets' points (the whole base when
-  /// partition-free) and range-filter them by *exact* distance. The ADC stage
-  /// is skipped — a range cut needs true distances, and approximating it with
-  /// table scores would break the brute-force bit-identity contract — so
-  /// rerank_budget does not apply to radius requests; options.budget (probed
-  /// bins) is the only knob.
+  /// Radius search: gather the probed buckets' points and range-filter them
+  /// by *exact* distance. The ADC stage is skipped — a range cut needs true
+  /// distances, and approximating it with table scores would break the
+  /// brute-force bit-identity contract — so rerank_budget does not apply to
+  /// radius requests; options.budget (probed bins) is the only knob. When the
+  /// candidates are the whole base (partition-free, or every bin probed) the
+  /// request runs FlatScanRadius (knn/brute_force.h) instead of the gather.
   RadiusResult RadiusSearchBatch(const RadiusRequest& request) const override;
 
   size_t dim() const override { return base_.cols(); }

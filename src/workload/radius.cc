@@ -44,10 +44,9 @@ std::vector<Neighbor> RangeFilterCandidates(const DistanceComputer& dist,
   return hits;
 }
 
-RadiusResult CollectRadiusRows(
-    size_t num_queries, const RadiusOptions& options,
-    const std::function<std::vector<Neighbor>(size_t, RadiusResult*)>&
-        row_fn) {
+RadiusResult CollectRadiusChunks(size_t num_queries,
+                                 const RadiusOptions& options,
+                                 const RadiusChunkFn& chunk_fn) {
   RadiusResult result;
   result.offsets.assign(num_queries + 1, 0);
   result.candidate_counts.assign(num_queries, 0);
@@ -59,9 +58,7 @@ RadiusResult CollectRadiusRows(
   std::vector<std::vector<Neighbor>> rows(num_queries);
   ParallelFor(num_queries, 8, options.num_threads,
               [&](size_t q_begin, size_t q_end, size_t) {
-                for (size_t q = q_begin; q < q_end; ++q) {
-                  rows[q] = row_fn(q, &result);
-                }
+                chunk_fn(q_begin, q_end, &rows, &result);
               });
 
   size_t total = 0;
@@ -79,6 +76,18 @@ RadiusResult CollectRadiusRows(
     }
   }
   return result;
+}
+
+RadiusResult CollectRadiusRows(
+    size_t num_queries, const RadiusOptions& options,
+    const std::function<std::vector<Neighbor>(size_t, RadiusResult*)>&
+        row_fn) {
+  return CollectRadiusChunks(
+      num_queries, options,
+      [&](size_t q_begin, size_t q_end,
+          std::vector<std::vector<Neighbor>>* rows, RadiusResult* result) {
+        for (size_t q = q_begin; q < q_end; ++q) (*rows)[q] = row_fn(q, result);
+      });
 }
 
 }  // namespace usp

@@ -76,37 +76,48 @@ TEST(KernelParityTest, DotBitExactAcrossDims1To67) {
 
 TEST(KernelParityTest, BatchedKernelsMatchOneVsOneBitExact) {
   Rng rng(13);
-  const size_t count = 37;
-  for (const size_t d : {1u, 7u, 8u, 9u, 31u, 32u, 33u, 64u, 67u}) {
-    std::vector<float> rows(count * d);
-    for (auto& v : rows) v = static_cast<float>(rng.Gaussian());
-    const auto q = RandomVec(d, &rng);
-    std::vector<uint32_t> ids(count);
-    std::iota(ids.begin(), ids.end(), 0u);
-    std::reverse(ids.begin(), ids.end());  // non-trivial gather order
+  // The scalar set and, when the CPU has it, the AVX2 set, whichever one
+  // dispatch picked (USP_FORCE_SCALAR=1 runs still check AVX2). Row counts
+  // 0..9 cover every remainder of the AVX2 block kernels' four-row loop.
+  std::vector<const DistanceKernels*> sets = {&ScalarKernels()};
+  if (Avx2KernelsOrNull() != nullptr) sets.push_back(Avx2KernelsOrNull());
+  std::vector<size_t> counts(10);
+  std::iota(counts.begin(), counts.end(), size_t{0});
+  counts.push_back(37);
+  for (const size_t d : {1u, 7u, 8u, 9u, 31u, 32u, 33u, 64u, 67u, 128u}) {
+    for (const size_t count : counts) {
+      std::vector<float> rows(count * d);
+      for (auto& v : rows) v = static_cast<float>(rng.Gaussian());
+      const auto q = RandomVec(d, &rng);
+      std::vector<uint32_t> ids(count);
+      std::iota(ids.begin(), ids.end(), 0u);
+      std::reverse(ids.begin(), ids.end());  // non-trivial gather order
 
-    for (const DistanceKernels* kd : {&ScalarKernels(), &GetDistanceKernels()}) {
-      std::vector<float> block(count), gather(count);
-      kd->score_block_l2(q.data(), rows.data(), count, d, block.data());
-      kd->score_ids_l2(q.data(), rows.data(), d, ids.data(), count,
-                       gather.data());
-      for (size_t r = 0; r < count; ++r) {
-        const float one = kd->squared_l2(q.data(), rows.data() + r * d, d);
-        ASSERT_EQ(Bits(block[r]), Bits(one)) << kd->name << " d=" << d;
-        ASSERT_EQ(Bits(gather[r]), Bits(kd->squared_l2(
-                                       q.data(), rows.data() + ids[r] * d, d)))
-            << kd->name << " d=" << d;
-      }
-      kd->score_block_dot(q.data(), rows.data(), count, d, block.data());
-      kd->score_ids_dot(q.data(), rows.data(), d, ids.data(), count,
-                        gather.data());
-      for (size_t r = 0; r < count; ++r) {
-        ASSERT_EQ(Bits(block[r]),
-                  Bits(kd->dot(q.data(), rows.data() + r * d, d)))
-            << kd->name << " d=" << d;
-        ASSERT_EQ(Bits(gather[r]),
-                  Bits(kd->dot(q.data(), rows.data() + ids[r] * d, d)))
-            << kd->name << " d=" << d;
+      for (const DistanceKernels* kd : sets) {
+        SCOPED_TRACE(testing::Message()
+                     << kd->name << " d=" << d << " count=" << count);
+        std::vector<float> block(count), gather(count);
+        kd->score_block_l2(q.data(), rows.data(), count, d, block.data());
+        kd->score_ids_l2(q.data(), rows.data(), d, ids.data(), count,
+                         gather.data());
+        for (size_t r = 0; r < count; ++r) {
+          const float one = kd->squared_l2(q.data(), rows.data() + r * d, d);
+          ASSERT_EQ(Bits(block[r]), Bits(one)) << "row " << r;
+          ASSERT_EQ(Bits(gather[r]),
+                    Bits(kd->squared_l2(q.data(), rows.data() + ids[r] * d, d)))
+              << "row " << r;
+        }
+        kd->score_block_dot(q.data(), rows.data(), count, d, block.data());
+        kd->score_ids_dot(q.data(), rows.data(), d, ids.data(), count,
+                          gather.data());
+        for (size_t r = 0; r < count; ++r) {
+          ASSERT_EQ(Bits(block[r]),
+                    Bits(kd->dot(q.data(), rows.data() + r * d, d)))
+              << "row " << r;
+          ASSERT_EQ(Bits(gather[r]),
+                    Bits(kd->dot(q.data(), rows.data() + ids[r] * d, d)))
+              << "row " << r;
+        }
       }
     }
   }
