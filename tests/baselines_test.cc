@@ -290,6 +290,13 @@ struct TreeCase {
   bool needs_knn;
 };
 
+// Without a printer gtest lists the param as raw bytes, which include the
+// address of `name` and so change from run to run; print the case name so
+// the listed test IDs stay stable.
+void PrintTo(const TreeCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
+
 class PartitionTreeTest : public ::testing::TestWithParam<TreeCase> {
  protected:
   static HyperplaneSplitFn MakeSplit(const std::string& name) {
