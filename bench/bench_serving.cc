@@ -7,16 +7,21 @@
 // streams each shard once per chunk where 32 serial calls stream it 32
 // times. Recall@10 is 1.0 in every mode (exact search), so recall is matched
 // by construction; the executor and shard-merge tests additionally pin
-// bit-identity of the rows themselves. Three modes per shard count:
+// bit-identity of the rows themselves. Four modes per shard count:
 //
-//   serial    — one client, one query at a time, num_threads=1 per search:
-//               the un-batched single-query service baseline.
-//   direct@L  — L client threads, each searching directly (still one query
-//               per call, num_threads=1): thread-per-request concurrency
-//               without coalescing.
-//   batched@L — L client threads submitting to a shared BatchingExecutor
-//               (pipeline depth 8 per client) that coalesces singles into
-//               SIMD-width batches executed on the full pool.
+//   serial      — one client, one query at a time, num_threads=1 per search:
+//                 the un-batched single-query service baseline.
+//   1-in-flight — one client submitting to a BatchingExecutor and waiting on
+//                 each future before the next Submit: what the executor adds
+//                 to a lone request's latency, to read beside direct@1.
+//   direct@L    — L client threads, each searching directly (still one query
+//                 per call, num_threads=1): thread-per-request concurrency
+//                 without coalescing.
+//   batched@L   — L client threads submitting to a shared BatchingExecutor
+//                 (pipeline depth 8 per client) that coalesces singles into
+//                 SIMD-width batches; the index fans each batch out on the
+//                 full pool. At L=1 its latency is mostly the 8 requests in
+//                 flight (Little's law), not coalescer waiting.
 //
 // Output: QPS plus client-observed p50/p95/p99 latency per mode, written
 // machine-readable to BENCH_serving.json (override with argv[1]); the
@@ -73,6 +78,7 @@ struct ShardResult {
   size_t shards;
   double recall;
   ModeResult serial;
+  ModeResult one_in_flight;
   std::vector<LoadPoint> loads;
 };
 
@@ -157,14 +163,14 @@ ModeResult RunDirect(const Index& index, const Matrix& queries,
   return mode;
 }
 
-/// L clients pipelining single-query submissions into a shared executor.
+/// L clients pipelining single-query submissions into a shared executor,
+/// each keeping up to `depth` requests in flight.
 ModeResult RunBatched(const Index& index, const Matrix& queries,
                       const SearchOptions& options, size_t requests,
-                      size_t clients) {
+                      size_t clients, size_t depth) {
   const size_t nq = queries.rows();
   BatchingExecutorConfig config;
   config.max_batch = 32;
-  config.max_delay_us = 200;
   config.max_queue = 4096;
   BatchingExecutor executor(&index, config);
 
@@ -186,7 +192,7 @@ ModeResult RunBatched(const Index& index, const Matrix& queries,
       };
       for (size_t r = 0; r < share; ++r) {
         const size_t q = (c * 7919 + r) % nq;
-        if (window.size() >= kPipelineDepth) drain_one();
+        if (window.size() >= depth) drain_one();
         const SteadyClock::time_point submit = SteadyClock::now();
         auto submitted = executor.Submit(queries.Row(q), options, c);
         if (!submitted.ok()) {
@@ -215,7 +221,7 @@ ModeResult RunBatched(const Index& index, const Matrix& queries,
 void PrintMode(const char* label, size_t shards, size_t clients,
                const ModeResult& mode) {
   std::printf(
-      "shards=%zu %-10s clients=%zu  %8.0f qps  p50=%7.1fus p95=%7.1fus "
+      "shards=%zu %-11s clients=%zu  %8.0f qps  p50=%7.1fus p95=%7.1fus "
       "p99=%7.1fus\n",
       shards, label, clients, mode.qps, mode.latency_us.p50,
       mode.latency_us.p95, mode.latency_us.p99);
@@ -267,13 +273,16 @@ int Run(const char* out_path) {
     result.serial = RunSerial(index, queries, options, requests, truth,
                               &result.recall);
     PrintMode("serial", shards, 1, result.serial);
+    result.one_in_flight = RunBatched(index, queries, batch_options, requests,
+                                      /*clients=*/1, /*depth=*/1);
+    PrintMode("1-in-flight", shards, 1, result.one_in_flight);
     double best_coalesced_at_load = 0;
     for (const size_t clients : load_sweep) {
       LoadPoint point;
       point.clients = clients;
       point.direct = RunDirect(index, queries, options, requests, clients);
-      point.batched =
-          RunBatched(index, queries, batch_options, requests, clients);
+      point.batched = RunBatched(index, queries, batch_options, requests,
+                                 clients, kPipelineDepth);
       PrintMode("direct", shards, clients, point.direct);
       PrintMode("batched", shards, clients, point.batched);
       if (clients >= 4) {
@@ -307,6 +316,8 @@ int Run(const char* out_path) {
                  result.shards, kTopK, result.recall);
     std::fprintf(f, "     ");
     PrintJsonMode(f, "serial", result.serial, ",\n");
+    std::fprintf(f, "     ");
+    PrintJsonMode(f, "one_in_flight", result.one_in_flight, ",\n");
     std::fprintf(f, "     \"loads\": [\n");
     for (size_t j = 0; j < result.loads.size(); ++j) {
       const LoadPoint& point = result.loads[j];

@@ -1,7 +1,6 @@
 #include "serve/batching_executor.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 namespace usp {
@@ -78,12 +77,11 @@ void BatchingExecutor::Shutdown() {
 }
 
 void BatchingExecutor::BatcherLoop() {
-  const std::chrono::microseconds delay(config_.max_delay_us);
   std::vector<Pending> batch;
   std::vector<size_t> group;
   for (;;) {
     batch.clear();
-    if (queue_.PopBatch(batch, config_.max_batch, delay) == 0) return;
+    if (queue_.PopBatch(batch, config_.max_batch) == 0) return;
 
     // Group compatible requests preserving submission order within each
     // group (first-fit): one SearchBatch per group. The common case — every

@@ -4,17 +4,17 @@
 // off at batch width, but a single user query arrives alone. The executor
 // closes that gap: callers Submit one query and get a future; a dedicated
 // batcher thread pops pending singles off a bounded BatchingQueue
-// (util/batching_queue.h), coalesces compatible ones into one SearchRequest
-// when either `max_batch` width or a `max_delay_us` deadline is reached,
-// executes it on the global pool, and scatters the per-row results back to
-// the futures.
+// (util/batching_queue.h), coalesces compatible ones into one SearchRequest,
+// executes it on the batcher thread (the index fans its own work out on the
+// global pool), and scatters the per-row results back to the futures.
 //
-// Coalescing state machine (the queue implements the waits, the executor the
-// transitions):
-//
-//   IDLE ──first Submit──▶ FILLING(deadline = now + max_delay_us)
-//   FILLING ──width == max_batch──▶ FLUSH (execute + scatter) ──▶ IDLE
-//   FILLING ──deadline hit───────▶ FLUSH (whatever is pending) ──▶ IDLE
+// Natural batching: the batcher loops pop → group → SearchBatch → scatter,
+// and the pop never waits on a timer. It blocks only while the queue is
+// empty, then takes up to `max_batch` of whatever is queued. A request that
+// reaches an idle batcher runs at once as a batch of one; requests that
+// arrive while a batch executes form the next batch, so batch width follows
+// load: about 1 at low rates, up to `max_batch` when arrivals outpace
+// execution.
 //
 // Correctness contract: every index's SearchBatch computes result rows
 // independently (bit-identical at every thread count and batch width — the
@@ -52,11 +52,6 @@ namespace usp {
 struct BatchingExecutorConfig {
   /// Widest coalesced batch; also the per-pop bound of the request queue.
   size_t max_batch = 32;
-
-  /// How long the batcher waits for more singles after the first of a batch
-  /// arrives before flushing short (the FILLING deadline). 0 flushes
-  /// immediately with whatever one pop observes.
-  size_t max_delay_us = 200;
 
   /// Bound of the pending-request queue; Submit blocks (backpressure) while
   /// full.

@@ -1,10 +1,11 @@
-// Bounded MPSC queue with deadline-based batch pops — the coalescing engine
-// behind serve/batching_executor.h. Producers Push single items; one consumer
-// calls PopBatch, which blocks until at least one item is queued, then keeps
-// accumulating until either `width` items are available or `max_delay` has
-// elapsed since the first item of the batch was seen. That two-trigger wait is
-// the whole micro-batching state machine: IDLE (queue empty, consumer asleep)
-// -> FILLING (first item arms the deadline) -> FLUSH (width or deadline).
+// Bounded MPSC queue with natural-batching pops — the coalescing engine behind
+// serve/batching_executor.h. Producers Push single items; one consumer calls
+// PopBatch, which blocks until at least one item is queued and then takes up
+// to `width` of whatever is queued at that moment. It never waits on a timer:
+// while the consumer is busy with one batch, arrivals pile up and form the
+// next, so batch width follows load (about 1 when arrivals are sparse, up to
+// `width` when they outpace the consumer) and an item that reaches an idle
+// consumer is popped at once.
 //
 // Lives in util/ beside ThreadPool because it is index-agnostic plumbing; the
 // executor layers search semantics (grouping by options, scattering results to
@@ -12,7 +13,6 @@
 #ifndef USP_UTIL_BATCHING_QUEUE_H_
 #define USP_UTIL_BATCHING_QUEUE_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -57,25 +57,15 @@ class BatchingQueue {
   }
 
   /// Pops up to `width` items into `out` (appended; caller usually clears).
-  /// Blocks until the first item arrives, then until `width` items are
-  /// available or `max_delay` has passed since that first observation.
-  /// Returns the number of items popped; 0 means closed-and-drained, the
-  /// consumer's signal to exit. After Close, remaining items are still
-  /// delivered (possibly as a short final batch) before 0 is returned.
-  size_t PopBatch(std::vector<T>& out, size_t width,
-                  std::chrono::microseconds max_delay) {
+  /// Blocks until at least one item is queued, then takes what is queued at
+  /// that moment, oldest first, without waiting for more. Returns the number
+  /// of items popped; 0 means closed-and-drained, the consumer's signal to
+  /// exit. After Close, remaining items are still delivered before 0 is
+  /// returned.
+  size_t PopBatch(std::vector<T>& out, size_t width) {
     std::unique_lock<std::mutex> lock(mutex_);
     not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
     if (items_.empty()) return 0;  // closed and drained
-    if (!closed_ && items_.size() < width && max_delay.count() > 0) {
-      // FILLING: the deadline is armed by the first item we observed, not by
-      // each arrival, so a trickle of singles cannot postpone the flush
-      // forever.
-      const auto deadline = std::chrono::steady_clock::now() + max_delay;
-      not_empty_.wait_until(lock, deadline, [this, width] {
-        return closed_ || items_.size() >= width;
-      });
-    }
     const size_t n = items_.size() < width ? items_.size() : width;
     for (size_t i = 0; i < n; ++i) {
       out.push_back(std::move(items_.front()));

@@ -1,13 +1,18 @@
 // Tests for the async micro-batching front-end (serve/batching_executor.h):
 // the acceptance bar is bit-identity — a query coalesced into a batch gets
-// exactly the rows it would get submitted alone — plus the width/deadline
-// flush triggers, options-compatibility grouping, per-tenant admission
-// control, and a multi-threaded submit/drain/shutdown stress that the CI
-// TSan leg runs.
+// exactly the rows it would get submitted alone — plus natural batching (a
+// lone request runs at once; arrivals during a batch form the next one),
+// options-compatibility grouping, per-tenant admission control, and a
+// multi-threaded submit/drain/shutdown stress that the CI TSan leg runs.
+// Batch composition is made deterministic with GatedIndex, which holds the
+// batcher inside one SearchBatch while the test queues later requests.
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -45,9 +50,109 @@ std::unique_ptr<Index> MakeIvf(const Workload& w) {
   return std::make_unique<IvfFlatIndex>(&w.base, config);
 }
 
+// Forwards to an inner index, records the queries of every SearchBatch call,
+// and blocks each call until the test opens the gate (it then stays open).
+class GatedIndex final : public Index {
+ public:
+  explicit GatedIndex(const Index* inner) : inner_(inner) {}
+
+  using Index::SearchBatch;
+  BatchSearchResult SearchBatch(const SearchRequest& request) const override {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      const MatrixView q = request.queries;
+      batches_.emplace_back(q.data(), q.data() + q.rows() * q.cols());
+      entered_.notify_all();
+      opened_.wait(lock, [this] { return open_; });
+    }
+    return inner_->SearchBatch(request);
+  }
+  size_t dim() const override { return inner_->dim(); }
+  size_t size() const override { return inner_->size(); }
+  Metric metric() const override { return inner_->metric(); }
+  IndexType type() const override { return inner_->type(); }
+
+  /// Blocks until `n` SearchBatch calls have reached the gate; false if
+  /// they have not within a generous bound (a bug, reported, not a hang).
+  bool WaitForBatches(size_t n) const {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return entered_.wait_for(lock, std::chrono::seconds(30),
+                             [this, n] { return batches_.size() >= n; });
+  }
+
+  void Open() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    opened_.notify_all();
+  }
+
+  /// Row-major queries of each call so far, in call order.
+  std::vector<std::vector<float>> batches() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return batches_;
+  }
+
+  std::vector<size_t> widths() const {
+    std::vector<size_t> out;
+    for (const std::vector<float>& batch : batches()) {
+      out.push_back(batch.size() / dim());
+    }
+    return out;
+  }
+
+ private:
+  const Index* inner_;
+  mutable std::mutex mutex_;
+  mutable std::condition_variable entered_;
+  mutable std::condition_variable opened_;
+  mutable std::vector<std::vector<float>> batches_;
+  bool open_ = false;
+};
+
+// Opens the gate when it leaves scope. Declared after the executor, it runs
+// first when a failed ASSERT returns early, so the executor's destructor
+// never joins a batcher held at a closed gate.
+class OpenAtExit {
+ public:
+  explicit OpenAtExit(GatedIndex* gated) : gated_(gated) {}
+  ~OpenAtExit() { gated_->Open(); }
+  OpenAtExit(const OpenAtExit&) = delete;
+  OpenAtExit& operator=(const OpenAtExit&) = delete;
+
+ private:
+  GatedIndex* gated_;
+};
+
+// Submits query row `q` and checks the call was admitted.
+std::future<SingleSearchResult> SubmitOk(BatchingExecutor& executor,
+                                         const Workload& w, size_t q,
+                                         const SearchOptions& options,
+                                         uint64_t tenant = 0) {
+  StatusOr<std::future<SingleSearchResult>> submitted =
+      executor.Submit(w.queries.Row(q), options, tenant);
+  EXPECT_TRUE(submitted.ok()) << submitted.status().message();
+  if (!submitted.ok()) return {};  // get() on it throws and fails the test
+  return std::move(submitted).value();
+}
+
+// Checks `got` against a solo SearchBatch of query row `q`, bit for bit.
+void ExpectMatchesSolo(const Index& index, const Workload& w, size_t q,
+                       const SearchOptions& options,
+                       const SingleSearchResult& got) {
+  SearchRequest single;
+  single.queries = MatrixView(w.queries.Row(q), 1, w.queries.cols());
+  single.options = options;
+  const BatchSearchResult want = index.SearchBatch(single);
+  ASSERT_EQ(got.k, want.k) << "q=" << q;
+  EXPECT_EQ(got.ids, want.ids) << "q=" << q;
+  EXPECT_EQ(got.distances, want.distances) << "q=" << q;
+  EXPECT_EQ(got.candidates_scored, want.candidate_counts[0]) << "q=" << q;
+}
+
 TEST(BatchingExecutorTest, CoalescedResultsBitIdenticalToPerQuery) {
   const Workload& w = ExecWorkload();
   const std::unique_ptr<Index> index = MakeIvf(w);
+  GatedIndex gated(index.get());
   SearchOptions options;
   options.k = 10;
   options.budget = 4;  // a real (non-exhaustive) budget: identity must hold
@@ -55,95 +160,105 @@ TEST(BatchingExecutorTest, CoalescedResultsBitIdenticalToPerQuery) {
 
   BatchingExecutorConfig config;
   config.max_batch = 8;
-  config.max_delay_us = 2000;
-  BatchingExecutor executor(index.get(), config);
+  BatchingExecutor executor(&gated, config);
+  OpenAtExit open_at_exit(&gated);
 
+  // Query 0 holds the batcher at the gate while the other 31 queue, so they
+  // coalesce into width-8 batches.
   std::vector<std::future<SingleSearchResult>> futures;
-  for (size_t q = 0; q < w.queries.rows(); ++q) {
-    StatusOr<std::future<SingleSearchResult>> submitted =
-        executor.Submit(w.queries.Row(q), options);
-    ASSERT_TRUE(submitted.ok());
-    futures.push_back(std::move(submitted).value());
+  futures.push_back(SubmitOk(executor, w, 0, options));
+  ASSERT_TRUE(gated.WaitForBatches(1));
+  for (size_t q = 1; q < w.queries.rows(); ++q) {
+    futures.push_back(SubmitOk(executor, w, q, options));
   }
+  gated.Open();
   for (size_t q = 0; q < w.queries.rows(); ++q) {
-    const SingleSearchResult got = futures[q].get();
-    SearchRequest single;
-    single.queries = MatrixView(w.queries.Row(q), 1, w.queries.cols());
-    single.options = options;
-    const BatchSearchResult want = index->SearchBatch(single);
-    ASSERT_EQ(got.k, want.k);
-    EXPECT_EQ(got.ids, want.ids) << "q=" << q;
-    EXPECT_EQ(got.distances, want.distances) << "q=" << q;
-    EXPECT_EQ(got.candidates_scored, want.candidate_counts[0]) << "q=" << q;
+    ExpectMatchesSolo(*index, w, q, options, futures[q].get());
   }
-  // 32 requests through width-8 batches: coalescing must actually happen.
+  EXPECT_EQ(gated.widths(), (std::vector<size_t>{1, 8, 8, 8, 7}));
   EXPECT_EQ(executor.requests_executed(), w.queries.rows());
-  EXPECT_LT(executor.batches_executed(), executor.requests_executed());
-  EXPECT_GT(executor.max_batch_width(), 1u);
+  EXPECT_EQ(executor.batches_executed(), 5u);
+  EXPECT_EQ(executor.max_batch_width(), 8u);
 }
 
-TEST(BatchingExecutorTest, WidthTriggersFlushBeforeDeadline) {
+TEST(BatchingExecutorTest, LoneRequestRunsAlone) {
   const Workload& w = ExecWorkload();
   const std::unique_ptr<Index> index = MakeIvf(w);
+  GatedIndex gated(index.get());
+  gated.Open();
   BatchingExecutorConfig config;
-  config.max_batch = 4;
-  config.max_delay_us = 1000000;  // 1s: only the width trigger can flush fast
-  BatchingExecutor executor(index.get(), config);
-
-  SearchOptions options;
-  options.k = 5;
-  options.budget = kFullBudget;
-  std::vector<std::future<SingleSearchResult>> futures;
-  for (size_t q = 0; q < 8; ++q) {
-    auto submitted = executor.Submit(w.queries.Row(q), options);
-    ASSERT_TRUE(submitted.ok());
-    futures.push_back(std::move(submitted).value());
-  }
-  for (auto& future : futures) {
-    EXPECT_EQ(future.get().ids.size(), 5u);
-  }
-  EXPECT_EQ(executor.requests_executed(), 8u);
-  EXPECT_LE(executor.max_batch_width(), 4u);
-  // Had the deadline been the only trigger this would have taken 2+ seconds;
-  // the width trigger makes it immediate and at most ceil(8/4)+1 batches
-  // (the +1 tolerates a short first pop racing the submit loop).
-  EXPECT_LE(executor.batches_executed(), 3u);
-}
-
-TEST(BatchingExecutorTest, DeadlineFlushesShortBatch) {
-  const Workload& w = ExecWorkload();
-  const std::unique_ptr<Index> index = MakeIvf(w);
-  BatchingExecutorConfig config;
-  config.max_batch = 64;     // never reached by 3 requests
-  config.max_delay_us = 500;  // the deadline must flush instead
-  BatchingExecutor executor(index.get(), config);
+  config.max_batch = 64;  // far wider than the one request
+  BatchingExecutor executor(&gated, config);
 
   SearchOptions options;
   options.k = 3;
   options.budget = 4;
+  // get() returns without any companion request arriving: the batcher does
+  // not wait to fill the batch.
+  ExpectMatchesSolo(*index, w, 0, options,
+                    SubmitOk(executor, w, 0, options).get());
+  EXPECT_EQ(gated.widths(), (std::vector<size_t>{1}));
+  EXPECT_EQ(executor.requests_executed(), 1u);
+  EXPECT_EQ(executor.batches_executed(), 1u);
+  EXPECT_EQ(executor.max_batch_width(), 1u);
+}
+
+TEST(BatchingExecutorTest, ArrivalsDuringABatchFormTheNext) {
+  const Workload& w = ExecWorkload();
+  const std::unique_ptr<Index> index = MakeIvf(w);
+  GatedIndex gated(index.get());
+  BatchingExecutorConfig config;
+  config.max_batch = 4;
+  BatchingExecutor executor(&gated, config);
+  OpenAtExit open_at_exit(&gated);
+
+  SearchOptions options;
+  options.k = 5;
+  options.budget = 4;
+  const size_t arrivals = config.max_batch + 3;
   std::vector<std::future<SingleSearchResult>> futures;
-  for (size_t q = 0; q < 3; ++q) {
-    auto submitted = executor.Submit(w.queries.Row(q), options);
-    ASSERT_TRUE(submitted.ok());
-    futures.push_back(std::move(submitted).value());
+  futures.push_back(SubmitOk(executor, w, 0, options));
+  ASSERT_TRUE(gated.WaitForBatches(1));  // batch 1 executes (held) ...
+  for (size_t q = 1; q <= arrivals; ++q) {
+    futures.push_back(SubmitOk(executor, w, q, options));  // ... these queue
   }
-  // get() would deadlock if nothing ever flushed below max_batch width.
-  for (auto& future : futures) {
-    EXPECT_EQ(future.get().ids.size(), 3u);
+  gated.Open();
+  for (size_t q = 0; q < futures.size(); ++q) {
+    ExpectMatchesSolo(*index, w, q, options, futures[q].get());
   }
-  EXPECT_EQ(executor.requests_executed(), 3u);
+
+  // The queued requests run as the next batches: one full-width, then the
+  // remaining 3, each holding its queries in submission order.
+  EXPECT_EQ(gated.widths(), (std::vector<size_t>{1, config.max_batch, 3}));
+  const std::vector<std::vector<float>> batches = gated.batches();
+  ASSERT_EQ(batches.size(), 3u);
+  size_t q = 0;
+  for (const std::vector<float>& batch : batches) {
+    const std::vector<float> want(w.queries.Row(q),
+                                  w.queries.Row(q) + batch.size());
+    EXPECT_EQ(batch, want) << "batch starting at q=" << q;
+    q += batch.size() / w.queries.cols();
+  }
+  EXPECT_EQ(q, arrivals + 1);
 }
 
 TEST(BatchingExecutorTest, IncompatibleOptionsNeverShareABatch) {
   const Workload& w = ExecWorkload();
   const std::unique_ptr<Index> index = MakeIvf(w);
+  GatedIndex gated(index.get());
   BatchingExecutorConfig config;
   config.max_batch = 16;
-  config.max_delay_us = 2000;
-  BatchingExecutor executor(index.get(), config);
+  BatchingExecutor executor(&gated, config);
+  OpenAtExit open_at_exit(&gated);
 
-  // Interleave three option shapes; every future must come back with its own
-  // k and its own bit-identical row.
+  SearchOptions hold;
+  hold.k = 1;
+  std::future<SingleSearchResult> held = SubmitOk(executor, w, 0, hold);
+  ASSERT_TRUE(gated.WaitForBatches(1));
+
+  // Interleave six option shapes, two requests each, behind the held batch:
+  // all 12 pop together, and every future must come back with its own k and
+  // its own bit-identical row.
   std::vector<std::future<SingleSearchResult>> futures;
   std::vector<SearchOptions> per_query;
   for (size_t q = 0; q < 12; ++q) {
@@ -151,34 +266,31 @@ TEST(BatchingExecutorTest, IncompatibleOptionsNeverShareABatch) {
     options.k = 3 + (q % 3) * 2;  // 3, 5, 7
     options.budget = q % 2 == 0 ? 4 : kFullBudget;
     per_query.push_back(options);
-    auto submitted = executor.Submit(w.queries.Row(q), options);
-    ASSERT_TRUE(submitted.ok());
-    futures.push_back(std::move(submitted).value());
+    futures.push_back(SubmitOk(executor, w, q, options));
   }
+  gated.Open();
+  held.get();
   for (size_t q = 0; q < futures.size(); ++q) {
-    const SingleSearchResult got = futures[q].get();
-    ASSERT_EQ(got.k, per_query[q].k);
-    SearchRequest single;
-    single.queries = MatrixView(w.queries.Row(q), 1, w.queries.cols());
-    single.options = per_query[q];
-    const BatchSearchResult want = index->SearchBatch(single);
-    EXPECT_EQ(got.ids, want.ids) << "q=" << q;
-    EXPECT_EQ(got.distances, want.distances) << "q=" << q;
+    ExpectMatchesSolo(*index, w, q, per_query[q], futures[q].get());
   }
+  // One SearchBatch per compatible pair, never a mixed one.
+  EXPECT_EQ(gated.widths(), (std::vector<size_t>{1, 2, 2, 2, 2, 2, 2}));
 }
 
 TEST(BatchingExecutorTest, PerTenantAdmissionControl) {
   const Workload& w = ExecWorkload();
   const std::unique_ptr<Index> index = MakeIvf(w);
+  GatedIndex gated(index.get());
   BatchingExecutorConfig config;
   config.max_batch = 100;
-  config.max_delay_us = 200000;  // 200ms FILLING window keeps requests queued
   config.max_in_flight_per_tenant = 2;
-  BatchingExecutor executor(index.get(), config);
+  BatchingExecutor executor(&gated, config);
+  OpenAtExit open_at_exit(&gated);
 
   SearchOptions options;
   options.k = 4;
   options.budget = 4;
+  // The closed gate holds `a` executing and `b` queued: both in flight.
   auto a = executor.Submit(w.queries.Row(0), options, /*tenant=*/7);
   auto b = executor.Submit(w.queries.Row(1), options, /*tenant=*/7);
   ASSERT_TRUE(a.ok());
@@ -191,6 +303,7 @@ TEST(BatchingExecutorTest, PerTenantAdmissionControl) {
   ASSERT_TRUE(c.ok());
 
   // Once the in-flight requests finish, the tenant may submit again.
+  gated.Open();
   a.value().get();
   b.value().get();
   c.value().get();
@@ -203,25 +316,40 @@ TEST(BatchingExecutorTest, PerTenantAdmissionControl) {
 TEST(BatchingExecutorTest, ShutdownFulfillsPendingAndRejectsNew) {
   const Workload& w = ExecWorkload();
   const std::unique_ptr<Index> index = MakeIvf(w);
+  GatedIndex gated(index.get());
   BatchingExecutorConfig config;
   config.max_batch = 100;
-  config.max_delay_us = 1000000;  // pending requests sit in FILLING
-  BatchingExecutor executor(index.get(), config);
+  BatchingExecutor executor(&gated, config);
+  OpenAtExit open_at_exit(&gated);
 
   SearchOptions options;
   options.k = 6;
   options.budget = 4;
   std::vector<std::future<SingleSearchResult>> futures;
   for (size_t q = 0; q < 5; ++q) {
-    auto submitted = executor.Submit(w.queries.Row(q), options);
-    ASSERT_TRUE(submitted.ok());
+    futures.push_back(SubmitOk(executor, w, q, options));
+  }
+  ASSERT_TRUE(gated.WaitForBatches(1));  // query 0 held; the rest pending
+
+  // Shutdown joins the batcher, so it blocks until the gate opens. It stops
+  // admission first: keep submitting until a Submit is rejected, and each
+  // accepted one is one more request pending at shutdown.
+  std::thread closer([&] { executor.Shutdown(); });
+  for (;;) {
+    auto submitted = executor.Submit(w.queries.Row(0), options);
+    if (!submitted.ok()) {
+      EXPECT_EQ(submitted.status().code(), StatusCode::kFailedPrecondition);
+      break;
+    }
     futures.push_back(std::move(submitted).value());
   }
-  executor.Shutdown();
+  gated.Open();
+  closer.join();
   // Every pending future was fulfilled normally during the drain.
   for (auto& future : futures) {
     EXPECT_EQ(future.get().ids.size(), 6u);
   }
+  EXPECT_EQ(executor.requests_executed(), futures.size());
   auto rejected = executor.Submit(w.queries.Row(0), options);
   EXPECT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kFailedPrecondition);
@@ -239,7 +367,6 @@ TEST(BatchingExecutorTest, SubmitDrainStress) {
 
   BatchingExecutorConfig config;
   config.max_batch = 8;
-  config.max_delay_us = 100;
   config.max_queue = 64;
   BatchingExecutor executor(&index, config);
 

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <numeric>
 #include <set>
+#include <thread>
+#include <vector>
 
+#include "util/batching_queue.h"
 #include "util/env.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -174,6 +178,87 @@ TEST(ParallelForTest, SmallCountRunsInline) {
     for (size_t i = begin; i < end; ++i) touched[i] += 1;
   });
   EXPECT_EQ(touched, (std::vector<int>{1, 1, 1}));
+}
+
+TEST(BatchingQueueTest, PopBatchTakesWhatIsQueuedInFifoOrder) {
+  BatchingQueue<int> queue(8);
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(queue.Push(i));
+  std::vector<int> out;
+  EXPECT_EQ(queue.PopBatch(out, 3), 3u);  // stops at width
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
+  // Width 10 with 2 queued returns the 2 at once instead of waiting for more.
+  EXPECT_EQ(queue.PopBatch(out, 10), 2u);
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));  // appended
+  EXPECT_EQ(queue.size(), 0u);
+}
+
+TEST(BatchingQueueTest, CloseDeliversRemainingThenReturnsZero) {
+  BatchingQueue<int> queue(8);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(queue.Push(i));
+  queue.Close();
+  EXPECT_TRUE(queue.closed());
+  EXPECT_FALSE(queue.Push(9));
+  std::vector<int> out;
+  EXPECT_EQ(queue.PopBatch(out, 2), 2u);
+  EXPECT_EQ(queue.PopBatch(out, 2), 1u);
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(queue.PopBatch(out, 2), 0u);
+  queue.Close();  // idempotent
+  EXPECT_EQ(queue.PopBatch(out, 2), 0u);
+}
+
+TEST(BatchingQueueTest, TryPushFailsWhenFullOrClosed) {
+  BatchingQueue<int> queue(2);
+  EXPECT_TRUE(queue.TryPush(0));
+  EXPECT_TRUE(queue.TryPush(1));
+  EXPECT_FALSE(queue.TryPush(2));  // full
+  std::vector<int> out;
+  ASSERT_EQ(queue.PopBatch(out, 1), 1u);
+  EXPECT_TRUE(queue.TryPush(3));
+  queue.Close();
+  EXPECT_FALSE(queue.TryPush(4));  // closed, though there is room
+  out.clear();
+  EXPECT_EQ(queue.PopBatch(out, 8), 2u);
+  EXPECT_EQ(out, (std::vector<int>{1, 3}));
+}
+
+TEST(BatchingQueueTest, BlockedPushResumesAfterPop) {
+  BatchingQueue<int> queue(1);
+  ASSERT_TRUE(queue.Push(0));
+  std::atomic<bool> returned{false};
+  bool pushed = false;
+  std::thread producer([&] {
+    pushed = queue.Push(1);  // full: blocks until the pop below
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());
+  std::vector<int> out;
+  EXPECT_EQ(queue.PopBatch(out, 1), 1u);
+  producer.join();
+  EXPECT_TRUE(pushed);
+  EXPECT_EQ(queue.PopBatch(out, 1), 1u);
+  EXPECT_EQ(out, (std::vector<int>{0, 1}));
+}
+
+TEST(BatchingQueueTest, BlockedPushFailsWhenClosedFirst) {
+  BatchingQueue<int> queue(1);
+  ASSERT_TRUE(queue.Push(0));
+  std::atomic<bool> returned{false};
+  bool pushed = true;
+  std::thread producer([&] {
+    pushed = queue.Push(1);  // full: blocks until Close
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());
+  queue.Close();
+  producer.join();
+  EXPECT_FALSE(pushed);
+  std::vector<int> out;
+  EXPECT_EQ(queue.PopBatch(out, 4), 1u);  // the item queued before Close
+  EXPECT_EQ(out, (std::vector<int>{0}));
+  EXPECT_EQ(queue.PopBatch(out, 4), 0u);
 }
 
 TEST(EnvTest, IntParsesAndDefaults) {
