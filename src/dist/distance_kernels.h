@@ -14,12 +14,14 @@
 // ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)) — so both sets produce bitwise
 // identical results for identical inputs. `score_block_*` / `score_ids_*`
 // apply the matching 1-vs-1 arithmetic per row and inherit the guarantee.
-// The AVX2 `score_block_*` keep four rows in flight (one accumulator per
-// row, so the rows' FMA chains overlap) and finish a remainder of fewer than
-// four rows one at a time; each row's arithmetic — lanes, masked tail,
-// reduction tree — is unchanged, so out[r] still equals the 1-vs-1 kernel
-// bit for bit. tests/dist_test.cc enforces this across dims covering every
-// SIMD tail and row counts covering every remainder of the four-row loop.
+// The AVX2 `score_block_*` and `score_ids_*` share one four-row body: four
+// rows in flight (contiguous, or gathered by id), one accumulator per row,
+// so the rows' FMA chains and the gathered rows' cache misses overlap; a
+// remainder of fewer than four rows finishes one at a time. Each row's
+// arithmetic — lanes, masked tail, reduction tree — is unchanged, so out[r]
+// still equals the 1-vs-1 kernel bit for bit. tests/dist_test.cc enforces
+// this for both kernel pairs across dims covering every SIMD tail and row
+// counts covering every remainder of the four-row loop.
 #ifndef USP_DIST_DISTANCE_KERNELS_H_
 #define USP_DIST_DISTANCE_KERNELS_H_
 
@@ -48,11 +50,13 @@ struct DistanceKernels {
                           size_t d, float* out);
 
   /// out[i] = ||query - base[ids[i]*d ..]||^2, software-prefetching the
-  /// gathered rows a few ids ahead.
+  /// gathered rows a few ids ahead; bit-identical to squared_l2 per row in
+  /// any id order (the AVX2 set scores four gathered rows at a time).
   void (*score_ids_l2)(const float* query, const float* base, size_t d,
                        const uint32_t* ids, size_t count, float* out);
 
-  /// out[i] = <query, base[ids[i]*d ..]>, prefetched gather.
+  /// out[i] = <query, base[ids[i]*d ..]>, prefetched gather; bit-identical
+  /// to dot per row.
   void (*score_ids_dot)(const float* query, const float* base, size_t d,
                         const uint32_t* ids, size_t count, float* out);
 

@@ -12,6 +12,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -39,40 +40,84 @@ __attribute__((target("avx2,fma"))) inline float Reduce8(__m256 v) {
   return _mm_cvtss_f32(_mm_add_ss(s, odd));
 }
 
-__attribute__((target("avx2,fma"))) float SquaredL2Avx2(const float* x,
-                                                        const float* y,
-                                                        size_t d) {
+// One element step of the 1-vs-1 arithmetic: acc += (q - x)^2 for squared
+// L2, acc += q * x for the dot product.
+template <bool kL2>
+__attribute__((target("avx2,fma"))) inline __m256 Step(__m256 q, __m256 x,
+                                                        __m256 acc) {
+  if constexpr (kL2) {
+    const __m256 diff = _mm256_sub_ps(q, x);
+    return _mm256_fmadd_ps(diff, diff, acc);
+  } else {
+    return _mm256_fmadd_ps(q, x, acc);
+  }
+}
+
+// squared_l2 (kL2) or dot of `query` against one row.
+template <bool kL2>
+__attribute__((target("avx2,fma"))) float OneRow(const float* query,
+                                                 const float* x, size_t d) {
   __m256 acc = _mm256_setzero_ps();
   size_t i = 0;
   for (; i + 8 <= d; i += 8) {
-    const __m256 diff =
-        _mm256_sub_ps(_mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i));
-    acc = _mm256_fmadd_ps(diff, diff, acc);
+    acc = Step<kL2>(_mm256_loadu_ps(query + i), _mm256_loadu_ps(x + i), acc);
   }
   const size_t rem = d - i;
   if (rem > 0) {
     const __m256i mask = TailMask(rem);
-    const __m256 diff = _mm256_sub_ps(_mm256_maskload_ps(x + i, mask),
-                                      _mm256_maskload_ps(y + i, mask));
-    acc = _mm256_fmadd_ps(diff, diff, acc);
+    acc = Step<kL2>(_mm256_maskload_ps(query + i, mask),
+                    _mm256_maskload_ps(x + i, mask), acc);
   }
   return Reduce8(acc);
 }
 
-__attribute__((target("avx2,fma"))) float DotAvx2(const float* x,
-                                                  const float* y, size_t d) {
-  __m256 acc = _mm256_setzero_ps();
+// out[0..4) = OneRow<kL2> of `query` against rows x0..x3, four rows in
+// flight: one accumulator per row, so the rows' FMA chains (and, for
+// gathered rows, their cache misses) overlap instead of each waiting on the
+// previous row's reduction. Every row still sees exactly the 1-vs-1
+// arithmetic (same lanes, masked tail and Reduce8), so each out[r] is
+// bit-identical to it. The one four-row body behind both the block and the
+// gather kernels.
+template <bool kL2>
+__attribute__((target("avx2,fma"))) inline void FourRows(
+    const float* query, const float* x0, const float* x1, const float* x2,
+    const float* x3, size_t d, float* out) {
+  __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
+  __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
   size_t i = 0;
   for (; i + 8 <= d; i += 8) {
-    acc = _mm256_fmadd_ps(_mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i), acc);
+    const __m256 q = _mm256_loadu_ps(query + i);
+    a0 = Step<kL2>(q, _mm256_loadu_ps(x0 + i), a0);
+    a1 = Step<kL2>(q, _mm256_loadu_ps(x1 + i), a1);
+    a2 = Step<kL2>(q, _mm256_loadu_ps(x2 + i), a2);
+    a3 = Step<kL2>(q, _mm256_loadu_ps(x3 + i), a3);
   }
   const size_t rem = d - i;
   if (rem > 0) {
     const __m256i mask = TailMask(rem);
-    acc = _mm256_fmadd_ps(_mm256_maskload_ps(x + i, mask),
-                          _mm256_maskload_ps(y + i, mask), acc);
+    const __m256 q = _mm256_maskload_ps(query + i, mask);
+    a0 = Step<kL2>(q, _mm256_maskload_ps(x0 + i, mask), a0);
+    a1 = Step<kL2>(q, _mm256_maskload_ps(x1 + i, mask), a1);
+    a2 = Step<kL2>(q, _mm256_maskload_ps(x2 + i, mask), a2);
+    a3 = Step<kL2>(q, _mm256_maskload_ps(x3 + i, mask), a3);
   }
-  return Reduce8(acc);
+  out[0] = Reduce8(a0);
+  out[1] = Reduce8(a1);
+  out[2] = Reduce8(a2);
+  out[3] = Reduce8(a3);
+}
+
+template <bool kL2>
+__attribute__((target("avx2,fma"))) void ScoreBlock(const float* query,
+                                                    const float* rows,
+                                                    size_t count, size_t d,
+                                                    float* out) {
+  size_t r = 0;
+  for (; r + 4 <= count; r += 4) {
+    const float* x = rows + r * d;
+    FourRows<kL2>(query, x, x + d, x + 2 * d, x + 3 * d, d, out + r);
+  }
+  for (; r < count; ++r) out[r] = OneRow<kL2>(query, rows + r * d, d);
 }
 
 __attribute__((target("avx2,fma"))) inline void PrefetchRow(const float* row,
@@ -82,114 +127,26 @@ __attribute__((target("avx2,fma"))) inline void PrefetchRow(const float* row,
   if (bytes > 64) __builtin_prefetch(reinterpret_cast<const char*>(row) + 64);
 }
 
-// Block kernels keep four rows in flight: one accumulator per row, so the
-// rows' FMA chains overlap instead of each waiting on the previous row's
-// reduction. Every row still sees exactly the 1-vs-1 arithmetic above (same
-// lanes, masked tail and Reduce8), so out[r] is bit-identical to it.
-__attribute__((target("avx2,fma"))) void ScoreBlockL2Avx2(const float* query,
-                                                          const float* rows,
-                                                          size_t count,
-                                                          size_t d,
-                                                          float* out) {
-  size_t r = 0;
-  for (; r + 4 <= count; r += 4) {
-    const float* x0 = rows + r * d;
-    const float* x1 = x0 + d;
-    const float* x2 = x1 + d;
-    const float* x3 = x2 + d;
-    __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
-    __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
-    size_t i = 0;
-    for (; i + 8 <= d; i += 8) {
-      const __m256 q = _mm256_loadu_ps(query + i);
-      const __m256 d0 = _mm256_sub_ps(q, _mm256_loadu_ps(x0 + i));
-      const __m256 d1 = _mm256_sub_ps(q, _mm256_loadu_ps(x1 + i));
-      const __m256 d2 = _mm256_sub_ps(q, _mm256_loadu_ps(x2 + i));
-      const __m256 d3 = _mm256_sub_ps(q, _mm256_loadu_ps(x3 + i));
-      a0 = _mm256_fmadd_ps(d0, d0, a0);
-      a1 = _mm256_fmadd_ps(d1, d1, a1);
-      a2 = _mm256_fmadd_ps(d2, d2, a2);
-      a3 = _mm256_fmadd_ps(d3, d3, a3);
+// Gathered rows go through the block kernel's four-row body, prefetching
+// the rows kPrefetchAhead ids ahead.
+template <bool kL2>
+__attribute__((target("avx2,fma"))) void ScoreIds(const float* query,
+                                                  const float* base, size_t d,
+                                                  const uint32_t* ids,
+                                                  size_t count, float* out) {
+  const auto row = [&](size_t i) {
+    return base + static_cast<size_t>(ids[i]) * d;
+  };
+  size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    const size_t ahead_end = std::min(count, i + 4 + kPrefetchAhead);
+    for (size_t j = i + kPrefetchAhead; j < ahead_end; ++j) {
+      PrefetchRow(row(j), d);
     }
-    const size_t rem = d - i;
-    if (rem > 0) {
-      const __m256i mask = TailMask(rem);
-      const __m256 q = _mm256_maskload_ps(query + i, mask);
-      const __m256 d0 = _mm256_sub_ps(q, _mm256_maskload_ps(x0 + i, mask));
-      const __m256 d1 = _mm256_sub_ps(q, _mm256_maskload_ps(x1 + i, mask));
-      const __m256 d2 = _mm256_sub_ps(q, _mm256_maskload_ps(x2 + i, mask));
-      const __m256 d3 = _mm256_sub_ps(q, _mm256_maskload_ps(x3 + i, mask));
-      a0 = _mm256_fmadd_ps(d0, d0, a0);
-      a1 = _mm256_fmadd_ps(d1, d1, a1);
-      a2 = _mm256_fmadd_ps(d2, d2, a2);
-      a3 = _mm256_fmadd_ps(d3, d3, a3);
-    }
-    out[r] = Reduce8(a0);
-    out[r + 1] = Reduce8(a1);
-    out[r + 2] = Reduce8(a2);
-    out[r + 3] = Reduce8(a3);
+    FourRows<kL2>(query, row(i), row(i + 1), row(i + 2), row(i + 3), d,
+                  out + i);
   }
-  for (; r < count; ++r) out[r] = SquaredL2Avx2(query, rows + r * d, d);
-}
-
-__attribute__((target("avx2,fma"))) void ScoreBlockDotAvx2(const float* query,
-                                                           const float* rows,
-                                                           size_t count,
-                                                           size_t d,
-                                                           float* out) {
-  size_t r = 0;
-  for (; r + 4 <= count; r += 4) {
-    const float* x0 = rows + r * d;
-    const float* x1 = x0 + d;
-    const float* x2 = x1 + d;
-    const float* x3 = x2 + d;
-    __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
-    __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
-    size_t i = 0;
-    for (; i + 8 <= d; i += 8) {
-      const __m256 q = _mm256_loadu_ps(query + i);
-      a0 = _mm256_fmadd_ps(q, _mm256_loadu_ps(x0 + i), a0);
-      a1 = _mm256_fmadd_ps(q, _mm256_loadu_ps(x1 + i), a1);
-      a2 = _mm256_fmadd_ps(q, _mm256_loadu_ps(x2 + i), a2);
-      a3 = _mm256_fmadd_ps(q, _mm256_loadu_ps(x3 + i), a3);
-    }
-    const size_t rem = d - i;
-    if (rem > 0) {
-      const __m256i mask = TailMask(rem);
-      const __m256 q = _mm256_maskload_ps(query + i, mask);
-      a0 = _mm256_fmadd_ps(q, _mm256_maskload_ps(x0 + i, mask), a0);
-      a1 = _mm256_fmadd_ps(q, _mm256_maskload_ps(x1 + i, mask), a1);
-      a2 = _mm256_fmadd_ps(q, _mm256_maskload_ps(x2 + i, mask), a2);
-      a3 = _mm256_fmadd_ps(q, _mm256_maskload_ps(x3 + i, mask), a3);
-    }
-    out[r] = Reduce8(a0);
-    out[r + 1] = Reduce8(a1);
-    out[r + 2] = Reduce8(a2);
-    out[r + 3] = Reduce8(a3);
-  }
-  for (; r < count; ++r) out[r] = DotAvx2(query, rows + r * d, d);
-}
-
-__attribute__((target("avx2,fma"))) void ScoreIdsL2Avx2(
-    const float* query, const float* base, size_t d, const uint32_t* ids,
-    size_t count, float* out) {
-  for (size_t i = 0; i < count; ++i) {
-    if (i + kPrefetchAhead < count) {
-      PrefetchRow(base + static_cast<size_t>(ids[i + kPrefetchAhead]) * d, d);
-    }
-    out[i] = SquaredL2Avx2(query, base + static_cast<size_t>(ids[i]) * d, d);
-  }
-}
-
-__attribute__((target("avx2,fma"))) void ScoreIdsDotAvx2(
-    const float* query, const float* base, size_t d, const uint32_t* ids,
-    size_t count, float* out) {
-  for (size_t i = 0; i < count; ++i) {
-    if (i + kPrefetchAhead < count) {
-      PrefetchRow(base + static_cast<size_t>(ids[i + kPrefetchAhead]) * d, d);
-    }
-    out[i] = DotAvx2(query, base + static_cast<size_t>(ids[i]) * d, d);
-  }
+  for (; i < count; ++i) out[i] = OneRow<kL2>(query, row(i), d);
 }
 
 __attribute__((target("avx2,fma"))) void AxpyAvx2(float alpha, const float* x,
@@ -212,9 +169,9 @@ bool CpuHasAvx2Fma() {
 
 const DistanceKernels* Avx2KernelsOrNull() {
   static const DistanceKernels kernels = {
-      "avx2",           SquaredL2Avx2,   DotAvx2,
-      ScoreBlockL2Avx2, ScoreBlockDotAvx2, ScoreIdsL2Avx2,
-      ScoreIdsDotAvx2,  AxpyAvx2,
+      "avx2",           OneRow<true>,     OneRow<false>,
+      ScoreBlock<true>, ScoreBlock<false>, ScoreIds<true>,
+      ScoreIds<false>,  AxpyAvx2,
   };
   static const bool supported = CpuHasAvx2Fma();
   return supported ? &kernels : nullptr;

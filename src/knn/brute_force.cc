@@ -302,8 +302,7 @@ std::vector<Neighbor> RerankCandidatesScored(
   // Ensembles and multi-probe sweeps can feed overlapping candidate lists;
   // dedupe so duplicates never occupy several top-k slots.
   std::vector<uint32_t> ids(candidates);
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  SortUniqueIds(&ids);
 
   if (filter != nullptr) {
     const size_t before = ids.size();

@@ -117,13 +117,17 @@ struct RerankCounts {
 /// returns the top k candidates as (distance, id) pairs, ascending by
 /// distance (ties by id). Duplicate ids in `candidates` (e.g. from
 /// overlapping ensemble probes) are deduplicated before scoring, so the
-/// result never repeats an id. When `filter` is set, candidates it rejects
-/// are dropped *before* scoring (selector pushdown: disallowed rows cost no
-/// distance work and can never displace allowed ones); `counts`, when
-/// non-null, receives the scored/filtered tallies. Scoring goes through the
-/// batched gather-by-id kernels (prefetched). Used by every partition-based
-/// index for the final scan of the candidate set; the scores feed
-/// cross-segment merging in the serving layer.
+/// result never repeats an id, and the survivors are scored in ascending id
+/// order. The dedupe is SortUniqueIds (knn/top_k.h): a strictly increasing
+/// list, which is what one probed bucket yields (every budget-1
+/// PartitionIndex or UspEnsemble query), skips the sort. When `filter` is
+/// set, candidates it rejects are dropped *before* scoring (selector
+/// pushdown: disallowed rows cost no distance work and can never displace
+/// allowed ones); `counts`, when non-null, receives the scored/filtered
+/// tallies. Scoring goes through the batched gather-by-id kernels
+/// (prefetched, four rows in flight). Used by every partition-based index
+/// for the final scan of the candidate set; the scores feed cross-segment
+/// merging in the serving layer.
 std::vector<Neighbor> RerankCandidatesScored(
     const DistanceComputer& dist, const float* query,
     const std::vector<uint32_t>& candidates, size_t k,

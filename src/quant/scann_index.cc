@@ -199,7 +199,7 @@ BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
                           });
       }
 
-      TopK approx(std::max(k, config_.rerank_budget));
+      Shortlist approx(std::max(k, config_.rerank_budget));
       size_t scored = 0;
 
       if (fast_scan) {
@@ -275,9 +275,8 @@ BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
         }
       }
 
-      auto top_approx = approx.TakeSorted();
       shortlist.clear();
-      for (const auto& cand : top_approx) shortlist.push_back(cand.id);
+      for (const Neighbor& cand : approx.Take()) shortlist.push_back(cand.id);
 
       // Exact re-rank of the shortlist through the batched gather-by-id
       // kernels (already filtered in the float stage; fast-scan requests are

@@ -70,10 +70,13 @@ class ScannIndex : public Index {
              const uint8_t* packed = nullptr);
 
   /// k-NN search: probe the `options.budget` best bins, ADC-score their
-  /// points, then exact-rerank the best `rerank_budget` candidates. An
-  /// options.filter is applied before the ADC stage, so disallowed rows cost
-  /// no table lookups and never occupy shortlist slots — with all bins probed
-  /// and rerank_budget >= the allowed count, the result is exact brute force
+  /// points, then exact-rerank the shortlist: the max(k, rerank_budget)
+  /// smallest (ADC score, id) pairs. A Shortlist (knn/top_k.h) picks them
+  /// without per-candidate heap work; it keeps exactly the set a TopK heap
+  /// would, and the rerank orders the ids itself. An options.filter is
+  /// applied before the ADC stage, so disallowed rows cost no table lookups
+  /// and never occupy shortlist slots — with all bins probed and
+  /// rerank_budget >= the allowed count, the result is exact brute force
   /// over the allowed subset. `options.num_threads` caps the per-query search
   /// sharding (0 = thread-pool default, 1 = serial; partition scoring still
   /// uses the pool's GEMM); results are identical at every setting.

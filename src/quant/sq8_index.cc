@@ -123,7 +123,7 @@ BatchSearchResult Sq8Index::SearchBatch(const SearchRequest& request) const {
       const float* prepared = dist_.PrepareQuery(query, &query_scratch);
       EncodeVector(prepared, qcode.data());
 
-      TopK approx(std::max(k, config_.rerank_budget));
+      Shortlist approx(std::max(k, config_.rerank_budget));
       size_t scored = 0, dropped = 0;
       if (options.filter == nullptr) {
         // Chunked exhaustive scan through the block kernels.
@@ -168,9 +168,8 @@ BatchSearchResult Sq8Index::SearchBatch(const SearchRequest& request) const {
         result.stats->filtered_out[q] = static_cast<uint32_t>(dropped);
       }
 
-      auto top_approx = approx.TakeSorted();
       shortlist.clear();
-      for (const auto& cand : top_approx) shortlist.push_back(cand.id);
+      for (const Neighbor& cand : approx.Take()) shortlist.push_back(cand.id);
 
       // Exact fp32 re-rank of the shortlist (already filtered above).
       result.SetRow(q, RerankCandidatesScored(dist_, query, shortlist, k));

@@ -6,9 +6,11 @@
 //
 // Search is a two-stage exhaustive scan: the quantized code-space distance
 // ranks every row (L2: sum of squared code differences; IP/cosine: negated
-// code dot product), the best max(k, rerank_budget) proxies form a
+// code dot product), the best max(k, rerank_budget) (proxy, id) pairs form a
 // shortlist, and exact fp32 re-rank under the index metric produces the
-// final neighbors. The code-space proxy equals the true metric up to
+// final neighbors. A Shortlist (knn/top_k.h) selects them: the set a TopK
+// heap would keep, in O(rerank_budget) memory however many rows the scan
+// streams past it. The code-space proxy equals the true metric up to
 // per-dimension scale weighting, so with rerank_budget >= size() the result
 // is exact brute force regardless of quantization; tests/sq8_test.cc pins
 // that and the recall floor at practical budgets.

@@ -16,8 +16,7 @@ std::vector<Neighbor> RangeFilterCandidates(const DistanceComputer& dist,
   std::vector<uint32_t>& ids = *candidates;
   // Overlapping probes (ensembles, multi-bin unions) can repeat ids; dedupe so
   // no point is scored twice or reported twice.
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  SortUniqueIds(&ids);
 
   if (filter != nullptr) {
     const size_t before = ids.size();

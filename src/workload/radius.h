@@ -128,8 +128,9 @@ struct RadiusRowCounts {
 };
 
 /// The shared range-filter stage of the candidate-generating index types at
-/// a partial budget: sorts and deduplicates `candidates` in place, drops
-/// selector-rejected ids *before* scoring (pushdown — same contract as
+/// a partial budget: sorts and deduplicates `candidates` in place
+/// (SortUniqueIds, knn/top_k.h: a strictly increasing list skips the sort),
+/// drops selector-rejected ids *before* scoring (pushdown — same contract as
 /// RerankCandidatesScored), exact-scores the survivors through
 /// dist.ScoreIds, and returns the hits with distance <= radius sorted by
 /// ascending (distance, id). Because ScoreIds applies the same per-row

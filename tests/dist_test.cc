@@ -78,7 +78,8 @@ TEST(KernelParityTest, BatchedKernelsMatchOneVsOneBitExact) {
   Rng rng(13);
   // The scalar set and, when the CPU has it, the AVX2 set, whichever one
   // dispatch picked (USP_FORCE_SCALAR=1 runs still check AVX2). Row counts
-  // 0..9 cover every remainder of the AVX2 block kernels' four-row loop.
+  // 0..9 cover every remainder of the four-row loop shared by the AVX2
+  // block and gather kernels; 37 runs it nine times before a remainder.
   std::vector<const DistanceKernels*> sets = {&ScalarKernels()};
   if (Avx2KernelsOrNull() != nullptr) sets.push_back(Avx2KernelsOrNull());
   std::vector<size_t> counts(10);

@@ -1,9 +1,10 @@
-// Tests for knn/: TopK heap semantics, brute-force search against an O(n^2)
-// reference, k'-NN matrix construction invariants, candidate re-ranking, and
-// subset filtering.
+// Tests for knn/: TopK heap and Shortlist selection semantics, brute-force
+// search against an O(n^2) reference, k'-NN matrix construction invariants,
+// candidate re-ranking, and subset filtering.
 #include <algorithm>
-#include <cmath>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -30,15 +31,6 @@ TEST(TopKTest, KeepsSmallestDistances) {
   EXPECT_EQ(sorted[2].id, 2u);
 }
 
-TEST(TopKTest, WorstDistanceInfiniteUntilFull) {
-  TopK heap(2);
-  EXPECT_TRUE(std::isinf(heap.WorstDistance()));
-  heap.Push(1.0f, 0);
-  EXPECT_TRUE(std::isinf(heap.WorstDistance()));
-  heap.Push(2.0f, 1);
-  EXPECT_FLOAT_EQ(heap.WorstDistance(), 2.0f);
-}
-
 TEST(TopKTest, TieBrokenByLowerId) {
   TopK heap(2);
   heap.Push(1.0f, 7);
@@ -56,6 +48,62 @@ TEST(TopKTest, FewerCandidatesThanK) {
   const auto sorted = heap.TakeSorted();
   ASSERT_EQ(sorted.size(), 2u);
   EXPECT_EQ(sorted[0].id, 0u);
+}
+
+// The ADC shortlist keeps exactly the set a TopK(keep) keeps. Scores come
+// from a handful of values, so most comparisons fall through to the id
+// tie-break; ids are distinct, as in every index. Streams of 20000 pairs
+// come shuffled, ascending and descending: in descending (distance, id)
+// order every pair beats the kept worst, so the buffer (4 * keep slots, at
+// least 64) is cut each time it refills, even at keep = 2500; keep >= n - 1
+// never fills it and leaves the work to the final cut.
+TEST(ShortlistTest, KeepsTheSetTopKKeeps) {
+  constexpr size_t kN = 20000;
+  const float kValues[] = {0.0f, 0.5f, 1.0f, 2.5f, 4.0f};
+  Rng rng(41);
+  std::vector<Neighbor> stream(kN);
+  for (size_t i = 0; i < kN; ++i) {
+    stream[i] = {kValues[rng.UniformInt(5)], static_cast<uint32_t>(3 * i + 7)};
+  }
+  std::vector<std::vector<Neighbor>> orders(3, stream);
+  for (size_t i = kN; i > 1; --i) {
+    std::swap(orders[0][i - 1], orders[0][rng.UniformInt(i)]);
+  }
+  std::sort(orders[1].begin(), orders[1].end());
+  std::sort(orders[2].rbegin(), orders[2].rend());
+  for (size_t o = 0; o < orders.size(); ++o) {
+    for (const size_t keep :
+         {size_t{0}, size_t{1}, size_t{10}, size_t{2500}, kN - 1, kN,
+          kN + 5}) {
+      SCOPED_TRACE(testing::Message() << "order " << o << " keep " << keep);
+      Shortlist shortlist(keep);
+      TopK heap(keep);
+      for (const Neighbor& n : orders[o]) {
+        shortlist.Push(n.distance, n.id);
+        heap.Push(n.distance, n.id);
+      }
+      std::vector<Neighbor> got = shortlist.Take();
+      std::sort(got.begin(), got.end());
+      const std::vector<Neighbor> want = heap.TakeSorted();
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t j = 0; j < want.size(); ++j) {
+        ASSERT_EQ(got[j].id, want[j].id) << "slot " << j;
+        ASSERT_EQ(got[j].distance, want[j].distance) << "slot " << j;
+      }
+    }
+  }
+  // A keep near SIZE_MAX (e.g. a rerank budget meaning "everything") keeps
+  // the whole stream: the buffer size saturates instead of wrapping.
+  std::sort(stream.begin(), stream.end());
+  for (const size_t keep : {std::numeric_limits<size_t>::max() / 4 + 1,
+                            std::numeric_limits<size_t>::max()}) {
+    Shortlist shortlist(keep);
+    for (const Neighbor& n : orders[0]) shortlist.Push(n.distance, n.id);
+    std::vector<Neighbor> got = shortlist.Take();
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(got.size(), kN) << "keep " << keep;
+    for (size_t j = 0; j < kN; ++j) ASSERT_EQ(got[j].id, stream[j].id);
+  }
 }
 
 class BruteForceTest : public ::testing::TestWithParam<size_t> {};
@@ -155,19 +203,18 @@ TEST(RerankTest, ReturnsTopKByExactDistance) {
 
 TEST(RerankTest, DeduplicatesOverlappingCandidates) {
   // Overlapping ensemble probes can repeat ids; duplicates must not occupy
-  // several top-k slots.
+  // several top-k slots. An ascending list with a repeat must still dedupe;
+  // a strictly increasing one (a single probed bucket) skips the sort.
   Matrix base(4, 1);
   for (size_t i = 0; i < 4; ++i) base(i, 0) = static_cast<float>(i);
   const float query = 0.0f;
-  const auto top =
-      RerankCandidates(base, &query, {2, 0, 0, 1, 1, 1, 2, 3}, 4);
-  ASSERT_EQ(top.size(), 4u);
-  EXPECT_EQ(top[0], 0u);
-  EXPECT_EQ(top[1], 1u);
-  EXPECT_EQ(top[2], 2u);
-  EXPECT_EQ(top[3], 3u);
-  const std::set<uint32_t> unique(top.begin(), top.end());
-  EXPECT_EQ(unique.size(), top.size());
+  for (const std::vector<uint32_t>& candidates :
+       {std::vector<uint32_t>{2, 0, 0, 1, 1, 1, 2, 3},
+        std::vector<uint32_t>{0, 1, 1, 2, 3},
+        std::vector<uint32_t>{0, 1, 2, 3}}) {
+    const auto top = RerankCandidates(base, &query, candidates, 4);
+    EXPECT_EQ(top, (std::vector<uint32_t>{0, 1, 2, 3}));
+  }
 }
 
 TEST(RerankTest, HandlesFewerCandidatesThanK) {

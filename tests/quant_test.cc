@@ -1,13 +1,21 @@
 // Tests for quant/: PQ codebook training, encode/decode consistency, ADC
 // distance quality, the anisotropic objective's effect, and the ScaNN-style
-// index end-to-end (vanilla scan vs. partitioned).
+// index end-to-end (vanilla scan vs. partitioned, and a partial ADC
+// shortlist pinned against a heap-built reference).
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baselines/kmeans.h"
 #include "core/partitioner.h"
 #include "dataset/workload.h"
+#include "dist/distance_computer.h"
+#include "knn/brute_force.h"
+#include "knn/top_k.h"
 #include "quant/pq.h"
 #include "quant/scann_index.h"
 #include "tensor/ops.h"
@@ -204,6 +212,68 @@ TEST(ScannIndexTest, BiggerRerankBudgetHelps) {
         KnnAccuracy(result, w.ground_truth.indices, w.ground_truth.k);
     EXPECT_GT(accuracy, prev_accuracy);
     prev_accuracy = accuracy;
+  }
+}
+
+// The float ADC path (the one filtered requests take) with a rerank budget
+// below the probed candidate count, so the shortlist is partial: every row
+// must equal, bit for bit, a reference that shortlists the same candidates
+// through a TopK heap and reranks them with RerankCandidatesScored.
+TEST(ScannIndexTest, PartialFloatAdcShortlistMatchesHeapReference) {
+  const Workload& w = QuantWorkload();
+  KMeansConfig kc;
+  kc.num_clusters = 8;
+  kc.seed = 5;
+  KMeansPartitioner partitioner(w.base, kc);
+  PqConfig pq_config;
+  pq_config.num_subspaces = 8;
+  pq_config.codebook_size = 16;
+  ProductQuantizer pq(pq_config);
+  pq.Train(w.base);
+  ScannIndexConfig config;
+  config.rerank_budget = 30;
+  config.adc = AdcMode::kFloat;
+  ScannIndex index(&w.base, &partitioner, std::move(pq), config);
+  ASSERT_FALSE(index.has_fast_scan());
+
+  constexpr size_t kK = 10, kProbes = 3;
+  const BatchSearchResult got = index.SearchBatch(w.queries, kK, kProbes);
+  const Matrix scores = partitioner.ScoreBins(w.queries);
+  const DistanceComputer dist(w.base, Metric::kSquaredL2);
+  const ProductQuantizer& quantizer = index.quantizer();
+  const size_t m = quantizer.num_subspaces();
+  for (size_t q = 0; q < w.queries.rows(); ++q) {
+    SCOPED_TRACE(testing::Message() << "query " << q);
+    const float* query = w.queries.Row(q);
+    // Probe order: bins by descending score, ties by bin id.
+    const float* s = scores.Row(q);
+    std::vector<uint32_t> bins(index.buckets().size());
+    std::iota(bins.begin(), bins.end(), 0u);
+    std::stable_sort(bins.begin(), bins.end(),
+                     [&](uint32_t a, uint32_t b) { return s[a] > s[b]; });
+    const std::vector<float> table = quantizer.BuildAdcTable(query);
+    TopK approx(config.rerank_budget);
+    uint32_t probed = 0;
+    for (size_t p = 0; p < kProbes; ++p) {
+      for (const uint32_t id : index.buckets()[bins[p]]) {
+        approx.Push(quantizer.AdcDistance(table, index.codes() + id * m), id);
+        ++probed;
+      }
+    }
+    ASSERT_GT(probed, config.rerank_budget);
+    std::vector<uint32_t> shortlist;
+    for (const Neighbor& n : approx.TakeSorted()) shortlist.push_back(n.id);
+    const std::vector<Neighbor> want =
+        RerankCandidatesScored(dist, query, shortlist, kK);
+    ASSERT_EQ(want.size(), kK);
+    EXPECT_EQ(got.candidate_counts[q], probed);
+    for (size_t j = 0; j < kK; ++j) {
+      EXPECT_EQ(got.ids[q * kK + j], want[j].id) << "slot " << j;
+      EXPECT_EQ(std::memcmp(&got.distances[q * kK + j], &want[j].distance,
+                            sizeof(float)),
+                0)
+          << "slot " << j;
+    }
   }
 }
 

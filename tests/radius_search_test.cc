@@ -339,6 +339,32 @@ TEST(RadiusSearchTest, RowsSortedAndInclusiveOfBoundary) {
   }
 }
 
+TEST(RangeFilterTest, DeduplicatesOverlappingCandidates) {
+  // Overlapping probes can repeat ids; no point may be scored or reported
+  // twice. An ascending list with a repeat must still dedupe; a strictly
+  // increasing one (a single probed bucket) skips the sort.
+  Matrix base(4, 1);
+  for (size_t i = 0; i < 4; ++i) base(i, 0) = static_cast<float>(i);
+  const DistanceComputer dist(base, Metric::kSquaredL2);
+  const float query = 0.0f;
+  for (const std::vector<uint32_t>& input :
+       {std::vector<uint32_t>{2, 0, 0, 1, 1, 1, 2, 3},
+        std::vector<uint32_t>{0, 1, 1, 2, 3},
+        std::vector<uint32_t>{0, 1, 2, 3}}) {
+    std::vector<uint32_t> candidates = input;
+    RadiusRowCounts counts;
+    const std::vector<Neighbor> hits = RangeFilterCandidates(
+        dist, &query, &candidates, 100.0f, /*filter=*/nullptr, &counts);
+    EXPECT_EQ(candidates, (std::vector<uint32_t>{0, 1, 2, 3}));
+    EXPECT_EQ(counts.scored, 4u);
+    ASSERT_EQ(hits.size(), 4u);
+    for (uint32_t j = 0; j < 4; ++j) {
+      EXPECT_EQ(hits[j].id, j);
+      EXPECT_EQ(hits[j].distance, static_cast<float>(j * j));
+    }
+  }
+}
+
 TEST(RadiusSearchTest, PartialBudgetReturnsSubsetOfFullRows) {
   const AllIndexes& all = Indexes();
   const Radii radii = FixtureRadii();
