@@ -7,7 +7,7 @@
 //                      segment (points/sec).
 //   2. query_vs_fill — batched query latency as the write segment grows from
 //                      0% to 100% of the corpus (the rest sealed): the cost
-//                      of serving un-sealed data by brute force.
+//                      of serving un-sealed data by exact flat scan.
 //   3. compaction    — recall@10 and query latency before vs after Compact()
 //                      on a deleted-heavy multi-segment index.
 //

@@ -8,6 +8,7 @@
 #include "index/query_planner.h"
 #include "knn/brute_force.h"
 #include "util/thread_pool.h"
+#include "workload/radius.h"
 
 namespace usp {
 

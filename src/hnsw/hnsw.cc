@@ -9,6 +9,7 @@
 #include "index/query_planner.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "workload/radius.h"
 
 namespace usp {
 

@@ -10,10 +10,14 @@
 // IdSelector filter (predicate-filtered search), and a per-query stats
 // switch. The historical positional SearchBatch(queries, k, budget,
 // num_threads) survives as a thin convenience shim over the request form.
+// Radius queries take the same shape: a RadiusRequest asks, per query, for
+// every point within a radius (the semantics of sklearn's
+// radius_neighbors), answered as a CSR-shaped RadiusResult.
 #ifndef USP_INDEX_INDEX_H_
 #define USP_INDEX_INDEX_H_
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -21,7 +25,6 @@
 #include "index/id_selector.h"
 #include "knn/top_k.h"
 #include "tensor/matrix.h"
-#include "workload/radius.h"
 
 namespace usp {
 
@@ -100,9 +103,33 @@ struct SearchRequest {
   SearchOptions options;
 };
 
-// SearchStats lives in workload/radius.h (included above): RadiusResult
-// embeds it by value, and this header includes radius.h for the radius query
-// surface, so the definition sits on the radius side of the include edge.
+/// Optional per-query instrumentation (SearchOptions::stats /
+/// RadiusOptions::stats), sized one entry per query. Lets callers close the
+/// recall/latency loop per query instead of batch-averaging through
+/// MeanCandidates().
+struct SearchStats {
+  /// Candidates actually scored by exact/ADC distance, post-filter — the
+  /// per-query |C(q)| of Eq. 4. Matches candidate_counts entry for entry.
+  std::vector<uint32_t> candidates_scored;
+
+  /// Bins/lists probed (partition-based types; summed across models for
+  /// ensembles and across segments for DynamicIndex; 0 for partition-free
+  /// scans and HNSW).
+  std::vector<uint32_t> bins_probed;
+
+  /// Candidates dropped by the selector before scoring (for HNSW: visited
+  /// base-layer nodes the selector kept out of the result set; for
+  /// DynamicIndex: also tombstoned hits dropped at the merge).
+  std::vector<uint32_t> filtered_out;
+
+  /// HNSW only: base-layer nodes visited during graph traversal (0
+  /// elsewhere). candidates_scored additionally includes the upper-layer
+  /// greedy-descent evaluations, so it can exceed this count.
+  std::vector<uint32_t> nodes_visited;
+
+  /// Sizes every counter to `num_queries` zeroed entries.
+  void Allocate(size_t num_queries);
+};
 
 /// Search output for a batch of queries.
 struct BatchSearchResult {
@@ -139,6 +166,63 @@ struct BatchSearchResult {
 
   /// Mean candidate-set size S(R) over the batch (Eq. 4).
   double MeanCandidates() const;
+};
+
+/// Per-query radius-search knobs. The default budget is *full effort* —
+/// unlike top-k search, a range query's natural contract is exactness
+/// ("everything within r"), so callers opt into approximation by lowering
+/// the budget rather than opting into exactness by raising it.
+struct RadiusOptions {
+  /// Search effort: probed bins for the partition-based types, base-layer
+  /// beam width for HNSW, forwarded to every segment/shard by the serving
+  /// types. The default probes everything, making the result exact.
+  size_t budget = std::numeric_limits<size_t>::max();
+
+  /// Caps the per-query sharding over the global thread pool (0 = pool
+  /// default, 1 = serial). Results are bit-identical at every setting.
+  size_t num_threads = 0;
+
+  /// Optional membership predicate over the queried index's id space,
+  /// applied before scoring (selector pushdown) exactly as in k-NN search.
+  /// Non-owning; must outlive the call. nullptr means unfiltered.
+  const IdSelector* filter = nullptr;
+
+  /// When true, the result carries a SearchStats block.
+  bool stats = false;
+};
+
+/// A batch of range queries: all points within `radius` (inclusive) of each
+/// query row, in the index metric's minimized form.
+struct RadiusRequest {
+  MatrixView queries;
+  float radius = 0.0f;
+  RadiusOptions options;
+};
+
+/// CSR-shaped range-search output: row q spans [offsets[q], offsets[q+1]) of
+/// `ids`/`distances`, sorted by ascending (distance, id). No padding
+/// sentinel exists here — an empty row is simply a zero-length span, pinned
+/// by tests/radius_search_test.cc (EmptyRowOffsetContract).
+struct RadiusResult {
+  std::vector<size_t> offsets;   ///< num_queries + 1 entries; offsets[0] == 0
+  std::vector<uint32_t> ids;     ///< flat hit ids, row-major by query
+  std::vector<float> distances;  ///< parallel to ids; minimized form
+
+  /// Candidates exact-scored per query (post-filter), the radius analogue of
+  /// BatchSearchResult::candidate_counts.
+  std::vector<uint32_t> candidate_counts;
+
+  /// Per-query instrumentation; engaged only when RadiusOptions::stats.
+  std::optional<SearchStats> stats;
+
+  size_t num_queries() const {
+    return offsets.empty() ? 0 : offsets.size() - 1;
+  }
+  size_t RowSize(size_t q) const { return offsets[q + 1] - offsets[q]; }
+  const uint32_t* RowIds(size_t q) const { return ids.data() + offsets[q]; }
+  const float* RowDistances(size_t q) const {
+    return distances.data() + offsets[q];
+  }
 };
 
 /// On-disk type tag of each index implementation. Stored in the container
@@ -192,14 +276,14 @@ class Index {
 
   /// Batched radius (range) search: for every query, all indexed points with
   /// minimized-form distance <= request.radius (inclusive), as a CSR
-  /// RadiusResult with rows sorted by ascending (distance, id) — see
-  /// workload/radius.h. At full budget (the RadiusOptions default) the result
+  /// RadiusResult with rows sorted by ascending (distance, id). At full budget (the RadiusOptions default) the result
   /// is bit-identical — offsets, ids, distances — to BruteForceRadius over
   /// base_view() restricted to the filter, including through Dynamic/Sharded
   /// fan-out with tombstones (tests/radius_search_test.cc); lower budgets
   /// trade recall for probing cost exactly as in k-NN search. The base
-  /// implementation brute-forces base_view() and requires a non-empty view;
-  /// every shipped index type overrides it with its native traversal.
+  /// implementation brute-forces base_view() and requires a non-empty view.
+  /// Sq8Index, whose scan is exhaustive anyway, uses it; every other shipped
+  /// index type overrides it with its native traversal.
   virtual RadiusResult RadiusSearchBatch(const RadiusRequest& request) const;
 
   /// Positional convenience shim over the request form, mirroring

@@ -7,6 +7,7 @@
 #include "knn/top_k.h"
 #include "tensor/ops.h"
 #include "util/thread_pool.h"
+#include "workload/radius.h"
 
 namespace usp {
 

@@ -13,7 +13,6 @@
 #include "index/index.h"
 #include "knn/top_k.h"
 #include "tensor/matrix.h"
-#include "workload/radius.h"
 
 namespace usp {
 

@@ -178,10 +178,4 @@ BatchSearchResult Sq8Index::SearchBatch(const SearchRequest& request) const {
   return result;
 }
 
-RadiusResult Sq8Index::RadiusSearchBatch(const RadiusRequest& request) const {
-  return BruteForceRadius(base_, request.queries, request.radius,
-                          config_.metric, request.options.filter,
-                          request.options.num_threads);
-}
-
 }  // namespace usp

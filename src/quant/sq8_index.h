@@ -61,12 +61,6 @@ class Sq8Index : public Index {
   using Index::SearchBatch;
   BatchSearchResult SearchBatch(const SearchRequest& request) const override;
 
-  /// Radius search: exact exhaustive scan of the fp32 base (the quantized
-  /// proxy stage is skipped — a range cut needs true distances, and the scan
-  /// is exhaustive either way), so the result is bit-identical to
-  /// BruteForceRadius at any budget, which is in fact how it is implemented.
-  RadiusResult RadiusSearchBatch(const RadiusRequest& request) const override;
-
   size_t dim() const override { return base_.cols(); }
   size_t size() const override { return base_.rows(); }
   Metric metric() const override { return config_.metric; }

@@ -1,12 +1,8 @@
 #include "serve/dynamic_index.h"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "index/query_planner.h"
-#include "ivf/ivf.h"
-#include "knn/brute_force.h"
 #include "quant/sq8_index.h"
 #include "util/thread_pool.h"
 
@@ -222,26 +218,6 @@ StatusOr<uint32_t> DynamicIndex::AddSealedSegmentFromContainer(
 // Maintenance.
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<Index> DynamicIndex::BuildSegment(const Matrix& base) const {
-  std::unique_ptr<Index> index;
-  if (config_.segment_builder) {
-    index = config_.segment_builder(base, config_.metric);
-  } else {
-    IvfConfig ivf;
-    ivf.metric = config_.metric;
-    const size_t n = base.rows();
-    ivf.nlist = std::max<size_t>(
-        1, std::min(n, static_cast<size_t>(
-                           std::lround(std::sqrt(static_cast<double>(n))))));
-    index = std::make_unique<IvfFlatIndex>(&base, ivf);
-  }
-  USP_CHECK(index != nullptr);
-  USP_CHECK(index->dim() == dim_);
-  USP_CHECK(index->metric() == config_.metric);
-  USP_CHECK(index->size() == base.rows());
-  return index;
-}
-
 void DynamicIndex::Seal() {
   std::lock_guard<std::mutex> maintenance(maintenance_mutex_);
 
@@ -269,7 +245,8 @@ void DynamicIndex::Seal() {
 
   // Train outside every lock: reads and writes continue against the old
   // segment set, which still serves the snapshotted rows.
-  seg->index = BuildSegment(seg->storage);
+  seg->index =
+      BuildSegmentIndex(config_.segment_builder, seg->storage, config_.metric);
 
   bool schedule_compact = false;
   {
@@ -350,7 +327,8 @@ void DynamicIndex::Compact() {
     merged->storage =
         Matrix(merged_ids.size(), dim_, std::move(merged_data));
     merged->global_ids = std::move(merged_ids);
-    merged->index = BuildSegment(merged->storage);  // trains outside locks
+    merged->index = BuildSegmentIndex(  // trains outside locks
+        config_.segment_builder, merged->storage, config_.metric);
   }
 
   {
@@ -419,31 +397,17 @@ void DynamicIndex::WaitForMaintenance() const {
 // Search.
 // ---------------------------------------------------------------------------
 
-namespace {
-/// Lazy segment-local view of the caller's global selector composed with the
-/// tombstone set: local row i is allowed iff its global id passes the filter
-/// AND is live. Membership is evaluated per candidate the segment actually
-/// visits — O(candidates) instead of an O(segment) eager bitmap translation
-/// per query — and reads global_ids/tombstones safely because the search
-/// holds the index lock shared for the whole fan-out.
-class LocalSelector final : public IdSelector {
- public:
-  LocalSelector(const IdSelector* global,
-                const std::vector<uint32_t>& global_ids,
-                const std::unordered_set<uint32_t>& tombstones)
-      : global_(global), global_ids_(global_ids), tombstones_(tombstones) {}
-
-  bool is_member(uint32_t local) const override {
-    const uint32_t gid = global_ids_[local];
-    return global_->is_member(gid) && tombstones_.count(gid) == 0;
+std::vector<FanOutPart> DynamicIndex::Parts(
+    const DistanceComputer& write) const {
+  std::vector<FanOutPart> parts;
+  parts.reserve(sealed_.size() + 1);
+  for (const auto& seg : sealed_) {
+    parts.push_back(
+        {seg->index.get(), nullptr, &seg->global_ids, seg->tombstoned});
   }
-
- private:
-  const IdSelector* global_;
-  const std::vector<uint32_t>& global_ids_;
-  const std::unordered_set<uint32_t>& tombstones_;
-};
-}  // namespace
+  parts.push_back({nullptr, &write, &write_ids_, write_tombstoned_});
+  return parts;
+}
 
 BatchSearchResult DynamicIndex::SearchBatch(const SearchRequest& request) const {
   // Planner hook. With no base_view to scan, the top level only ever chooses
@@ -453,256 +417,23 @@ BatchSearchResult DynamicIndex::SearchBatch(const SearchRequest& request) const 
   // a sparse global filter can brute-force one segment's allowed rows while
   // another segment still probes (index/query_planner.h).
   if (auto planned = MaybeReroute(*this, request)) return std::move(*planned);
-  const MatrixView queries = request.queries;
-  const SearchOptions& options = request.options;
-  const IdSelector* filter = options.filter;
-  const size_t k = options.k;
-  USP_CHECK(queries.empty() || queries.cols() == dim_);
-  const size_t nq = queries.rows();
-  BatchSearchResult result;
-  result.Prepare(nq, options);
-  if (nq == 0 || k == 0) return result;
-
+  USP_CHECK(request.queries.empty() || request.queries.cols() == dim_);
   // The lock is held shared across the whole fan-out + merge: segments and
   // the write buffer cannot change under us; appends briefly queue behind the
   // batch.
   std::shared_lock<std::shared_mutex> lock(mutex_);
-
-  struct SegmentHits {
-    BatchSearchResult batch;
-    const std::vector<uint32_t>* global_ids;
-  };
-  std::vector<SegmentHits> per_segment;
-  per_segment.reserve(sealed_.size());
-
-  for (const auto& seg : sealed_) {
-    SearchRequest sub;
-    sub.queries = queries;
-    sub.options = options;
-    if (filter == nullptr) {
-      // Over-fetch per segment by its own tombstone count, so every
-      // tombstoned hit can be dropped at the merge without surfacing fewer
-      // than k live neighbors while deeper live ones exist in the segment.
-      const size_t fetch = std::min(seg->index->size(), k + seg->tombstoned);
-      if (fetch == 0) continue;
-      sub.options.k = fetch;
-      per_segment.push_back({seg->index->SearchBatch(sub), &seg->global_ids});
-    } else {
-      // Tombstones ride inside the pushed-down selector, so the segment
-      // returns only mergeable hits and no over-fetch is needed. The local
-      // view is only consulted during this synchronous sub-search.
-      const LocalSelector local(filter, seg->global_ids, tombstones_);
-      sub.options.k = std::min(seg->index->size(), k);
-      sub.options.filter = &local;
-      per_segment.push_back({seg->index->SearchBatch(sub), &seg->global_ids});
-    }
-  }
-
-  const size_t write_rows = write_ids_.size();
-  KnnResult write_hits;
-  size_t write_scored = 0;    // post-filter rows the write scan may return
-  size_t write_filtered = 0;  // write rows the selector/tombstones excluded
-  std::unique_ptr<IdSelectorBitmap> write_filter;
-  if (write_rows > 0 && filter != nullptr) {
-    write_filter = std::make_unique<IdSelectorBitmap>(write_rows);
-    for (size_t i = 0; i < write_rows; ++i) {
-      const uint32_t gid = write_ids_[i];
-      if (filter->is_member(gid) && tombstones_.count(gid) == 0) {
-        write_filter->Set(static_cast<uint32_t>(i));
-        ++write_scored;
-      }
-    }
-    write_filtered = write_rows - write_scored;
-  }
-  if (write_rows > 0 && filter == nullptr) {
-    write_scored = write_rows;  // the write segment is scanned exactly
-    const MatrixView write_view(write_data_.data(), write_rows, dim_);
-    write_hits = BruteForceKnn(write_view, queries,
-                               std::min(write_rows, k + write_tombstoned_),
-                               config_.metric, options.num_threads);
-  } else if (write_scored > 0) {
-    const MatrixView write_view(write_data_.data(), write_rows, dim_);
-    write_hits = BruteForceKnn(write_view, queries, std::min(write_rows, k),
-                               config_.metric, write_filter.get(),
-                               options.num_threads);
-  }
-
-  ParallelFor(nq, 8, options.num_threads, [&](size_t begin, size_t end,
-                                              size_t) {
-    for (size_t q = begin; q < end; ++q) {
-      TopK heap(k);
-      size_t candidates = 0;
-      size_t merge_dropped = 0;  // unfiltered path: tombstoned hits dropped
-      for (const SegmentHits& hits : per_segment) {
-        const BatchSearchResult& batch = hits.batch;
-        candidates += batch.candidate_counts[q];
-        const uint32_t* ids = batch.Row(q);
-        const float* dists = batch.DistanceRow(q);
-        for (size_t j = 0; j < batch.k; ++j) {
-          if (ids[j] == kInvalidId) break;  // padding: no more hits
-          const uint32_t gid = (*hits.global_ids)[ids[j]];
-          // Filtered hits are pre-screened by the local selector; the
-          // tombstone check only runs on the unfiltered over-fetch path.
-          if (filter == nullptr && tombstones_.count(gid) > 0) {
-            ++merge_dropped;
-            continue;
-          }
-          heap.Push(dists[j], gid);
-        }
-      }
-      if (write_hits.k > 0) {
-        candidates += write_scored;
-        const uint32_t* ids = write_hits.Row(q);
-        const float* dists = write_hits.distances.data() + q * write_hits.k;
-        for (size_t j = 0; j < write_hits.k; ++j) {
-          if (ids[j] == kInvalidId) break;  // filtered-scan padding
-          const uint32_t gid = write_ids_[ids[j]];
-          if (filter == nullptr && tombstones_.count(gid) > 0) {
-            ++merge_dropped;
-            continue;
-          }
-          heap.Push(dists[j], gid);
-        }
-      }
-      result.candidate_counts[q] = static_cast<uint32_t>(candidates);
-      result.SetRow(q, heap.TakeSorted());
-      if (result.stats) {
-        uint32_t bins = 0, fout = 0, visited = 0;
-        for (const SegmentHits& hits : per_segment) {
-          if (!hits.batch.stats) continue;
-          bins += hits.batch.stats->bins_probed[q];
-          fout += hits.batch.stats->filtered_out[q];
-          visited += hits.batch.stats->nodes_visited[q];
-        }
-        result.stats->candidates_scored[q] = result.candidate_counts[q];
-        result.stats->bins_probed[q] = bins;
-        result.stats->filtered_out[q] = static_cast<uint32_t>(
-            fout + write_filtered + merge_dropped);
-        result.stats->nodes_visited[q] = visited;
-      }
-    }
-  });
-  return result;
+  const DistanceComputer write(
+      MatrixView(write_data_.data(), write_ids_.size(), dim_), config_.metric);
+  return FanOutSearch(Parts(write), &tombstones_, request);
 }
 
 RadiusResult DynamicIndex::RadiusSearchBatch(
     const RadiusRequest& request) const {
-  const MatrixView queries = request.queries;
-  const RadiusOptions& options = request.options;
-  const IdSelector* filter = options.filter;
-  USP_CHECK(queries.empty() || queries.cols() == dim_);
-  const size_t nq = queries.rows();
-
-  // Shared lock across the whole fan-out + merge, as in SearchBatch.
+  USP_CHECK(request.queries.empty() || request.queries.cols() == dim_);
   std::shared_lock<std::shared_mutex> lock(mutex_);
-
-  struct SegmentHits {
-    RadiusResult rows;
-    const std::vector<uint32_t>* global_ids;
-  };
-  std::vector<SegmentHits> per_segment;
-  per_segment.reserve(sealed_.size());
-
-  for (const auto& seg : sealed_) {
-    RadiusRequest sub;
-    sub.queries = queries;
-    sub.radius = request.radius;
-    sub.options = options;
-    if (filter == nullptr) {
-      // Unlike top-k, radius rows carry *every* in-range hit, so no
-      // tombstone over-fetch is needed: tombstoned hits drop at the merge
-      // without ever hiding deeper live ones.
-      per_segment.push_back(
-          {seg->index->RadiusSearchBatch(sub), &seg->global_ids});
-    } else {
-      // Tombstones ride inside the pushed-down selector; the local view is
-      // only consulted during this synchronous sub-search.
-      const LocalSelector local(filter, seg->global_ids, tombstones_);
-      sub.options.filter = &local;
-      per_segment.push_back(
-          {seg->index->RadiusSearchBatch(sub), &seg->global_ids});
-    }
-  }
-
-  const size_t write_rows = write_ids_.size();
-  RadiusResult write_hits;  // num_queries() == 0 when the scan was skipped
-  size_t write_scored = 0;
-  size_t write_filtered = 0;
-  std::unique_ptr<IdSelectorBitmap> write_filter;
-  if (write_rows > 0) {
-    const MatrixView write_view(write_data_.data(), write_rows, dim_);
-    if (filter != nullptr) {
-      write_filter = std::make_unique<IdSelectorBitmap>(write_rows);
-      for (size_t i = 0; i < write_rows; ++i) {
-        const uint32_t gid = write_ids_[i];
-        if (filter->is_member(gid) && tombstones_.count(gid) == 0) {
-          write_filter->Set(static_cast<uint32_t>(i));
-          ++write_scored;
-        }
-      }
-      write_filtered = write_rows - write_scored;
-      if (write_scored > 0) {
-        write_hits =
-            BruteForceRadius(write_view, queries, request.radius,
-                             config_.metric, write_filter.get(),
-                             options.num_threads);
-      }
-    } else {
-      write_scored = write_rows;  // scanned exactly, as in SearchBatch
-      write_hits = BruteForceRadius(write_view, queries, request.radius,
-                                    config_.metric, /*filter=*/nullptr,
-                                    options.num_threads);
-    }
-  }
-
-  return CollectRadiusRows(nq, options, [&](size_t q, RadiusResult* out) {
-    std::vector<Neighbor> merged;
-    size_t candidates = 0;
-    uint32_t bins = 0, fout = 0, visited = 0;
-    for (const SegmentHits& hits : per_segment) {
-      const RadiusResult& r = hits.rows;
-      candidates += r.candidate_counts[q];
-      if (r.stats) {
-        bins += r.stats->bins_probed[q];
-        fout += r.stats->filtered_out[q];
-        visited += r.stats->nodes_visited[q];
-      }
-      for (size_t j = r.offsets[q]; j < r.offsets[q + 1]; ++j) {
-        const uint32_t gid = (*hits.global_ids)[r.ids[j]];
-        // Filtered hits are pre-screened by the local selector; the
-        // tombstone check only runs on the unfiltered path.
-        if (filter == nullptr && tombstones_.count(gid) > 0) {
-          ++fout;
-          continue;
-        }
-        merged.push_back(Neighbor{r.distances[j], gid});
-      }
-    }
-    if (write_hits.num_queries() > 0) {
-      candidates += write_scored;
-      for (size_t j = write_hits.offsets[q]; j < write_hits.offsets[q + 1];
-           ++j) {
-        const uint32_t gid = write_ids_[write_hits.ids[j]];
-        if (filter == nullptr && tombstones_.count(gid) > 0) {
-          ++fout;
-          continue;
-        }
-        merged.push_back(Neighbor{write_hits.distances[j], gid});
-      }
-    }
-    // Segments hold disjoint global ids, so a plain (distance, gid) sort is
-    // the whole merge — no dedupe needed.
-    std::sort(merged.begin(), merged.end());
-    out->candidate_counts[q] = static_cast<uint32_t>(candidates);
-    if (out->stats) {
-      out->stats->candidates_scored[q] = static_cast<uint32_t>(candidates);
-      out->stats->bins_probed[q] = bins;
-      out->stats->filtered_out[q] =
-          static_cast<uint32_t>(fout + write_filtered);
-      out->stats->nodes_visited[q] = visited;
-    }
-    return merged;
-  });
+  const DistanceComputer write(
+      MatrixView(write_data_.data(), write_ids_.size(), dim_), config_.metric);
+  return FanOutRadiusSearch(Parts(write), &tombstones_, request);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,16 +3,15 @@
 // stays train-once/immutable.
 //
 // Layout. Writes land in a mutable **write segment** (a lock-protected
-// append-only row buffer served by exact brute force). `Seal()` snapshots the
-// write segment and trains an immutable **sealed segment** (any `Index`
+// append-only row buffer, scanned flat). `Seal()` snapshots the write
+// segment and trains an immutable **sealed segment** (any `Index`
 // implementation — IVF-Flat by default) from it on the global thread pool
 // while reads and writes continue; `Compact()` merges all sealed segments
 // into one, physically dropping deleted rows. Deletes are **tombstones**: a
 // deleted id is filtered from every result immediately and reclaimed at the
-// next compaction. Queries fan out over the write segment and all sealed
-// segments, and per-segment results — which carry exact distances
-// (BatchSearchResult::distances) — are merged with a TopK heap and remapped
-// from segment-local row numbers to stable global ids.
+// next compaction. Queries run the sealed segments and the write segment as
+// the parts of one composite search (serve/fan_out.h), which reports stable
+// global ids.
 //
 // Concurrency. One reader/writer lock guards the segment set: searches hold
 // it shared for their whole fan-out/merge, appends and deletes take it
@@ -34,19 +33,15 @@
 #include <unordered_set>
 #include <vector>
 
+#include "dist/distance_computer.h"
 #include "dist/metric.h"
 #include "index/index.h"
 #include "index/serialize.h"  // LoadMode for container-backed sealed segments
+#include "serve/fan_out.h"
 #include "tensor/matrix.h"
 #include "util/status.h"
 
 namespace usp {
-
-/// Trains an immutable segment index over `base` (which the DynamicIndex
-/// keeps alive next to the returned index). The result must view `base`,
-/// index all of its rows, and report `metric`.
-using SegmentBuilder =
-    std::function<std::unique_ptr<Index>(const Matrix& base, Metric metric)>;
 
 /// SegmentBuilder that seals write segments to SQ8 (quant/sq8_index.h):
 /// 4x-compressed int8 codes scanned by the quantized kernels with exact fp32
@@ -161,27 +156,16 @@ class DynamicIndex : public Index {
 
   // --- Index interface -----------------------------------------------------
 
-  /// Batched search over the segment set. An options.filter operates on the
-  /// *stable global ids* this index reports; it is composed with the
-  /// tombstone set and lazily translated to per-segment local-row selectors
-  /// (evaluated per candidate, never an eager O(segment) pass), so every
-  /// segment applies `allowed = filter(global_id) && !deleted(global_id)` as
-  /// its own pushed-down selector — filtered hits are never post-dropped at
-  /// the merge, and at full budget the result equals brute force over the
-  /// live allowed set. Segment-level stats are summed per query; in the
-  /// filtered path, tombstone drops are folded into filtered_out.
+  /// Batched search over the segment set: the sealed segments and the write
+  /// segment are the parts of one composite search (serve/fan_out.h). An
+  /// options.filter operates on the *stable global ids* this index reports
+  /// and is composed with the tombstone set, so at full budget the result
+  /// equals brute force over the live allowed set.
   using Index::SearchBatch;
   BatchSearchResult SearchBatch(const SearchRequest& request) const override;
 
-  /// Radius search over the segment set: every sealed segment answers the
-  /// sub-request with its own RadiusSearchBatch (tombstones and the global
-  /// filter composed into the pushed-down local selector on the filtered
-  /// path, tombstoned hits dropped at the merge otherwise — range results
-  /// need no over-fetch: a radius row already holds *every* in-range hit),
-  /// the write segment is range-scanned exactly, and per-segment rows are
-  /// remapped to global ids and merged by (distance, global id). At full
-  /// budget the result is bit-identical to BruteForceRadius over the live
-  /// allowed rows.
+  /// Radius search through the same fan-out. At full budget the result is
+  /// bit-identical to BruteForceRadius over the live allowed rows.
   RadiusResult RadiusSearchBatch(const RadiusRequest& request) const override;
   size_t dim() const override { return dim_; }
   /// Number of live (non-tombstoned) points.
@@ -227,7 +211,9 @@ class DynamicIndex : public Index {
   };
   static constexpr uint32_t kWriteSegment = 0xFFFFFFFFu;
 
-  std::unique_ptr<Index> BuildSegment(const Matrix& base) const;
+  /// The sealed segments and the write segment (scanned through `write`) as
+  /// fan-out parts; the caller holds mutex_.
+  std::vector<FanOutPart> Parts(const DistanceComputer& write) const;
   void FinishMaintenanceTask() const;
 
   const size_t dim_;

@@ -1,0 +1,234 @@
+#include "serve/fan_out.h"
+
+#include <algorithm>
+#include <cmath>
+
+#include "ivf/ivf.h"
+#include "knn/brute_force.h"
+#include "util/thread_pool.h"
+#include "workload/radius.h"
+
+namespace usp {
+
+std::unique_ptr<Index> BuildSegmentIndex(const SegmentBuilder& builder,
+                                         const Matrix& base, Metric metric) {
+  std::unique_ptr<Index> index;
+  if (builder) {
+    index = builder(base, metric);
+  } else {
+    IvfConfig ivf;
+    ivf.metric = metric;
+    const size_t n = base.rows();
+    ivf.nlist = std::max<size_t>(
+        1, std::min(n, static_cast<size_t>(
+                           std::lround(std::sqrt(static_cast<double>(n))))));
+    index = std::make_unique<IvfFlatIndex>(&base, ivf);
+  }
+  USP_CHECK(index != nullptr);
+  USP_CHECK(index->dim() == base.cols());
+  USP_CHECK(index->metric() == metric);
+  USP_CHECK(index->size() == base.rows());
+  // Nesting another router would break the one-level container embedding.
+  USP_CHECK(index->type() != IndexType::kSharded &&
+            index->type() != IndexType::kDynamic);
+  return index;
+}
+
+namespace {
+
+/// Lazy local view of the caller's global selector composed with the
+/// tombstone set (when given). Reads the part's id map and the tombstones
+/// safely because the caller holds its lock for the whole fan-out.
+class LocalSelector final : public IdSelector {
+ public:
+  LocalSelector(const IdSelector* global,
+                const std::vector<uint32_t>& global_ids,
+                const std::unordered_set<uint32_t>* tombstones)
+      : global_(global), global_ids_(global_ids), tombstones_(tombstones) {}
+
+  bool is_member(uint32_t local) const override {
+    const uint32_t gid = global_ids_[local];
+    return global_->is_member(gid) &&
+           (tombstones_ == nullptr || tombstones_->count(gid) == 0);
+  }
+
+ private:
+  const IdSelector* global_;
+  const std::vector<uint32_t>& global_ids_;
+  const std::unordered_set<uint32_t>* tombstones_;
+};
+
+/// The parts that hold rows, in order, and each one's sub-result.
+template <typename Result>
+struct Scattered {
+  std::vector<const FanOutPart*> parts;
+  std::vector<Result> hits;
+};
+
+/// Runs `search(part, rows, num_threads)` for every part that holds rows,
+/// under the thread rule of the file comment.
+template <typename Result, typename Search>
+Scattered<Result> Scatter(const std::vector<FanOutPart>& parts,
+                          size_t num_threads, const Search& search) {
+  Scattered<Result> out;
+  std::vector<size_t> rows;
+  for (const FanOutPart& part : parts) {
+    const size_t n = part.index != nullptr ? part.index->size()
+                                           : part.flat->base().rows();
+    if (n == 0) continue;
+    out.parts.push_back(&part);
+    rows.push_back(n);
+  }
+  const size_t live = out.parts.size();
+  out.hits.resize(live);
+  size_t per_part = 1;
+  if (num_threads != 1) {
+    const size_t total =
+        num_threads == 0 ? ThreadPool::Global().num_threads() : num_threads;
+    per_part = std::max<size_t>(1, total / std::max<size_t>(1, live));
+  }
+  auto run = [&](size_t i) {
+    out.hits[i] = search(*out.parts[i], rows[i], per_part);
+  };
+  if (num_threads != 1 && live > 1) {
+    ParallelInvoke(live, run);
+  } else {
+    for (size_t i = 0; i < live; ++i) run(i);
+  }
+  return out;
+}
+
+/// Writes query q's counters, summed over the parts, into `out`; the
+/// tombstoned hits the merge `dropped` count as filtered out.
+template <typename Result>
+void SumCounters(const std::vector<Result>& hits, size_t q, uint32_t dropped,
+                 Result* out) {
+  uint32_t candidates = 0, bins = 0, filtered_out = dropped, visited = 0;
+  for (const Result& r : hits) {
+    candidates += r.candidate_counts[q];
+    if (!r.stats) continue;
+    bins += r.stats->bins_probed[q];
+    filtered_out += r.stats->filtered_out[q];
+    visited += r.stats->nodes_visited[q];
+  }
+  out->candidate_counts[q] = candidates;
+  if (out->stats) {
+    out->stats->candidates_scored[q] = candidates;
+    out->stats->bins_probed[q] = bins;
+    out->stats->filtered_out[q] = filtered_out;
+    out->stats->nodes_visited[q] = visited;
+  }
+}
+
+/// True when the merge must drop `gid`. Filtered hits were screened by the
+/// local selector, so only the unfiltered path looks the tombstones up.
+bool DroppedAtMerge(const IdSelector* filter,
+                    const std::unordered_set<uint32_t>* tombstones,
+                    uint32_t gid) {
+  return filter == nullptr && tombstones != nullptr &&
+         tombstones->count(gid) > 0;
+}
+
+}  // namespace
+
+BatchSearchResult FanOutSearch(const std::vector<FanOutPart>& parts,
+                               const std::unordered_set<uint32_t>* tombstones,
+                               const SearchRequest& request) {
+  const SearchOptions& options = request.options;
+  const IdSelector* filter = options.filter;
+  const size_t k = options.k;
+  const size_t nq = request.queries.rows();
+  BatchSearchResult result;
+  result.Prepare(nq, options);
+  if (nq == 0 || k == 0) return result;
+
+  const Scattered<BatchSearchResult> scattered = Scatter<BatchSearchResult>(
+      parts, options.num_threads,
+      [&](const FanOutPart& part, size_t rows, size_t num_threads) {
+        // The local view is only consulted during this synchronous call.
+        const LocalSelector local(filter, *part.global_ids, tombstones);
+        SearchRequest sub = request;
+        sub.options.num_threads = num_threads;
+        if (filter != nullptr) {
+          sub.options.filter = &local;
+          sub.options.k = std::min(rows, k);
+        } else {
+          // Over-fetch by the part's own tombstones, so dropping them at the
+          // merge never surfaces fewer than k live neighbors while deeper
+          // live ones exist in the part.
+          sub.options.k = std::min(rows, k + part.tombstoned);
+        }
+        return part.index != nullptr
+                   ? part.index->SearchBatch(sub)
+                   : FlatScanKnn(*part.flat, sub, /*bins_probed=*/0);
+      });
+
+  ParallelFor(nq, 8, options.num_threads,
+              [&](size_t begin, size_t end, size_t) {
+    for (size_t q = begin; q < end; ++q) {
+      TopK heap(k);
+      uint32_t dropped = 0;
+      for (size_t i = 0; i < scattered.parts.size(); ++i) {
+        const BatchSearchResult& hits = scattered.hits[i];
+        const std::vector<uint32_t>& to_global =
+            *scattered.parts[i]->global_ids;
+        const uint32_t* ids = hits.Row(q);
+        const float* dists = hits.DistanceRow(q);
+        for (size_t j = 0; j < hits.k && ids[j] != kInvalidId; ++j) {
+          const uint32_t gid = to_global[ids[j]];
+          if (DroppedAtMerge(filter, tombstones, gid)) {
+            ++dropped;
+            continue;
+          }
+          heap.Push(dists[j], gid);
+        }
+      }
+      result.SetRow(q, heap.TakeSorted());
+      SumCounters(scattered.hits, q, dropped, &result);
+    }
+  });
+  return result;
+}
+
+RadiusResult FanOutRadiusSearch(const std::vector<FanOutPart>& parts,
+                                const std::unordered_set<uint32_t>* tombstones,
+                                const RadiusRequest& request) {
+  const RadiusOptions& options = request.options;
+  const IdSelector* filter = options.filter;
+
+  const Scattered<RadiusResult> scattered = Scatter<RadiusResult>(
+      parts, options.num_threads,
+      [&](const FanOutPart& part, size_t, size_t num_threads) {
+        const LocalSelector local(filter, *part.global_ids, tombstones);
+        RadiusRequest sub = request;
+        sub.options.num_threads = num_threads;
+        if (filter != nullptr) sub.options.filter = &local;
+        return part.index != nullptr
+                   ? part.index->RadiusSearchBatch(sub)
+                   : FlatScanRadius(*part.flat, sub, /*bins_probed=*/0);
+      });
+
+  return CollectRadiusRows(
+      request.queries.rows(), options, [&](size_t q, RadiusResult* out) {
+        std::vector<Neighbor> merged;
+        uint32_t dropped = 0;
+        for (size_t i = 0; i < scattered.parts.size(); ++i) {
+          const RadiusResult& r = scattered.hits[i];
+          const std::vector<uint32_t>& to_global =
+              *scattered.parts[i]->global_ids;
+          for (size_t j = r.offsets[q]; j < r.offsets[q + 1]; ++j) {
+            const uint32_t gid = to_global[r.ids[j]];
+            if (DroppedAtMerge(filter, tombstones, gid)) {
+              ++dropped;
+              continue;
+            }
+            merged.push_back(Neighbor{r.distances[j], gid});
+          }
+        }
+        std::sort(merged.begin(), merged.end());
+        SumCounters(scattered.hits, q, dropped, out);
+        return merged;
+      });
+}
+
+}  // namespace usp

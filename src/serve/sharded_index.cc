@@ -1,12 +1,8 @@
 #include "serve/sharded_index.h"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "index/query_planner.h"
-#include "ivf/ivf.h"
-#include "util/thread_pool.h"
 
 namespace usp {
 
@@ -46,8 +42,8 @@ ShardedIndex::ShardedIndex(MatrixView base, ShardedIndexConfig config)
   placement_.resize(n, ShardRef{kUnplaced, 0});
 
   // Hash-partition the base rows. Row order is preserved within each shard,
-  // so every shard's local_to_global is ascending — the monotonicity the
-  // cross-shard tie-break relies on (see SearchBatch).
+  // so every shard's local_to_global is ascending: a shard's own tie-break on
+  // local ids then agrees with the merge's tie-break on global ids.
   std::vector<std::vector<float>> rows(config_.num_shards);
   for (size_t i = 0; i < n; ++i) {
     const uint32_t gid = static_cast<uint32_t>(i);
@@ -62,7 +58,8 @@ ShardedIndex::ShardedIndex(MatrixView base, ShardedIndexConfig config)
     if (shard.local_to_global.empty()) continue;  // absent shard
     shard.storage =
         Matrix(shard.local_to_global.size(), dim_, std::move(rows[s]));
-    shard.index = BuildShard(shard.storage);
+    shard.index = BuildSegmentIndex(config_.shard_builder, shard.storage,
+                                    config_.metric);
   }
 }
 
@@ -97,29 +94,6 @@ ShardedIndex::ShardedIndex(size_t dim, ShardedIndexConfig config,
                                  static_cast<uint32_t>(i)};
     }
   }
-}
-
-std::unique_ptr<Index> ShardedIndex::BuildShard(const Matrix& base) const {
-  std::unique_ptr<Index> index;
-  if (config_.shard_builder) {
-    index = config_.shard_builder(base, config_.metric);
-  } else {
-    IvfConfig ivf;
-    ivf.metric = config_.metric;
-    const size_t n = base.rows();
-    ivf.nlist = std::max<size_t>(
-        1, std::min(n, static_cast<size_t>(
-                           std::lround(std::sqrt(static_cast<double>(n))))));
-    index = std::make_unique<IvfFlatIndex>(&base, ivf);
-  }
-  USP_CHECK(index != nullptr);
-  USP_CHECK(index->dim() == dim_);
-  USP_CHECK(index->metric() == config_.metric);
-  USP_CHECK(index->size() == base.rows());
-  // Nesting another router would break the one-level container embedding.
-  USP_CHECK(index->type() != IndexType::kSharded &&
-            index->type() != IndexType::kDynamic);
-  return index;
 }
 
 // ---------------------------------------------------------------------------
@@ -205,27 +179,16 @@ bool ShardedIndex::Contains(uint32_t global_id) const {
 // Search.
 // ---------------------------------------------------------------------------
 
-namespace {
-/// Lazy per-shard view of the caller's global selector: shard-local id i is
-/// allowed iff its global id passes the filter. Evaluated per candidate the
-/// shard actually visits (never an eager O(shard) translation); reads
-/// local_to_global safely because the search holds the placement lock shared
-/// for the whole fan-out.
-class LocalShardSelector final : public IdSelector {
- public:
-  LocalShardSelector(const IdSelector* global,
-                     const std::vector<uint32_t>& local_to_global)
-      : global_(global), local_to_global_(local_to_global) {}
-
-  bool is_member(uint32_t local) const override {
-    return global_->is_member(local_to_global_[local]);
+std::vector<FanOutPart> ShardedIndex::Parts() const {
+  std::vector<FanOutPart> parts;
+  parts.reserve(shards_.size());
+  for (const Shard& shard : shards_) {
+    if (shard.index == nullptr) continue;  // absent static shard
+    // Each shard drops its own deletes, so no tombstones reach the merge.
+    parts.push_back({shard.index.get(), nullptr, &shard.local_to_global, 0});
   }
-
- private:
-  const IdSelector* global_;
-  const std::vector<uint32_t>& local_to_global_;
-};
-}  // namespace
+  return parts;
+}
 
 BatchSearchResult ShardedIndex::SearchBatch(const SearchRequest& request) const {
   // Planner hook. Like DynamicIndex, the router has no base_view, so the top
@@ -233,192 +196,20 @@ BatchSearchResult ShardedIndex::SearchBatch(const SearchRequest& request) const 
   // filter fans out per shard (keeping options.plan), and each shard
   // re-plans its own sub-request against its translated selector.
   if (auto planned = MaybeReroute(*this, request)) return std::move(*planned);
-  const MatrixView queries = request.queries;
-  const SearchOptions& options = request.options;
-  const IdSelector* filter = options.filter;
-  const size_t k = options.k;
-  USP_CHECK(queries.empty() || queries.cols() == dim_);
-  const size_t nq = queries.rows();
-  BatchSearchResult result;
-  result.Prepare(nq, options);
-  if (nq == 0 || k == 0) return result;
-
+  USP_CHECK(request.queries.empty() || request.queries.cols() == dim_);
   // The placement lock is held shared across the whole fan-out + merge, so
   // local_to_global and the shard set cannot change under us. Shard-internal
   // mutation (a concurrent Add on another shard) queues behind its own
   // shard's lock, not this batch.
   std::shared_lock<std::shared_mutex> lock(mutex_);
-
-  std::vector<size_t> live;
-  live.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (shards_[s].index != nullptr && shards_[s].index->size() > 0) {
-      live.push_back(s);
-    }
-  }
-
-  // Thread budget: options.num_threads caps the total; each shard's
-  // sub-request gets an equal slice (at least 1 = serial). Results are
-  // bit-identical at every setting — each shard's SearchBatch already
-  // guarantees that, and the merge below is per-query deterministic.
-  const size_t nt = options.num_threads;
-  const bool parallel_shards = nt != 1 && live.size() > 1;
-  size_t per_shard = 1;
-  if (nt != 1) {
-    const size_t total =
-        nt == 0 ? ThreadPool::Global().num_threads() : nt;
-    per_shard = std::max<size_t>(1, total / std::max<size_t>(1, live.size()));
-  }
-
-  std::vector<BatchSearchResult> hits(live.size());
-  auto search_shard = [&](size_t i) {
-    const Shard& shard = shards_[live[i]];
-    SearchRequest sub;
-    sub.queries = queries;
-    sub.options = options;
-    sub.options.num_threads = per_shard;
-    sub.options.k = std::min(shard.index->size(), k);
-    if (filter == nullptr) {
-      hits[i] = shard.index->SearchBatch(sub);
-    } else {
-      // The local view is only consulted during this synchronous sub-search.
-      const LocalShardSelector local(filter, shard.local_to_global);
-      sub.options.filter = &local;
-      hits[i] = shard.index->SearchBatch(sub);
-    }
-  };
-  if (parallel_shards) {
-    ParallelInvoke(live.size(), search_shard);
-  } else {
-    for (size_t i = 0; i < live.size(); ++i) search_shard(i);
-  }
-
-  // Gather: per-query TopK merge on (exact distance, global id) — the same
-  // contract as DynamicIndex's per-segment merge, so the merged row equals
-  // what a single index over the union would produce. Per-shard rows are
-  // already deduplicated and tombstone-free (each shard owns its ids and
-  // filters its own deletes), so no drops happen here.
-  ParallelFor(nq, 8, options.num_threads,
-              [&](size_t begin, size_t end, size_t) {
-    for (size_t q = begin; q < end; ++q) {
-      TopK heap(k);
-      size_t candidates = 0;
-      for (size_t i = 0; i < live.size(); ++i) {
-        const BatchSearchResult& batch = hits[i];
-        const std::vector<uint32_t>& to_global =
-            shards_[live[i]].local_to_global;
-        candidates += batch.candidate_counts[q];
-        const uint32_t* ids = batch.Row(q);
-        const float* dists = batch.DistanceRow(q);
-        for (size_t j = 0; j < batch.k; ++j) {
-          if (ids[j] == kInvalidId) break;  // padding: no more hits
-          heap.Push(dists[j], to_global[ids[j]]);
-        }
-      }
-      result.candidate_counts[q] = static_cast<uint32_t>(candidates);
-      result.SetRow(q, heap.TakeSorted());
-      if (result.stats) {
-        // Eq.4-style budget accounting must survive the fan-out: sum every
-        // per-shard counter so S(R) still means "exact-distance work per
-        // query" across the whole sharded index.
-        uint32_t bins = 0, fout = 0, visited = 0;
-        for (const BatchSearchResult& batch : hits) {
-          if (!batch.stats) continue;
-          bins += batch.stats->bins_probed[q];
-          fout += batch.stats->filtered_out[q];
-          visited += batch.stats->nodes_visited[q];
-        }
-        result.stats->candidates_scored[q] = result.candidate_counts[q];
-        result.stats->bins_probed[q] = bins;
-        result.stats->filtered_out[q] = fout;
-        result.stats->nodes_visited[q] = visited;
-      }
-    }
-  });
-  return result;
+  return FanOutSearch(Parts(), /*tombstones=*/nullptr, request);
 }
 
 RadiusResult ShardedIndex::RadiusSearchBatch(
     const RadiusRequest& request) const {
-  const MatrixView queries = request.queries;
-  const RadiusOptions& options = request.options;
-  const IdSelector* filter = options.filter;
-  USP_CHECK(queries.empty() || queries.cols() == dim_);
-  const size_t nq = queries.rows();
-
+  USP_CHECK(request.queries.empty() || request.queries.cols() == dim_);
   std::shared_lock<std::shared_mutex> lock(mutex_);
-
-  std::vector<size_t> live;
-  live.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (shards_[s].index != nullptr && shards_[s].index->size() > 0) {
-      live.push_back(s);
-    }
-  }
-
-  // Same thread-budget split as SearchBatch: the cap is the total across
-  // shards, each sub-request gets an equal slice.
-  const size_t nt = options.num_threads;
-  const bool parallel_shards = nt != 1 && live.size() > 1;
-  size_t per_shard = 1;
-  if (nt != 1) {
-    const size_t total = nt == 0 ? ThreadPool::Global().num_threads() : nt;
-    per_shard = std::max<size_t>(1, total / std::max<size_t>(1, live.size()));
-  }
-
-  std::vector<RadiusResult> hits(live.size());
-  auto search_shard = [&](size_t i) {
-    const Shard& shard = shards_[live[i]];
-    RadiusRequest sub;
-    sub.queries = queries;
-    sub.radius = request.radius;
-    sub.options = options;
-    sub.options.num_threads = per_shard;
-    if (filter == nullptr) {
-      hits[i] = shard.index->RadiusSearchBatch(sub);
-    } else {
-      // The local view is only consulted during this synchronous sub-search.
-      const LocalShardSelector local(filter, shard.local_to_global);
-      sub.options.filter = &local;
-      hits[i] = shard.index->RadiusSearchBatch(sub);
-    }
-  };
-  if (parallel_shards) {
-    ParallelInvoke(live.size(), search_shard);
-  } else {
-    for (size_t i = 0; i < live.size(); ++i) search_shard(i);
-  }
-
-  // Gather: radius rows already hold every in-range hit, so the merge is a
-  // remap + concat + (distance, global id) sort. Shards own disjoint id
-  // ranges and filter their own deletes, so no dedupe or drops happen here.
-  return CollectRadiusRows(nq, options, [&](size_t q, RadiusResult* out) {
-    std::vector<Neighbor> merged;
-    size_t candidates = 0;
-    uint32_t bins = 0, fout = 0, visited = 0;
-    for (size_t i = 0; i < live.size(); ++i) {
-      const RadiusResult& r = hits[i];
-      const std::vector<uint32_t>& to_global = shards_[live[i]].local_to_global;
-      candidates += r.candidate_counts[q];
-      if (r.stats) {
-        bins += r.stats->bins_probed[q];
-        fout += r.stats->filtered_out[q];
-        visited += r.stats->nodes_visited[q];
-      }
-      for (size_t j = r.offsets[q]; j < r.offsets[q + 1]; ++j) {
-        merged.push_back(Neighbor{r.distances[j], to_global[r.ids[j]]});
-      }
-    }
-    std::sort(merged.begin(), merged.end());
-    out->candidate_counts[q] = static_cast<uint32_t>(candidates);
-    if (out->stats) {
-      out->stats->candidates_scored[q] = static_cast<uint32_t>(candidates);
-      out->stats->bins_probed[q] = bins;
-      out->stats->filtered_out[q] = fout;
-      out->stats->nodes_visited[q] = visited;
-    }
-    return merged;
-  });
+  return FanOutRadiusSearch(Parts(), /*tombstones=*/nullptr, request);
 }
 
 // ---------------------------------------------------------------------------

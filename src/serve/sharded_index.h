@@ -14,14 +14,12 @@
 // are the original row numbers, so results compare 1:1 against a single
 // index over the same matrix.
 //
-// Search. SearchBatch fans the batch out to every live shard on the global
-// pool (util/thread_pool.h ParallelInvoke; the per-request thread cap is
-// split across shards), translating an options.filter — which speaks global
-// ids — into a per-shard local selector evaluated lazily per candidate.
-// Per-shard results carry exact distances, so the gather is a TopK merge on
-// (distance, global id) exactly like DynamicIndex's per-segment merge: the
-// merged row is bit-identical to what one index holding the union of the
-// shards would return, filtered or not, at every shard count
+// Search. The shards are the parts of one composite search
+// (serve/fan_out.h): an options.filter, which speaks global ids, reaches each
+// shard as a lazy local selector, the per-request thread cap is split across
+// shards, and the merge on (distance, global id) makes the merged row
+// bit-identical to what one index holding the union of the shards would
+// return, filtered or not, at every shard count
 // (tests/sharded_index_test.cc pins {1, 3, 8}).
 //
 // Persistence. SaveIndex embeds each shard as a nested container-v2 blob
@@ -41,6 +39,7 @@
 #include "dist/metric.h"
 #include "index/index.h"
 #include "serve/dynamic_index.h"
+#include "serve/fan_out.h"
 #include "tensor/matrix.h"
 #include "util/status.h"
 
@@ -131,17 +130,14 @@ class ShardedIndex : public Index {
 
   /// Scatter-gather search; see file comment. options.filter speaks global
   /// ids; options.num_threads caps the *total* parallelism (split across
-  /// shards, each shard's sub-request gets an equal slice). Results are
-  /// bit-identical at every thread count and every shard count.
+  /// shards). Results are bit-identical at every thread count and every
+  /// shard count.
   using Index::SearchBatch;
   BatchSearchResult SearchBatch(const SearchRequest& request) const override;
 
-  /// Scatter-gather radius search: every live shard answers the sub-request
-  /// with its own RadiusSearchBatch (global filter translated to the lazy
-  /// per-shard selector; mutable shards compose their tombstones themselves),
-  /// then per-query rows are remapped to global ids, concatenated, and sorted
-  /// by (distance, global id). Bit-identical to one index over the union of
-  /// the shards at every shard count, and to BruteForceRadius at full budget.
+  /// Scatter-gather radius search through the same fan-out. Bit-identical to
+  /// one index over the union of the shards at every shard count, and to
+  /// BruteForceRadius at full budget.
   RadiusResult RadiusSearchBatch(const RadiusRequest& request) const override;
   size_t dim() const override { return dim_; }
   /// Number of live points across all shards.
@@ -182,7 +178,8 @@ class ShardedIndex : public Index {
   };
   static constexpr uint32_t kUnplaced = 0xFFFFFFFFu;
 
-  std::unique_ptr<Index> BuildShard(const Matrix& base) const;
+  /// The shards as fan-out parts; the caller holds mutex_.
+  std::vector<FanOutPart> Parts() const;
 
   const size_t dim_;
   const ShardedIndexConfig config_;

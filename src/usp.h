@@ -44,11 +44,11 @@
 // Exact search substrate.
 #include "knn/brute_force.h"
 
-// Workloads beyond top-k: radius (range) search over every index type
-// (workload/radius.h rides in via index/index.h) and fast k-NN-graph
-// construction (exact symmetric tiles, index-accelerated approximate,
-// out-of-core streaming).
+// Workloads beyond top-k: radius (range) search over every index type and
+// fast k-NN-graph construction (exact symmetric tiles, index-accelerated
+// approximate, out-of-core streaming).
 #include "workload/knn_graph.h"
+#include "workload/radius.h"
 
 // Baselines and companion indexes.
 #include "baselines/cross_polytope_lsh.h"

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "index/index.h"  // SearchStats
 #include "util/thread_pool.h"
 
 namespace usp {

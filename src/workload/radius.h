@@ -1,18 +1,11 @@
-// Radius (range) search: the second query shape of the workload subsystem.
-// A RadiusRequest asks, for each query, for *every* indexed point whose
-// minimized-form metric distance (dist/metric.h: squared L2, negated inner
-// product, cosine distance) is <= radius — the semantics of sklearn's
-// radius_neighbors, with results sorted by ascending distance per row.
-//
-// Results are variable length, so RadiusResult is CSR-shaped: row q spans
-// [offsets[q], offsets[q+1]) of the flat ids/distances arrays; an empty row
-// has offsets[q] == offsets[q+1]. Every Index implements
-// RadiusSearchBatch(request) (index/index.h); at full budget the result is
+// Radius (range) search helpers shared by the index types. The query shape
+// itself — RadiusRequest, RadiusOptions and the CSR-shaped RadiusResult —
+// lives in index/index.h next to SearchRequest; every Index implements
+// RadiusSearchBatch(request), and at full budget the result is
 // bit-identical — offsets, ids, AND distances — to the filtered brute-force
 // reference BruteForceRadius (knn/brute_force.h), the same acceptance
 // contract filtered k-NN search pins (tests/radius_search_test.cc).
 //
-// This header also hosts the helpers the index types share.
 // RangeFilterCandidates is the gather stage of a partial-budget request:
 // sort/dedupe/pushdown of the probed candidates, exact ScoreIds scoring and
 // the radius cut. A request whose probes cover every bin skips it for
@@ -24,102 +17,14 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
-#include <optional>
 #include <vector>
 
 #include "dist/distance_computer.h"
 #include "index/id_selector.h"
+#include "index/index.h"
 #include "knn/top_k.h"
-#include "tensor/matrix.h"
 
 namespace usp {
-
-/// Optional per-query instrumentation (SearchOptions::stats /
-/// RadiusOptions::stats), sized one entry per query. Lets callers close the
-/// recall/latency loop per query instead of batch-averaging through
-/// MeanCandidates(). Defined here (not index/index.h, which includes this
-/// header) because RadiusResult embeds it by value.
-struct SearchStats {
-  /// Candidates actually scored by exact/ADC distance, post-filter — the
-  /// per-query |C(q)| of Eq. 4. Matches candidate_counts entry for entry.
-  std::vector<uint32_t> candidates_scored;
-
-  /// Bins/lists probed (partition-based types; summed across models for
-  /// ensembles and across segments for DynamicIndex; 0 for partition-free
-  /// scans and HNSW).
-  std::vector<uint32_t> bins_probed;
-
-  /// Candidates dropped by the selector before scoring (for HNSW: visited
-  /// base-layer nodes the selector kept out of the result set; for
-  /// DynamicIndex: also tombstoned hits dropped at the merge).
-  std::vector<uint32_t> filtered_out;
-
-  /// HNSW only: base-layer nodes visited during graph traversal (0
-  /// elsewhere). candidates_scored additionally includes the upper-layer
-  /// greedy-descent evaluations, so it can exceed this count.
-  std::vector<uint32_t> nodes_visited;
-
-  /// Sizes every counter to `num_queries` zeroed entries.
-  void Allocate(size_t num_queries);
-};
-
-/// Per-query radius-search knobs. The default budget is *full effort* —
-/// unlike top-k search, a range query's natural contract is exactness
-/// ("everything within r"), so callers opt into approximation by lowering
-/// the budget rather than opting into exactness by raising it.
-struct RadiusOptions {
-  /// Search effort: probed bins for the partition-based types, base-layer
-  /// beam width for HNSW, forwarded to every segment/shard by the serving
-  /// types. The default probes everything, making the result exact.
-  size_t budget = std::numeric_limits<size_t>::max();
-
-  /// Caps the per-query sharding over the global thread pool (0 = pool
-  /// default, 1 = serial). Results are bit-identical at every setting.
-  size_t num_threads = 0;
-
-  /// Optional membership predicate over the queried index's id space,
-  /// applied before scoring (selector pushdown) exactly as in k-NN search.
-  /// Non-owning; must outlive the call. nullptr means unfiltered.
-  const IdSelector* filter = nullptr;
-
-  /// When true, the result carries a SearchStats block (index/index.h).
-  bool stats = false;
-};
-
-/// A batch of range queries: all points within `radius` (inclusive) of each
-/// query row, in the index metric's minimized form.
-struct RadiusRequest {
-  MatrixView queries;
-  float radius = 0.0f;
-  RadiusOptions options;
-};
-
-/// CSR-shaped range-search output: row q spans [offsets[q], offsets[q+1]) of
-/// `ids`/`distances`, sorted by ascending (distance, id). No padding
-/// sentinel exists here — an empty row is simply a zero-length span, pinned
-/// by tests/radius_search_test.cc (EmptyRowOffsetContract).
-struct RadiusResult {
-  std::vector<size_t> offsets;   ///< num_queries + 1 entries; offsets[0] == 0
-  std::vector<uint32_t> ids;     ///< flat hit ids, row-major by query
-  std::vector<float> distances;  ///< parallel to ids; minimized form
-
-  /// Candidates exact-scored per query (post-filter), the radius analogue of
-  /// BatchSearchResult::candidate_counts.
-  std::vector<uint32_t> candidate_counts;
-
-  /// Per-query instrumentation; engaged only when RadiusOptions::stats.
-  std::optional<SearchStats> stats;
-
-  size_t num_queries() const {
-    return offsets.empty() ? 0 : offsets.size() - 1;
-  }
-  size_t RowSize(size_t q) const { return offsets[q + 1] - offsets[q]; }
-  const uint32_t* RowIds(size_t q) const { return ids.data() + offsets[q]; }
-  const float* RowDistances(size_t q) const {
-    return distances.data() + offsets[q];
-  }
-};
 
 /// Work counters of one RangeFilterCandidates call (mirrors RerankCounts).
 struct RadiusRowCounts {

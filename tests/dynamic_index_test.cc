@@ -199,6 +199,72 @@ TEST(DynamicIndexTest, SealPreservesExactRecall) {
   EXPECT_EQ(before.ids, after.ids);
 }
 
+// The write segment scores rows with the per-row kernel a sealed segment
+// uses, so a row reports the same distance bits before and after Seal().
+// Unfiltered L2 at full budget must equal filtered brute force over the live
+// rows (the per-row kernel path) in ids and distances, at every thread count
+// of the segment fan-out; radius rows must match at every thread count too.
+TEST(DynamicIndexTest, WriteSegmentScoresLikeSealedSegments) {
+  const size_t n = 900, dim = 16, k = 10;
+  Rng rng(11);
+  const Matrix data = Matrix::RandomGaussian(n, dim, &rng);
+  const Matrix queries = Matrix::RandomGaussian(40, dim, &rng);
+
+  DynamicIndex index(dim);  // kSquaredL2
+  index.AddBatch(MatrixView(data.Row(0), 300, dim));
+  index.Seal();
+  index.AddBatch(MatrixView(data.Row(300), 300, dim));
+  index.Seal();
+  index.AddBatch(MatrixView(data.Row(600), n - 600, dim));
+  ASSERT_EQ(index.num_sealed_segments(), 2u);
+  ASSERT_EQ(index.write_segment_rows(), n - 600);
+
+  // Every 11th id deleted: tombstones in both sealed segments and the write
+  // segment. Global ids are the data row numbers.
+  IdSelectorBitmap live(n);
+  for (uint32_t id = 0; id < n; ++id) {
+    if (id % 11 == 0) {
+      ASSERT_TRUE(index.Delete(id));
+    } else {
+      live.Set(id);
+    }
+  }
+  const KnnResult want =
+      BruteForceKnn(data, queries, k, Metric::kSquaredL2, &live);
+  std::vector<float> kth(queries.rows());
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    kth[q] = want.distances[q * k + k - 1];
+  }
+  std::nth_element(kth.begin(), kth.begin() + kth.size() / 2, kth.end());
+  const float radius = kth[kth.size() / 2];
+  const RadiusResult want_radius =
+      BruteForceRadius(data, queries, radius, Metric::kSquaredL2, &live);
+
+  for (const size_t threads : {1, 0, 2, 5}) {
+    const BatchSearchResult got =
+        index.SearchBatch(queries, k, kFullBudget, threads);
+    EXPECT_EQ(got.ids, want.indices) << "threads=" << threads;
+    EXPECT_EQ(got.distances, want.distances) << "threads=" << threads;
+
+    RadiusOptions options;
+    options.num_threads = threads;
+    const RadiusResult rows = index.RadiusSearch(queries, radius, options);
+    EXPECT_EQ(rows.offsets, want_radius.offsets) << "threads=" << threads;
+    EXPECT_EQ(rows.ids, want_radius.ids) << "threads=" << threads;
+    EXPECT_EQ(rows.distances, want_radius.distances) << "threads=" << threads;
+  }
+
+  // Sealing the write segment moves its rows without changing a bit.
+  index.Seal();
+  ASSERT_EQ(index.write_segment_rows(), 0u);
+  const BatchSearchResult sealed = index.SearchBatch(queries, k, kFullBudget);
+  EXPECT_EQ(sealed.ids, want.indices);
+  EXPECT_EQ(sealed.distances, want.distances);
+  const RadiusResult sealed_rows = index.RadiusSearch(queries, radius);
+  EXPECT_EQ(sealed_rows.ids, want_radius.ids);
+  EXPECT_EQ(sealed_rows.distances, want_radius.distances);
+}
+
 TEST(DynamicIndexTest, CompactDropsTombstonesAndReclaimsIds) {
   const Workload& w = DynWorkload();
   const size_t n = w.base.rows();

@@ -31,6 +31,7 @@
 #include "knn/brute_force.h"
 #include "quant/scann_index.h"
 #include "util/rng.h"
+#include "workload/radius.h"
 
 namespace usp {
 namespace {
