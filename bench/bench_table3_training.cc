@@ -5,7 +5,12 @@
 // comparable content). Also reports the Neural LSH preprocessing split for
 // the Sec. 5.3 comparison ("significantly lower than the several hours of
 // preprocessing needed for Neural LSH").
+//
+// Output: the table plus machine-readable BENCH_training.json (or the path
+// given as the first argument): the scale, each configuration's training
+// seconds, and the Neural LSH split.
 #include <cstdio>
+#include <vector>
 
 #include "bench/common.h"
 #include "core/ensemble.h"
@@ -44,7 +49,17 @@ double TrainHierarchical(const Workload& w, float eta, size_t epochs) {
   return timer.ElapsedSeconds();
 }
 
-void Run() {
+struct TrainingRow {
+  const char* dataset;
+  const Workload* workload;
+  size_t bins;
+  const char* model;
+  float eta;
+  const char* paper;
+  double seconds;
+};
+
+int Run(const char* out_path) {
   const BenchScale scale = GetScale();
   const Workload& sift = SiftLikeWorkload();
   const Workload& mnist = MnistLikeWorkload();
@@ -55,18 +70,21 @@ void Run() {
   std::printf("  %-12s %-9s %-14s %-8s %s\n", "dataset", "bins",
               "training time", "eta", "paper (K80 GPU, full-size data)");
 
-  const double mnist16 = TrainFlatEnsemble(mnist, 16, 7.0f, scale.epochs);
-  std::printf("  %-12s %-9d %10.1fs   %-8.0f %s\n", "mnist-like", 16, mnist16,
-              7.0, "2 min");
-  const double mnist256 = TrainHierarchical(mnist, 30.0f, scale.epochs);
-  std::printf("  %-12s %-9d %10.1fs   %-8.0f %s\n", "mnist-like", 256,
-              mnist256, 30.0, "12 min");
-  const double sift16 = TrainFlatEnsemble(sift, 16, 7.0f, scale.epochs);
-  std::printf("  %-12s %-9d %10.1fs   %-8.0f %s\n", "sift-like", 16, sift16,
-              7.0, "6 min");
-  const double sift256 = TrainHierarchical(sift, 10.0f, scale.epochs);
-  std::printf("  %-12s %-9d %10.1fs   %-8.0f %s\n", "sift-like", 256, sift256,
-              10.0, "40 min");
+  // 16 bins: a flat 3-model ensemble; 256 bins: a 16x16 tree.
+  std::vector<TrainingRow> rows = {
+      {"mnist-like", &mnist, 16, "ensemble3", 7.0f, "2 min", 0.0},
+      {"mnist-like", &mnist, 256, "tree16x16", 30.0f, "12 min", 0.0},
+      {"sift-like", &sift, 16, "ensemble3", 7.0f, "6 min", 0.0},
+      {"sift-like", &sift, 256, "tree16x16", 10.0f, "40 min", 0.0},
+  };
+  for (TrainingRow& row : rows) {
+    row.seconds =
+        row.bins == 16
+            ? TrainFlatEnsemble(*row.workload, row.bins, row.eta, scale.epochs)
+            : TrainHierarchical(*row.workload, row.eta, scale.epochs);
+    std::printf("  %-12s %-9zu %10.1fs   %-8.0f %s\n", row.dataset, row.bins,
+                row.seconds, row.eta, row.paper);
+  }
 
   // Sec. 5.3 comparison: Neural LSH's label-generation preprocessing.
   NeuralLshConfig nlsh_config;
@@ -83,12 +101,40 @@ void Run() {
   std::printf(
       "  (paper: graph-partition preprocessing takes hours on 1M points; our "
       "USP needs none)\n");
+
+  std::FILE* f = std::fopen(out_path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s\n", out_path);
+    return 1;
+  }
+  std::fprintf(f, "{\n");
+  std::fprintf(f,
+               "  \"scale\": {\"sift_n\": %zu, \"mnist_n\": %zu, "
+               "\"epochs\": %zu, \"batch_size\": 512},\n",
+               scale.sift_n, scale.mnist_n, scale.epochs);
+  std::fprintf(f, "  \"training\": [\n");
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const TrainingRow& row = rows[i];
+    std::fprintf(f,
+                 "    {\"dataset\": \"%s\", \"bins\": %zu, \"model\": "
+                 "\"%s\", \"eta\": %.1f, \"train_seconds\": %.4f}%s\n",
+                 row.dataset, row.bins, row.model, row.eta, row.seconds,
+                 i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f,
+               "  \"neural_lsh\": {\"dataset\": \"sift-like\", \"bins\": 256, "
+               "\"partition_seconds\": %.4f, \"classifier_seconds\": %.4f}\n",
+               nlsh.partition_seconds(), nlsh.train_seconds());
+  std::fprintf(f, "}\n");
+  std::fclose(f);
+  std::printf("\nwrote %s\n", out_path);
+  return 0;
 }
 
 }  // namespace
 }  // namespace usp::bench
 
-int main() {
-  usp::bench::Run();
-  return 0;
+int main(int argc, char** argv) {
+  return usp::bench::Run(argc > 1 ? argv[1] : "BENCH_training.json");
 }

@@ -1,6 +1,7 @@
 // Low-level distance kernels behind every search path: 1-vs-1 distances,
 // batched 1-vs-many scoring over contiguous rows (centroid/codebook scans),
-// and gather-by-id scoring (candidate rerank). One implementation set is
+// gather-by-id scoring (candidate rerank), and the row kernel of every dense
+// GEMM (tensor/ops.h: training and bin scoring). One implementation set is
 // selected ONCE at process startup by runtime CPU detection:
 //
 //   - "avx2":   AVX2 + FMA vector kernels (x86-64 with both features)
@@ -22,6 +23,22 @@
 // still equals the 1-vs-1 kernel bit for bit. tests/dist_test.cc enforces
 // this for both kernel pairs across dims covering every SIMD tail and row
 // counts covering every remainder of the four-row loop.
+//
+// `gemm` computes whole output rows. Each element starts at +0 and takes the
+// products for p = 0, 1, ..., k-1 in order, one step each: the sequence of the
+// memset-plus-axpy loop (c_i += a_ip * b_p, one call per p) that the entry
+// replaced, so its outputs keep that loop's bits. The scalar set is that loop
+// as written (a multiply and an add per step, unless the whole build targets an
+// FMA machine and the compiler fuses them). The AVX2 set adds each product with
+// one fused multiply-add, as the old vector axpy did (GCC contracted its scalar
+// tail into an FMA too, so tail columns match), but keeps a register tile in
+// accumulators across the whole k loop instead of loading and storing the
+// output row once per p: 4 rows x 16 columns (eight accumulators), and for a
+// remainder of 3, 2 or 1 rows 3 x 16, 2 x 32 or 1 x 64, so a single query still
+// has several FMA chains in flight; narrower strips and one masked strip finish
+// the last columns. The two sets round differently, so GEMM carries no
+// cross-set bit promise; tests/dist_test.cc pins each set against its axpy
+// loop bit for bit.
 #ifndef USP_DIST_DISTANCE_KERNELS_H_
 #define USP_DIST_DISTANCE_KERNELS_H_
 
@@ -60,9 +77,14 @@ struct DistanceKernels {
   void (*score_ids_dot)(const float* query, const float* base, size_t d,
                         const uint32_t* ids, size_t count, float* out);
 
-  /// y[i] += alpha * x[i] for i in [0, n). GEMM inner loop. (No cross-set
-  /// bit-compatibility promise: the vector path uses FMA contraction.)
-  void (*axpy)(float alpha, const float* x, float* y, size_t n);
+  /// n rows of a matrix product: c[i*m + j] = sum over p < k of
+  /// a[i*a_row + p*a_col] * b[p*m + j], for i < n and j < m; `b` is a dense
+  /// (k x m) block and `c` a dense (n x m) block that aliases neither input.
+  /// Strides (k, 1) read `a` as the (n x k) left operand of A*B; strides
+  /// (1, lda) read it as the transpose of a (k x lda) matrix, for A^T*B. See
+  /// the file comment for the per-element arithmetic.
+  void (*gemm)(const float* a, size_t a_row, size_t a_col, const float* b,
+               size_t n, size_t k, size_t m, float* c);
 };
 
 /// The portable fallback set (always available).

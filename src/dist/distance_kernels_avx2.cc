@@ -149,16 +149,98 @@ __attribute__((target("avx2,fma"))) void ScoreIds(const float* query,
   for (; i < count; ++i) out[i] = OneRow<kL2>(query, row(i), d);
 }
 
-__attribute__((target("avx2,fma"))) void AxpyAvx2(float alpha, const float* x,
-                                                  float* y, size_t n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 updated =
-        _mm256_fmadd_ps(va, _mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i));
-    _mm256_storeu_ps(y + i, updated);
+// One register tile of the GEMM entry: rows [0, R) of `a` against columns
+// [0, 8 * V) of `b` (the last vector masked to `tail` when kTail), with one
+// accumulator per row and vector held across the whole k loop. Every
+// element starts at +0 and takes fma(a(r, p), b(p, j), acc) for p in order.
+template <int R, int V, bool kTail>
+__attribute__((target("avx2,fma"))) inline void GemmTile(
+    const float* a, size_t a_row, size_t a_col, const float* b, size_t k,
+    size_t m, __m256i tail, float* c) {
+  __m256 acc[R][V];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) acc[r][v] = _mm256_setzero_ps();
   }
-  for (; i < n; ++i) y[i] += alpha * x[i];
+  for (size_t p = 0; p < k; ++p) {
+    const float* bp = b + p * m;
+    __m256 bv[V];
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      bv[v] = kTail && v == V - 1 ? _mm256_maskload_ps(bp + 8 * v, tail)
+                                  : _mm256_loadu_ps(bp + 8 * v);
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m256 ar = _mm256_broadcast_ss(a + r * a_row + p * a_col);
+#pragma GCC unroll 8
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = _mm256_fmadd_ps(ar, bv[v], acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      float* out = c + r * m + 8 * v;
+      if (kTail && v == V - 1) {
+        _mm256_maskstore_ps(out, tail, acc[r][v]);
+      } else {
+        _mm256_storeu_ps(out, acc[r][v]);
+      }
+    }
+  }
+}
+
+// Columns [j, m) of an R-row band: strips of V vectors, then at most one
+// strip at each narrower power of two, then a masked strip for the last
+// m % 8 columns.
+template <int R, int V>
+__attribute__((target("avx2,fma"))) inline void GemmStrips(
+    const float* a, size_t a_row, size_t a_col, const float* b, size_t k,
+    size_t m, size_t j, float* c) {
+  const __m256i none = _mm256_setzero_si256();
+  for (; j + 8 * V <= m; j += 8 * V) {
+    GemmTile<R, V, false>(a, a_row, a_col, b + j, k, m, none, c + j);
+  }
+  if constexpr (V > 1) {
+    GemmStrips<R, V / 2>(a, a_row, a_col, b, k, m, j, c);
+  } else if (j < m) {
+    GemmTile<R, 1, true>(a, a_row, a_col, b + j, k, m, TailMask(m - j),
+                         c + j);
+  }
+}
+
+// Four-row bands of two-vector strips (eight accumulators); a remainder of
+// three rows runs two-vector strips, two rows four-vector strips and one
+// row eight-vector strips, so short row counts (one serving query per
+// model) still keep several FMA chains in flight.
+__attribute__((target("avx2,fma"))) void GemmAvx2(const float* a,
+                                                  size_t a_row, size_t a_col,
+                                                  const float* b, size_t n,
+                                                  size_t k, size_t m,
+                                                  float* c) {
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    GemmStrips<4, 2>(a + i * a_row, a_row, a_col, b, k, m, 0, c + i * m);
+  }
+  const float* ai = a + i * a_row;
+  float* ci = c + i * m;
+  switch (n - i) {
+    case 3:
+      GemmStrips<3, 2>(ai, a_row, a_col, b, k, m, 0, ci);
+      break;
+    case 2:
+      GemmStrips<2, 4>(ai, a_row, a_col, b, k, m, 0, ci);
+      break;
+    case 1:
+      GemmStrips<1, 8>(ai, a_row, a_col, b, k, m, 0, ci);
+      break;
+    default:
+      break;
+  }
 }
 
 bool CpuHasAvx2Fma() {
@@ -171,7 +253,7 @@ const DistanceKernels* Avx2KernelsOrNull() {
   static const DistanceKernels kernels = {
       "avx2",           OneRow<true>,     OneRow<false>,
       ScoreBlock<true>, ScoreBlock<false>, ScoreIds<true>,
-      ScoreIds<false>,  AxpyAvx2,
+      ScoreIds<false>,  GemmAvx2,
   };
   static const bool supported = CpuHasAvx2Fma();
   return supported ? &kernels : nullptr;

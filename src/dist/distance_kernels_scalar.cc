@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "dist/distance_kernels.h"
 
@@ -86,8 +87,18 @@ void ScoreIdsDotScalar(const float* query, const float* base, size_t d,
   }
 }
 
-void AxpyScalar(float alpha, const float* x, float* y, size_t n) {
-  for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+// Each output row is zeroed, then takes one axpy per p in order.
+void GemmScalar(const float* a, size_t a_row, size_t a_col, const float* b,
+                size_t n, size_t k, size_t m, float* c) {
+  for (size_t i = 0; i < n; ++i) {
+    float* ci = c + i * m;
+    std::memset(ci, 0, m * sizeof(float));
+    for (size_t p = 0; p < k; ++p) {
+      const float alpha = a[i * a_row + p * a_col];
+      const float* bp = b + p * m;
+      for (size_t j = 0; j < m; ++j) ci[j] += alpha * bp[j];
+    }
+  }
 }
 
 }  // namespace
@@ -96,7 +107,7 @@ const DistanceKernels& ScalarKernels() {
   static const DistanceKernels kernels = {
       "scalar",         SquaredL2Scalar,  DotScalar,
       ScoreBlockL2Scalar, ScoreBlockDotScalar, ScoreIdsL2Scalar,
-      ScoreIdsDotScalar, AxpyScalar,
+      ScoreIdsDotScalar, GemmScalar,
   };
   return kernels;
 }

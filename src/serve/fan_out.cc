@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "ivf/ivf.h"
 #include "knn/brute_force.h"
@@ -58,6 +59,35 @@ class LocalSelector final : public IdSelector {
   const std::unordered_set<uint32_t>* tombstones_;
 };
 
+/// Splits `total` threads over parts of `rows` rows: one per part, and the
+/// rest in proportion to rows, the threads left after rounding down going
+/// to the largest remainders (the first part on a tie). With `total` a
+/// multiple of the part count, equal parts get total / live each.
+void SplitThreadsByRows(const std::vector<size_t>& rows, size_t total,
+                        std::vector<size_t>* threads) {
+  const size_t live = rows.size();
+  if (total <= live) return;  // one thread per part
+  const size_t spare = total - live;
+  size_t sum = 0;
+  for (size_t r : rows) sum += r;
+  std::vector<std::pair<size_t, size_t>> remainders;  // (remainder, part)
+  size_t given = 0;
+  for (size_t i = 0; i < live; ++i) {
+    const size_t share = spare * rows[i];  // threads scaled by `sum`
+    (*threads)[i] += share / sum;
+    given += share / sum;
+    remainders.emplace_back(share % sum, i);
+  }
+  std::sort(remainders.begin(), remainders.end(),
+            [](const auto& a, const auto& b) {
+              return a.first != b.first ? a.first > b.first
+                                        : a.second < b.second;
+            });
+  for (size_t i = 0; given < spare; ++i, ++given) {
+    ++(*threads)[remainders[i].second];
+  }
+}
+
 /// The parts that hold rows, in order, and each one's sub-result.
 template <typename Result>
 struct Scattered {
@@ -81,14 +111,14 @@ Scattered<Result> Scatter(const std::vector<FanOutPart>& parts,
   }
   const size_t live = out.parts.size();
   out.hits.resize(live);
-  size_t per_part = 1;
-  if (num_threads != 1) {
+  std::vector<size_t> threads(live, 1);
+  if (num_threads != 1 && live > 0) {
     const size_t total =
         num_threads == 0 ? ThreadPool::Global().num_threads() : num_threads;
-    per_part = std::max<size_t>(1, total / std::max<size_t>(1, live));
+    SplitThreadsByRows(rows, total, &threads);
   }
   auto run = [&](size_t i) {
-    out.hits[i] = search(*out.parts[i], rows[i], per_part);
+    out.hits[i] = search(*out.parts[i], rows[i], threads[i]);
   };
   if (num_threads != 1 && live > 1) {
     ParallelInvoke(live, run);

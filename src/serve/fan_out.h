@@ -10,9 +10,12 @@
 //
 // Dispatch. Parts run one after another on the calling thread when
 // num_threads == 1 or only one part holds rows. Otherwise ParallelInvoke
-// (util/thread_pool.h) runs them, with the thread cap split evenly and at
-// least one thread per part. Every part's rows are bit-identical at every
-// thread count, and so is the merge.
+// (util/thread_pool.h) runs them. Each part gets one thread, and the rest of
+// the cap is split in proportion to the parts' rows (largest remainders take
+// the threads rounding leaves), so a small write segment does not hold
+// threads a large sealed segment could use. Equal parts under a cap that is
+// a multiple of their count get cap / count each. Every part's rows are
+// bit-identical at every thread count, and so is the merge.
 //
 // Merges. Every part returns exact distances. The kNN merge keeps a TopK on
 // (distance, global id). Unfiltered parts fetch min(rows, k + tombstoned)

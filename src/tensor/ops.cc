@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -21,12 +20,7 @@ void Gemm(MatrixView a, const Matrix& b, Matrix* c) {
   const size_t n = a.rows(), k = a.cols(), m = b.cols();
   const DistanceKernels& kd = GetDistanceKernels();
   ParallelFor(n, kRowGrain, [&](size_t begin, size_t end, size_t) {
-    for (size_t i = begin; i < end; ++i) {
-      float* ci = c->Row(i);
-      std::memset(ci, 0, m * sizeof(float));
-      const float* ai = a.Row(i);
-      for (size_t p = 0; p < k; ++p) kd.axpy(ai[p], b.Row(p), ci, m);
-    }
+    kd.gemm(a.Row(begin), k, 1, b.data(), end - begin, k, m, c->Row(begin));
   });
 }
 
@@ -47,14 +41,16 @@ void GemmTransposedA(const Matrix& a, const Matrix& b, Matrix* c) {
   USP_CHECK(c->rows() == a.cols() && c->cols() == b.cols());
   const size_t k = a.rows(), n = a.cols(), m = b.cols();
   const DistanceKernels& kd = GetDistanceKernels();
+  if (k == 0) {  // an empty A may have no storage to offset into
+    c->Fill(0.0f);
+    return;
+  }
   // Parallelize over output rows (columns of A): each worker owns disjoint
-  // rows of C, so no synchronization is needed.
+  // rows of C, so no synchronization is needed. Row i of C reads column i of
+  // A, so the kernel walks A with strides (1, n).
   ParallelFor(n, kRowGrain, [&](size_t begin, size_t end, size_t) {
-    for (size_t i = begin; i < end; ++i) {
-      float* ci = c->Row(i);
-      std::memset(ci, 0, m * sizeof(float));
-      for (size_t p = 0; p < k; ++p) kd.axpy(a(p, i), b.Row(p), ci, m);
-    }
+    kd.gemm(a.data() + begin, 1, n, b.data(), end - begin, k, m,
+            c->Row(begin));
   });
 }
 

@@ -10,8 +10,9 @@
 
 namespace usp {
 
-/// C = A * B. A is (n x k), B is (k x m), C is (n x m). Parallel over rows,
-/// blocked over k for cache friendliness. The A operand is a view so query
+/// C = A * B. A is (n x k), B is (k x m), C is (n x m). Parallel over row
+/// chunks, each run by the kernel set's register-tiled `gemm` entry
+/// (dist/distance_kernels.h). The A operand is a view so query
 /// batches (including zero-copy single-query wraps and mmap'd storage) feed
 /// the scoring paths without staging through an owned Matrix.
 void Gemm(MatrixView a, const Matrix& b, Matrix* c);

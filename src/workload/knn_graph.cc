@@ -1,6 +1,7 @@
 #include "workload/knn_graph.h"
 
 #include <algorithm>
+#include <limits>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -16,17 +17,75 @@ namespace usp {
 
 namespace {
 
-// Writes each row's heap, sorted ascending by (distance, id), into the flat
-// KnnResult arrays. `first_row` offsets the output for streamed blocks.
-void DrainHeaps(std::vector<TopK>* heaps, size_t first_row, size_t k,
-                KnnResult* result) {
-  for (size_t i = 0; i < heaps->size(); ++i) {
-    auto sorted = (*heaps)[i].TakeSorted();
-    const size_t row = first_row + i;
-    for (size_t j = 0; j < k; ++j) {
-      result->indices[row * k + j] = sorted[j].id;
-      result->distances[row * k + j] = sorted[j].distance;
+constexpr float kNoBound = std::numeric_limits<float>::infinity();
+
+// Bounded max-heaps on (distance, id), one per row in one flat allocation,
+// each keeping its row's k best pairs exactly as a TopK(k) does. bound(r)
+// is +inf, or a caller's seed, until row r holds k pairs, then the smaller
+// of the seed and the kept worst's distance. A pair whose distance is above
+// the bound can never be kept, so the builders skip its Push; a pair at the
+// bound must still reach Push, which breaks the distance tie by id.
+class RowHeaps {
+ public:
+  RowHeaps(size_t rows, size_t k)
+      : k_(k), pairs_(rows * k), sizes_(rows, 0), bounds_(rows, kNoBound) {}
+
+  float bound(size_t r) const { return bounds_[r]; }
+
+  /// Empties row r and seeds its bound.
+  void Reset(size_t r, float bound) {
+    sizes_[r] = 0;
+    bounds_[r] = bound;
+  }
+
+  void Push(size_t r, float distance, uint32_t id) {
+    Neighbor* heap = &pairs_[r * k_];
+    size_t& size = sizes_[r];
+    const Neighbor pair{distance, id};
+    if (size < k_) {
+      heap[size++] = pair;
+      std::push_heap(heap, heap + size);
+      if (size < k_) return;
+    } else if (pair < heap[0]) {
+      std::pop_heap(heap, heap + k_);
+      heap[k_ - 1] = pair;
+      std::push_heap(heap, heap + k_);
+    } else {
+      return;
     }
+    bounds_[r] = std::min(bounds_[r], heap[0].distance);
+  }
+
+  /// Row r's kept pairs, in heap order.
+  const Neighbor* begin(size_t r) const { return &pairs_[r * k_]; }
+  const Neighbor* end(size_t r) const { return begin(r) + sizes_[r]; }
+
+  /// Writes row r, sorted ascending by (distance, id), to output row `row`;
+  /// row r is no longer a heap afterwards.
+  void Drain(size_t r, size_t row, KnnResult* result) {
+    Neighbor* heap = &pairs_[r * k_];
+    std::sort_heap(heap, heap + sizes_[r]);
+    for (size_t j = 0; j < k_; ++j) {
+      result->indices[row * k_ + j] = heap[j].id;
+      result->distances[row * k_ + j] = heap[j].distance;
+    }
+  }
+
+ private:
+  size_t k_;
+  std::vector<Neighbor> pairs_;
+  std::vector<size_t> sizes_;
+  std::vector<float> bounds_;
+};
+
+// out[j] = max(0, ||x||^2 + ||y_j||^2 - 2 <x, y_j>) over the `count` rows
+// y_j = rows[j * d ..]: the norm-trick arithmetic of BuildKnnMatrix.
+void BlockDistances(const DistanceKernels& kd, const float* x, float x_norm,
+                    const float* rows, const float* row_norms, size_t count,
+                    size_t d, float* out) {
+  kd.score_block_dot(x, rows, count, d, out);
+  for (size_t j = 0; j < count; ++j) {
+    out[j] = std::max(0.0f, x_norm + row_norms[j] - 2.0f * out[j]);
   }
 }
 
@@ -48,73 +107,79 @@ KnnResult KnnGraphBuilder::BuildExact(MatrixView data) const {
   RowSquaredNorms(data, &norms);
   const DistanceKernels& kd = GetDistanceKernels();
 
-  // Global per-row heaps, guarded per row-block: a tile merges its bounded
-  // local heaps under at most two block locks, so the expensive scoring runs
-  // lock-free. The (distance, id) k-best set is push-order independent and
-  // the distance values are the same bits BuildKnnMatrix computes (dot and +
-  // are commutative, so d(i, j) from tile (bi, bj) equals d(j, i) bit for
-  // bit), which is what makes the tile schedule invisible in the output.
-  std::vector<TopK> heaps;
-  heaps.reserve(n);
-  for (size_t i = 0; i < n; ++i) heaps.emplace_back(k);
+  // Global per-row heaps, guarded per row-block: a tile gates and fills its
+  // own row heaps lock-free and merges them under at most two block locks.
+  // The (distance, id) k-best set is push-order independent and the
+  // distance values are the same bits BuildKnnMatrix computes (dot and + are
+  // commutative, so d(i, j) from tile (bi, bj) equals d(j, i) bit for bit),
+  // which is what makes the tile schedule invisible in the output.
+  RowHeaps heaps(n, k);
   std::vector<std::mutex> locks(nblocks);
 
-  // All tile pairs of the upper triangle, diagonal included.
+  // All tile pairs of the upper triangle, one band at a time outward from
+  // the diagonal: the diagonal tiles first, so every row's bound is seeded
+  // by its own block before the first cross-block tile. A row then meets
+  // the blocks around it before and after its own in turn, so equal
+  // distances reach it in both id orders, and only Push's id tie-break
+  // keeps the set the same as in any other order.
   std::vector<std::pair<uint32_t, uint32_t>> tiles;
-  for (uint32_t bi = 0; bi < nblocks; ++bi) {
-    for (uint32_t bj = bi; bj < nblocks; ++bj) tiles.emplace_back(bi, bj);
+  for (uint32_t band = 0; band < nblocks; ++band) {
+    for (uint32_t bi = 0; bi + band < nblocks; ++bi) {
+      tiles.emplace_back(bi, bi + band);
+    }
   }
 
   ParallelFor(
       tiles.size(), 1, config_.num_threads,
       [&](size_t t_begin, size_t t_end, size_t) {
-        std::vector<float> dots(bs);
+        std::vector<float> dist(bs);
+        RowHeaps local_i(bs, k), local_j(bs, k);
+        // Seeds each local row's bound with its global row's, read under the
+        // block lock the merge takes. Global heaps only tighten, so a pair
+        // above that bound cannot be among the row's k best, now or later.
+        const auto seed = [&](uint32_t block, size_t r0, size_t r1,
+                              RowHeaps* local) {
+          std::lock_guard<std::mutex> guard(locks[block]);
+          for (size_t r = r0; r < r1; ++r) {
+            local->Reset(r - r0, heaps.bound(r));
+          }
+        };
+        const auto merge = [&](uint32_t block, size_t r0, size_t r1,
+                               const RowHeaps& local) {
+          std::lock_guard<std::mutex> guard(locks[block]);
+          for (size_t r = r0; r < r1; ++r) {
+            for (const Neighbor* nb = local.begin(r - r0);
+                 nb != local.end(r - r0); ++nb) {
+              heaps.Push(r, nb->distance, nb->id);
+            }
+          }
+        };
         for (size_t t = t_begin; t < t_end; ++t) {
           const uint32_t bi = tiles[t].first, bj = tiles[t].second;
           const size_t i0 = bi * bs, i1 = std::min(n, i0 + bs);
           const size_t j0 = bj * bs, j1 = std::min(n, j0 + bs);
           const bool diagonal = bi == bj;
 
-          std::vector<TopK> local_i, local_j;
-          local_i.reserve(i1 - i0);
-          for (size_t i = i0; i < i1; ++i) local_i.emplace_back(k);
-          if (!diagonal) {
-            local_j.reserve(j1 - j0);
-            for (size_t j = j0; j < j1; ++j) local_j.emplace_back(k);
-          }
-
+          seed(bi, i0, i1, &local_i);
+          if (!diagonal) seed(bj, j0, j1, &local_j);
           for (size_t i = i0; i < i1; ++i) {
-            kd.score_block_dot(data.Row(i), data.Row(j0), j1 - j0, d,
-                               dots.data());
+            BlockDistances(kd, data.Row(i), norms[i], data.Row(j0), &norms[j0],
+                           j1 - j0, d, dist.data());
+            const uint32_t id_i = static_cast<uint32_t>(i);
             for (size_t j = j0; j < j1; ++j) {
-              if (i == j) continue;
-              const float dist = std::max(
-                  0.0f, norms[i] + norms[j] - 2.0f * dots[j - j0]);
-              local_i[i - i0].Push(dist, static_cast<uint32_t>(j));
+              const float dij = dist[j - j0];
+              if (dij <= local_i.bound(i - i0) && i != j) {
+                local_i.Push(i - i0, dij, static_cast<uint32_t>(j));
+              }
               // A diagonal tile iterates both (i, j) and (j, i), so only
               // off-diagonal tiles push the mirrored edge.
-              if (!diagonal) {
-                local_j[j - j0].Push(dist, static_cast<uint32_t>(i));
+              if (!diagonal && dij <= local_j.bound(j - j0)) {
+                local_j.Push(j - j0, dij, id_i);
               }
             }
           }
-
-          {
-            std::lock_guard<std::mutex> guard(locks[bi]);
-            for (size_t i = i0; i < i1; ++i) {
-              for (const Neighbor& nb : local_i[i - i0].TakeSorted()) {
-                heaps[i].Push(nb.distance, nb.id);
-              }
-            }
-          }
-          if (!diagonal) {
-            std::lock_guard<std::mutex> guard(locks[bj]);
-            for (size_t j = j0; j < j1; ++j) {
-              for (const Neighbor& nb : local_j[j - j0].TakeSorted()) {
-                heaps[j].Push(nb.distance, nb.id);
-              }
-            }
-          }
+          merge(bi, i0, i1, local_i);
+          if (!diagonal) merge(bj, j0, j1, local_j);
         }
       });
 
@@ -122,7 +187,7 @@ KnnResult KnnGraphBuilder::BuildExact(MatrixView data) const {
   result.k = k;
   result.indices.resize(n * k);
   result.distances.resize(n * k);
-  DrainHeaps(&heaps, 0, k, &result);
+  for (size_t i = 0; i < n; ++i) heaps.Drain(i, i, &result);
   return result;
 }
 
@@ -240,9 +305,7 @@ StatusOr<KnnResult> KnnGraphBuilder::BuildFromStream(
       cursor += view.rows();
     }
 
-    std::vector<TopK> heaps;
-    heaps.reserve(r1 - r0);
-    for (size_t i = r0; i < r1; ++i) heaps.emplace_back(k);
+    RowHeaps heaps(r1 - r0, k);
 
     st = stream->Reset();
     if (!st.ok()) return st;
@@ -255,23 +318,22 @@ StatusOr<KnnResult> KnnGraphBuilder::BuildFromStream(
       ParallelFor(
           r1 - r0, 8, config_.num_threads,
           [&](size_t begin, size_t end, size_t) {
-            std::vector<float> dots(view.rows());
+            std::vector<float> dist(view.rows());
             for (size_t i = begin; i < end; ++i) {
               const size_t gi = r0 + i;
-              kd.score_block_dot(resident.Row(i), view.data(), view.rows(), d,
-                                 dots.data());
+              BlockDistances(kd, resident.Row(i), norms[gi], view.data(),
+                             &norms[b_start], view.rows(), d, dist.data());
               for (size_t j = 0; j < view.rows(); ++j) {
                 const size_t gj = b_start + j;
-                if (gi == gj) continue;
-                const float dist = std::max(
-                    0.0f, norms[gi] + norms[gj] - 2.0f * dots[j]);
-                heaps[i].Push(dist, static_cast<uint32_t>(gj));
+                if (dist[j] <= heaps.bound(i) && gi != gj) {
+                  heaps.Push(i, dist[j], static_cast<uint32_t>(gj));
+                }
               }
             }
           });
       b_start += view.rows();
     }
-    DrainHeaps(&heaps, r0, k, &result);
+    for (size_t i = r0; i < r1; ++i) heaps.Drain(i - r0, i, &result);
   }
   return result;
 }

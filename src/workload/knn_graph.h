@@ -12,6 +12,9 @@
 //   * BuildExact: in-memory symmetric blocked scan, bit-identical to
 //     BuildKnnMatrix(data, k) (same norm-trick arithmetic; the (distance, id)
 //     k-best set is push-order independent, so tile order cannot change it).
+//     A pair reaches a row's heap only when its distance is at most the
+//     row's bound, the kept worst of a full local or global heap: a pair
+//     above it can never be kept, so the gate leaves the set unchanged.
 //   * BuildApproximate: index-accelerated — each row queries a prebuilt ANN
 //     index over the same rows at a caller-chosen budget; recall is measured
 //     against an exact graph with GraphRecall. Rows the budget leaves short

@@ -124,18 +124,77 @@ TEST(KernelParityTest, BatchedKernelsMatchOneVsOneBitExact) {
   }
 }
 
-TEST(KernelParityTest, AxpyMatchesWithinTolerance) {
-  // axpy carries no bit-compatibility promise (FMA contraction in the vector
-  // path); require close agreement instead.
+// The loop the GEMM entry replaced: each output row zeroed, then one axpy
+// c_i += a_ip * b_p per p in order. `fused` adds each product with one
+// fused multiply-add (the AVX2 set); otherwise the multiply and the add round
+// separately, exactly as the scalar set's `c += alpha * b` compiles.
+void AxpyLoopGemm(const float* a, size_t a_row, size_t a_col, const float* b,
+                  size_t n, size_t k, size_t m, bool fused, float* c) {
+  for (size_t i = 0; i < n; ++i) {
+    float* ci = c + i * m;
+    std::fill(ci, ci + m, 0.0f);
+    for (size_t p = 0; p < k; ++p) {
+      const float alpha = a[i * a_row + p * a_col];
+      const float* bp = b + p * m;
+      for (size_t j = 0; j < m; ++j) {
+        if (fused) {
+          ci[j] = std::fmaf(alpha, bp[j], ci[j]);
+        } else {
+          ci[j] += alpha * bp[j];
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelParityTest, GemmMatchesAxpyLoopBitExact) {
+  // Every row count of the AVX2 tiles (4-row bands, 3/2/1-row remainders),
+  // column counts covering each strip width and the masked tail, and both
+  // operand layouts: A*B reads `a` with strides (k, 1), A^T*B with (1, n).
   Rng rng(14);
-  for (const size_t n : {1u, 8u, 15u, 64u, 67u}) {
-    const auto x = RandomVec(n, &rng);
-    const auto y0 = RandomVec(n, &rng);
-    std::vector<float> ys(y0), yv(y0);
-    ScalarKernels().axpy(0.37f, x.data(), ys.data(), n);
-    GetDistanceKernels().axpy(0.37f, x.data(), yv.data(), n);
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_NEAR(ys[i], yv[i], 1e-5f) << "n=" << n;
+  std::vector<const DistanceKernels*> sets = {&ScalarKernels()};
+  if (const DistanceKernels* avx2 = Avx2KernelsOrNull()) sets.push_back(avx2);
+  for (const DistanceKernels* kd : sets) {
+    const bool fused = kd != &ScalarKernels();
+    for (const size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 9u}) {
+      for (const size_t m : {1u, 7u, 8u, 15u, 16u, 17u, 31u, 128u}) {
+        for (const size_t k : {1u, 13u, 128u}) {
+          const auto a = RandomVec(n * k, &rng);
+          const auto b = RandomVec(k * m, &rng);
+          for (const bool transposed : {false, true}) {
+            const size_t a_row = transposed ? 1 : k;
+            const size_t a_col = transposed ? n : 1;
+            std::vector<float> got(n * m, -1.0f), want(n * m);
+            kd->gemm(a.data(), a_row, a_col, b.data(), n, k, m, got.data());
+            AxpyLoopGemm(a.data(), a_row, a_col, b.data(), n, k, m, fused,
+                         want.data());
+            for (size_t e = 0; e < n * m; ++e) {
+              ASSERT_EQ(Bits(got[e]), Bits(want[e]))
+                  << kd->name << " n=" << n << " m=" << m << " k=" << k
+                  << " transposed=" << transposed << " element " << e;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelParityTest, GemmMatchesWithinTolerance) {
+  // gemm carries no cross-set bit-compatibility promise (the vector set
+  // fuses each multiply-add); require close agreement instead.
+  Rng rng(15);
+  for (const size_t n : {1u, 3u, 8u}) {
+    for (const size_t m : {1u, 15u, 64u, 67u}) {
+      const size_t k = 37;
+      const auto a = RandomVec(n * k, &rng);
+      const auto b = RandomVec(k * m, &rng);
+      std::vector<float> cs(n * m), cv(n * m);
+      ScalarKernels().gemm(a.data(), k, 1, b.data(), n, k, m, cs.data());
+      GetDistanceKernels().gemm(a.data(), k, 1, b.data(), n, k, m, cv.data());
+      for (size_t e = 0; e < n * m; ++e) {
+        ASSERT_NEAR(cs[e], cv[e], 1e-4f) << "n=" << n << " m=" << m;
+      }
     }
   }
 }

@@ -1,8 +1,10 @@
 // Pins the KnnGraphBuilder contracts (workload/knn_graph.h):
 //
 //   - BuildExact is bit-identical (indices AND distances) to BuildKnnMatrix,
-//     including when n is not a multiple of block_rows and at every thread
-//     count — tile symmetry and scheduling must be invisible in the output.
+//     including when n is not a multiple of block_rows, at every thread
+//     count, and on inputs with exact distance ties at the k-th place —
+//     tile symmetry, scheduling and the bound gate must be invisible in the
+//     output.
 //   - BuildFromStream is bit-identical to BuildExact at ragged
 //     resident-block / chunk-size splits, and fails cleanly on a stream that
 //     ends short.
@@ -12,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -35,16 +38,41 @@ bool SameGraph(const KnnResult& a, const KnnResult& b) {
 
 Matrix TestData(size_t n, uint64_t seed) { return MakeSiftLike(n, seed); }
 
-TEST(KnnGraphBuilderTest, ExactMatchesBruteForceBitwise) {
-  const Matrix data = TestData(/*n=*/777, /*seed=*/5);  // not a tile multiple
-  const KnnResult brute = BuildKnnMatrix(data, /*k=*/8);
+// Every row of a `copies`-times smaller base repeated `copies` times, the
+// copies `n / copies` rows apart: each row has exact distance ties (0 to its
+// own copies, and equal distances to a neighbor's copies), so the k-th
+// place often falls inside a tie that only the id order decides. BuildExact
+// meets the tile bands around a row out of id order, so its bound gate must
+// let a pair exactly at the bound reach the heap (a gate written `<` fails
+// ExactMatchesBruteForceBitwise here, with one thread or many). A streamed
+// row meets its candidates in id order, where a tie at the bound always
+// loses, so there the tied input checks agreement with BuildExact only.
+Matrix TiedData(size_t n, size_t copies, uint64_t seed) {
+  const Matrix unique = MakeSiftLike(n / copies, seed);
+  Matrix data(n, unique.cols());
+  for (size_t i = 0; i < n; ++i) {
+    const float* src = unique.Row(i % unique.rows());
+    std::copy(src, src + unique.cols(), data.Row(i));
+  }
+  return data;
+}
 
-  KnnGraphConfig config;
-  config.k = 8;
-  for (const size_t block_rows : {64u, 100u, 777u, 4096u}) {
-    config.block_rows = block_rows;
-    const KnnResult exact = KnnGraphBuilder(config).BuildExact(data);
-    EXPECT_TRUE(SameGraph(exact, brute)) << "block_rows=" << block_rows;
+TEST(KnnGraphBuilderTest, ExactMatchesBruteForceBitwise) {
+  // Not a tile multiple; then the same n with three-way ties, where k = 7
+  // ends inside the second neighbor's group of three copies.
+  const Matrix data = TestData(/*n=*/777, /*seed=*/5);
+  const Matrix tied = TiedData(/*n=*/777, /*copies=*/3, /*seed=*/5);
+  for (const auto& [input, k] : {std::pair<const Matrix*, size_t>{&data, 8},
+                                 {&tied, 7}}) {
+    const KnnResult brute = BuildKnnMatrix(*input, k);
+    KnnGraphConfig config;
+    config.k = k;
+    for (const size_t block_rows : {64u, 100u, 777u, 4096u}) {
+      config.block_rows = block_rows;
+      const KnnResult exact = KnnGraphBuilder(config).BuildExact(*input);
+      EXPECT_TRUE(SameGraph(exact, brute))
+          << "k=" << k << " block_rows=" << block_rows;
+    }
   }
 }
 
@@ -79,22 +107,27 @@ TEST(KnnGraphBuilderTest, ExactExcludesSelfAndSortsRows) {
 }
 
 TEST(KnnGraphBuilderTest, StreamMatchesExactAtRaggedSplits) {
-  const Matrix data = TestData(/*n=*/613, /*seed=*/8);  // prime-ish n
-  KnnGraphConfig config;
-  config.k = 7;
-  const KnnGraphBuilder builder(config);
-  const KnnResult exact = builder.BuildExact(data);
+  // Prime-ish n; then three-way ties, with k = 7 ending inside a tie group.
+  for (const Matrix& data : {TestData(/*n=*/613, /*seed=*/8),
+                             TiedData(/*n=*/612, /*copies=*/3, /*seed=*/8)}) {
+    KnnGraphConfig config;
+    config.k = 7;
+    const KnnGraphBuilder builder(config);
+    const KnnResult exact = builder.BuildExact(data);
+    EXPECT_TRUE(SameGraph(exact, BuildKnnMatrix(data, config.k)));
 
-  for (const size_t resident : {50u, 128u, 613u, 1000u}) {
-    for (const size_t chunk : {37u, 256u}) {
-      KnnGraphConfig stream_config = config;
-      stream_config.block_rows = chunk;
-      MatrixStream stream(data);
-      StatusOr<KnnResult> streamed =
-          KnnGraphBuilder(stream_config).BuildFromStream(&stream, resident);
-      ASSERT_TRUE(streamed.ok()) << streamed.status().message();
-      EXPECT_TRUE(SameGraph(streamed.value(), exact))
-          << "resident=" << resident << " chunk=" << chunk;
+    for (const size_t resident : {50u, 128u, 613u, 1000u}) {
+      for (const size_t chunk : {37u, 256u}) {
+        KnnGraphConfig stream_config = config;
+        stream_config.block_rows = chunk;
+        MatrixStream stream(data);
+        StatusOr<KnnResult> streamed =
+            KnnGraphBuilder(stream_config).BuildFromStream(&stream, resident);
+        ASSERT_TRUE(streamed.ok()) << streamed.status().message();
+        EXPECT_TRUE(SameGraph(streamed.value(), exact))
+            << "n=" << data.rows() << " resident=" << resident
+            << " chunk=" << chunk;
+      }
     }
   }
 }

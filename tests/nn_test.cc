@@ -3,8 +3,11 @@
 // optimizers are checked on closed-form problems, and the model factory is
 // checked against the paper's architecture (parameter counts of Table 2).
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +23,12 @@
 
 namespace usp {
 namespace {
+
+uint32_t Bits(float f) {
+  uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
 
 // Scalar loss used to drive gradient checks: L = sum(output * coeff).
 double ScalarLoss(const Matrix& out, const Matrix& coeff) {
@@ -137,6 +146,28 @@ TEST(ReluTest, ForwardClampsNegatives) {
   EXPECT_EQ(out(0, 3), 0.0f);
 }
 
+TEST(ReluTest, NegativeZeroAndNanMapToPositiveZero) {
+  Relu relu;
+  Matrix input(1, 3);
+  input(0, 0) = -0.0f;
+  input(0, 1) = std::numeric_limits<float>::quiet_NaN();
+  input(0, 2) = 1.5f;
+  for (const bool training : {true, false}) {
+    const Matrix out = relu.Forward(input, training);
+    EXPECT_EQ(Bits(out(0, 0)), Bits(0.0f));
+    EXPECT_EQ(Bits(out(0, 1)), Bits(0.0f));
+    EXPECT_EQ(out(0, 2), 1.5f);
+  }
+  // The training pass's mask is 0 for both, so no gradient flows back.
+  relu.Forward(input, true);
+  Matrix grad(1, 3);
+  grad.Fill(2.0f);
+  const Matrix grad_in = relu.Backward(grad);
+  EXPECT_EQ(Bits(grad_in(0, 0)), Bits(0.0f));
+  EXPECT_EQ(Bits(grad_in(0, 1)), Bits(0.0f));
+  EXPECT_EQ(grad_in(0, 2), 2.0f);
+}
+
 TEST(ReluTest, GradientMatchesFiniteDifferences) {
   Rng rng(5);
   Relu relu;
@@ -188,6 +219,133 @@ TEST(BatchNormTest, GradientsMatchFiniteDifferences) {
   const Matrix input = Matrix::RandomGaussian(8, 3, &rng);
   CheckInputGradient(&bn, input, 5e-2);
   CheckParameterGradients(&bn, input, 5e-2);
+}
+
+// A column-by-column BatchNorm (columns outside, rows inside) with the
+// layer's per-element expressions, against which the row-major layer must
+// match bit for bit.
+struct ColumnBatchNorm {
+  std::vector<float> gamma, beta, running_mean, running_var;
+  float momentum = 0.1f, epsilon = 1e-5f;
+  Matrix normalized;
+  std::vector<float> inv_stds;
+  std::vector<float> gamma_grad, beta_grad;
+
+  Matrix Forward(const Matrix& input, bool training) {
+    const size_t n = input.rows(), f = input.cols();
+    Matrix out(n, f);
+    normalized = Matrix(n, f);
+    inv_stds.assign(f, 0.0f);
+    for (size_t j = 0; j < f; ++j) {
+      float shift = running_mean[j];
+      float inv_std = 1.0f / std::sqrt(running_var[j] + epsilon);
+      if (training) {
+        double mean = 0.0;
+        for (size_t i = 0; i < n; ++i) mean += input(i, j);
+        mean /= static_cast<double>(n);
+        double var = 0.0;
+        for (size_t i = 0; i < n; ++i) {
+          const double d = input(i, j) - mean;
+          var += d * d;
+        }
+        var /= static_cast<double>(n);
+        shift = static_cast<float>(mean);
+        inv_std = 1.0f / std::sqrt(static_cast<float>(var) + epsilon);
+        running_mean[j] = (1.0f - momentum) * running_mean[j] +
+                          momentum * static_cast<float>(mean);
+        running_var[j] = (1.0f - momentum) * running_var[j] +
+                         momentum * static_cast<float>(var);
+      }
+      inv_stds[j] = inv_std;
+      for (size_t i = 0; i < n; ++i) {
+        const float xn = (input(i, j) - shift) * inv_std;
+        normalized(i, j) = xn;
+        out(i, j) = gamma[j] * xn + beta[j];
+      }
+    }
+    return out;
+  }
+
+  Matrix Backward(const Matrix& grad_output) {
+    const size_t n = grad_output.rows(), f = grad_output.cols();
+    Matrix grad_input(n, f);
+    gamma_grad.assign(f, 0.0f);
+    beta_grad.assign(f, 0.0f);
+    for (size_t j = 0; j < f; ++j) {
+      double sum_dxhat = 0.0, sum_dxhat_xhat = 0.0, sum_dy = 0.0,
+             sum_dy_xhat = 0.0;
+      for (size_t i = 0; i < n; ++i) {
+        const float dy = grad_output(i, j);
+        const float xhat = normalized(i, j);
+        const float dxhat = dy * gamma[j];
+        sum_dxhat += dxhat;
+        sum_dxhat_xhat += static_cast<double>(dxhat) * xhat;
+        sum_dy += dy;
+        sum_dy_xhat += static_cast<double>(dy) * xhat;
+      }
+      gamma_grad[j] = static_cast<float>(sum_dy_xhat);
+      beta_grad[j] = static_cast<float>(sum_dy);
+      const float inv_n = 1.0f / static_cast<float>(n);
+      for (size_t i = 0; i < n; ++i) {
+        const float dxhat = grad_output(i, j) * gamma[j];
+        grad_input(i, j) =
+            inv_stds[j] * (dxhat - inv_n * static_cast<float>(sum_dxhat) -
+                           normalized(i, j) * inv_n *
+                               static_cast<float>(sum_dxhat_xhat));
+      }
+    }
+    return grad_input;
+  }
+};
+
+void ExpectSameBits(const float* got, const float* want, size_t count,
+                    const char* what) {
+  for (size_t i = 0; i < count; ++i) {
+    ASSERT_EQ(Bits(got[i]), Bits(want[i])) << what << " element " << i;
+  }
+}
+
+TEST(BatchNormTest, RowMajorMatchesColumnReferenceBitwise) {
+  const size_t n = 37, f = 13;
+  Rng rng(12);
+  BatchNorm bn(f);
+  ColumnBatchNorm ref;
+  // Non-trivial gamma/beta and running statistics, set in both.
+  std::vector<Matrix*> state;
+  bn.CollectStateTensors(&state);  // gamma, beta, running mean, running var
+  std::vector<float>* ref_state[] = {&ref.gamma, &ref.beta, &ref.running_mean,
+                                     &ref.running_var};
+  for (size_t t = 0; t < state.size(); ++t) {
+    for (size_t j = 0; j < f; ++j) {
+      const float v = static_cast<float>(rng.Gaussian());
+      state[t]->data()[j] = t == 3 ? 0.5f + v * v : v;
+    }
+    ref_state[t]->assign(state[t]->data(), state[t]->data() + f);
+  }
+
+  const Matrix input = Matrix::RandomGaussian(n, f, &rng, 3.0f, 2.0f);
+  const Matrix grad_output = Matrix::RandomGaussian(n, f, &rng);
+  for (int step = 0; step < 2; ++step) {  // second step: updated stats
+    const Matrix out = bn.Forward(input, /*training=*/true);
+    const Matrix want = ref.Forward(input, true);
+    ExpectSameBits(out.data(), want.data(), out.size(), "train forward");
+    ExpectSameBits(state[2]->data(), ref.running_mean.data(), f,
+                   "running mean");
+    ExpectSameBits(state[3]->data(), ref.running_var.data(), f,
+                   "running var");
+
+    const Matrix grad_input = bn.Backward(grad_output);
+    const Matrix want_grad = ref.Backward(grad_output);
+    ExpectSameBits(grad_input.data(), want_grad.data(), grad_input.size(),
+                   "input gradient");
+    std::vector<Matrix*> params, grads;
+    bn.CollectParameters(&params, &grads);
+    ExpectSameBits(grads[0]->data(), ref.gamma_grad.data(), f, "gamma grad");
+    ExpectSameBits(grads[1]->data(), ref.beta_grad.data(), f, "beta grad");
+  }
+  const Matrix eval = bn.Forward(input, /*training=*/false);
+  const Matrix want_eval = ref.Forward(input, false);
+  ExpectSameBits(eval.data(), want_eval.data(), eval.size(), "eval forward");
 }
 
 TEST(DropoutTest, EvalIsIdentity) {

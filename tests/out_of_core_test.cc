@@ -147,6 +147,13 @@ struct AcceptanceCase {
   Metric metric;
 };
 
+// Without a printer gtest lists the param as raw bytes, which include the
+// address of `name` and so change from build to build; print the case name
+// so the listed test IDs stay stable.
+void PrintTo(const AcceptanceCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
+
 class OutOfCoreAcceptanceTest
     : public testing::TestWithParam<AcceptanceCase> {};
 
