@@ -1,13 +1,9 @@
 #include "core/ensemble.h"
 
 #include <algorithm>
-#include <limits>
-#include <unordered_set>
+#include <memory>
 
 #include "index/query_planner.h"
-#include "knn/brute_force.h"
-#include "util/thread_pool.h"
-#include "workload/radius.h"
 
 namespace usp {
 
@@ -94,6 +90,47 @@ std::optional<uint32_t> UspEnsemble::FullScanBins(size_t budget) const {
   return static_cast<uint32_t>(probed);
 }
 
+CandidateSource UspEnsemble::Candidates(MatrixView queries,
+                                        size_t budget) const {
+  auto scores = std::make_shared<std::vector<Matrix>>();
+  scores->reserve(models_.size());
+  for (const auto& model : models_) {
+    scores->push_back(model->ScoreBins(queries));
+  }
+  return [this, scores, budget](size_t q, std::vector<uint32_t>* ids) {
+    const size_t e = models_.size();
+    if (config_.combine == EnsembleCombine::kUnion) {
+      // Overlapping per-model probes may repeat ids; the gather stage
+      // dedupes before scoring.
+      std::vector<uint32_t> candidates;
+      size_t probes = 0;
+      for (size_t j = 0; j < e; ++j) {
+        indexes_[j]->CollectCandidates((*scores)[j].Row(q), budget,
+                                       &candidates);
+        probes += std::min(budget, indexes_[j]->num_bins());
+        ids->insert(ids->end(), candidates.begin(), candidates.end());
+      }
+      return static_cast<uint32_t>(probes);
+    }
+    // Alg. 4 steps 3-4: confidence = the model's top bin probability.
+    size_t best_model = 0;
+    float best_conf = -1.0f;
+    for (size_t j = 0; j < e; ++j) {
+      const Matrix& model_scores = (*scores)[j];
+      const float* row = model_scores.Row(q);
+      const float conf = *std::max_element(row, row + model_scores.cols());
+      if (conf > best_conf) {
+        best_conf = conf;
+        best_model = j;
+      }
+    }
+    indexes_[best_model]->CollectCandidates((*scores)[best_model].Row(q),
+                                            budget, ids);
+    return static_cast<uint32_t>(
+        std::min(budget, indexes_[best_model]->num_bins()));
+  };
+}
+
 BatchSearchResult UspEnsemble::SearchBatch(const SearchRequest& request) const {
   USP_CHECK(!base_.empty() && !models_.empty());
   // Planner hook: sparse selectors skip the whole score/merge/rerank pipeline
@@ -102,70 +139,8 @@ BatchSearchResult UspEnsemble::SearchBatch(const SearchRequest& request) const {
   if (const auto bins = FullScanBins(request.options.budget)) {
     return FlatScanKnn(*dist_, request, *bins);
   }
-  const MatrixView queries = request.queries;
-  const SearchOptions& options = request.options;
-  const size_t num_probes = options.budget;
-  const size_t nq = queries.rows();
-  const size_t e = models_.size();
-
-  // Score queries on every model once.
-  std::vector<Matrix> scores;
-  scores.reserve(e);
-  for (const auto& model : models_) {
-    scores.push_back(model->ScoreBins(queries));
-  }
-
-  BatchSearchResult result;
-  result.Prepare(nq, options);
-
-  ParallelFor(nq, 8, options.num_threads, [&](size_t begin, size_t end,
-                                              size_t) {
-    std::vector<uint32_t> candidates, merged;
-    for (size_t q = begin; q < end; ++q) {
-      merged.clear();
-      size_t probes = 0;
-      if (config_.combine == EnsembleCombine::kBestConfidence) {
-        // Alg. 4 steps 3-4: confidence = the model's top bin probability.
-        size_t best_model = 0;
-        float best_conf = -1.0f;
-        for (size_t j = 0; j < e; ++j) {
-          const float* row = scores[j].Row(q);
-          const float conf =
-              *std::max_element(row, row + scores[j].cols());
-          if (conf > best_conf) {
-            best_conf = conf;
-            best_model = j;
-          }
-        }
-        indexes_[best_model]->CollectCandidates(scores[best_model].Row(q),
-                                                num_probes, &merged);
-        probes = std::min(num_probes, indexes_[best_model]->num_bins());
-      } else {
-        std::unordered_set<uint32_t> seen;
-        for (size_t j = 0; j < e; ++j) {
-          indexes_[j]->CollectCandidates(scores[j].Row(q), num_probes,
-                                         &candidates);
-          probes += std::min(num_probes, indexes_[j]->num_bins());
-          for (uint32_t id : candidates) {
-            if (seen.insert(id).second) merged.push_back(id);
-          }
-        }
-      }
-      RerankCounts counts;
-      result.SetRow(q, RerankCandidatesScored(*dist_, queries.Row(q), merged,
-                                              options.k, options.filter,
-                                              &counts));
-      // `merged` is already deduplicated, so scored == merged.size() minus
-      // what the selector dropped.
-      result.candidate_counts[q] = counts.scored;
-      if (result.stats) {
-        result.stats->candidates_scored[q] = counts.scored;
-        result.stats->bins_probed[q] = static_cast<uint32_t>(probes);
-        result.stats->filtered_out[q] = counts.filtered_out;
-      }
-    }
-  });
-  return result;
+  return GatherKnn(*dist_, request,
+                   Candidates(request.queries, request.options.budget));
 }
 
 RadiusResult UspEnsemble::RadiusSearchBatch(const RadiusRequest& request) const {
@@ -173,56 +148,8 @@ RadiusResult UspEnsemble::RadiusSearchBatch(const RadiusRequest& request) const 
   if (const auto bins = FullScanBins(request.options.budget)) {
     return FlatScanRadius(*dist_, request, *bins);
   }
-  const MatrixView queries = request.queries;
-  const size_t num_probes = request.options.budget;
-  const size_t e = models_.size();
-
-  std::vector<Matrix> scores;
-  scores.reserve(e);
-  for (const auto& model : models_) {
-    scores.push_back(model->ScoreBins(queries));
-  }
-
-  return CollectRadiusRows(
-      queries.rows(), request.options, [&](size_t q, RadiusResult* result) {
-        std::vector<uint32_t> candidates, merged;
-        size_t probes = 0;
-        if (config_.combine == EnsembleCombine::kBestConfidence) {
-          size_t best_model = 0;
-          float best_conf = -1.0f;
-          for (size_t j = 0; j < e; ++j) {
-            const float* row = scores[j].Row(q);
-            const float conf = *std::max_element(row, row + scores[j].cols());
-            if (conf > best_conf) {
-              best_conf = conf;
-              best_model = j;
-            }
-          }
-          indexes_[best_model]->CollectCandidates(scores[best_model].Row(q),
-                                                  num_probes, &merged);
-          probes = std::min(num_probes, indexes_[best_model]->num_bins());
-        } else {
-          // Overlapping per-model probes may repeat ids;
-          // RangeFilterCandidates dedupes before scoring.
-          for (size_t j = 0; j < e; ++j) {
-            indexes_[j]->CollectCandidates(scores[j].Row(q), num_probes,
-                                           &candidates);
-            probes += std::min(num_probes, indexes_[j]->num_bins());
-            merged.insert(merged.end(), candidates.begin(), candidates.end());
-          }
-        }
-        RadiusRowCounts counts;
-        auto hits = RangeFilterCandidates(*dist_, queries.Row(q), &merged,
-                                          request.radius,
-                                          request.options.filter, &counts);
-        result->candidate_counts[q] = counts.scored;
-        if (result->stats) {
-          result->stats->candidates_scored[q] = counts.scored;
-          result->stats->bins_probed[q] = static_cast<uint32_t>(probes);
-          result->stats->filtered_out[q] = counts.filtered_out;
-        }
-        return hits;
-      });
+  return GatherRadius(*dist_, request,
+                      Candidates(request.queries, request.options.budget));
 }
 
 size_t UspEnsemble::ParameterCount() const {

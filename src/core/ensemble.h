@@ -12,6 +12,7 @@
 #include "core/partition_index.h"
 #include "core/partitioner.h"
 #include "index/index.h"
+#include "knn/brute_force.h"
 
 namespace usp {
 
@@ -64,9 +65,10 @@ class UspEnsemble : public Index {
 
   /// Radius search: collect candidates exactly as SearchBatch does (the most
   /// confident model's probed bins, or the all-model union), then
-  /// range-filter by exact distance. At full budget every model probes every
-  /// bin, so the candidate set covers the base: the request runs
-  /// FlatScanRadius and the result is bit-identical to BruteForceRadius.
+  /// range-filter by exact distance (GatherRadius). At full budget every
+  /// model probes every bin, so the candidate set covers the base: the
+  /// request runs FlatScanRadius and the result is bit-identical to
+  /// BruteForceRadius.
   RadiusResult RadiusSearchBatch(const RadiusRequest& request) const override;
 
   size_t dim() const override { return base_.cols(); }
@@ -96,6 +98,12 @@ class UspEnsemble : public Index {
   /// runs the flat scan; nullopt when some model probes only part of its
   /// bins or the models' bin counts differ.
   std::optional<uint32_t> FullScanBins(size_t budget) const;
+
+  /// The candidate source of SearchBatch and RadiusSearchBatch at a partial
+  /// `budget` (GatherKnn/GatherRadius, knn/brute_force.h): every model
+  /// scores `queries` once, then query q probes the `budget` best bins of
+  /// the most confident model (Alg. 4) or, under kUnion, of every model.
+  CandidateSource Candidates(MatrixView queries, size_t budget) const;
 
   UspEnsembleConfig config_;
   MatrixView base_;

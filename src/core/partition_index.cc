@@ -1,14 +1,11 @@
 #include "core/partition_index.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <unordered_set>
 
 #include "index/query_planner.h"
 #include "knn/brute_force.h"
-#include "util/thread_pool.h"
-#include "workload/radius.h"
 
 namespace usp {
 
@@ -40,19 +37,23 @@ Matrix PartitionIndex::ScoreQueries(MatrixView queries) const {
   return scorer_->ScoreBins(queries);
 }
 
-void PartitionIndex::CollectCandidates(const float* scores, size_t num_probes,
-                                       std::vector<uint32_t>* candidates) const {
-  candidates->clear();
-  const size_t m = buckets_.size();
-  num_probes = std::min(num_probes, m);
-  // Rank bins by descending score (deterministic tie-break on bin id).
-  std::vector<uint32_t> bin_order(m);
-  std::iota(bin_order.begin(), bin_order.end(), 0u);
-  std::partial_sort(bin_order.begin(), bin_order.begin() + num_probes,
-                    bin_order.end(), [&](uint32_t a, uint32_t b) {
+void RankBins(const float* scores, size_t num_bins, size_t probes,
+              std::vector<uint32_t>* order) {
+  order->resize(num_bins);
+  std::iota(order->begin(), order->end(), 0u);
+  std::partial_sort(order->begin(), order->begin() + probes, order->end(),
+                    [&](uint32_t a, uint32_t b) {
                       if (scores[a] != scores[b]) return scores[a] > scores[b];
                       return a < b;
                     });
+}
+
+void PartitionIndex::CollectCandidates(const float* scores, size_t num_probes,
+                                       std::vector<uint32_t>* candidates) const {
+  candidates->clear();
+  num_probes = std::min(num_probes, buckets_.size());
+  std::vector<uint32_t> bin_order;
+  RankBins(scores, buckets_.size(), num_probes, &bin_order);
   for (size_t p = 0; p < num_probes; ++p) {
     const auto& bucket = buckets_[bin_order[p]];
     candidates->insert(candidates->end(), bucket.begin(), bucket.end());
@@ -82,23 +83,11 @@ RadiusResult PartitionIndex::RadiusSearchBatch(
     return FlatScanRadius(dist_, request, static_cast<uint32_t>(probes));
   }
   const Matrix scores = ScoreQueries(request.queries);
-  return CollectRadiusRows(
-      request.queries.rows(), request.options,
-      [&](size_t q, RadiusResult* result) {
-        std::vector<uint32_t> candidates;
-        CollectCandidates(scores.Row(q), probes, &candidates);
-        RadiusRowCounts counts;
-        auto hits = RangeFilterCandidates(dist_, request.queries.Row(q),
-                                          &candidates, request.radius,
-                                          request.options.filter, &counts);
-        result->candidate_counts[q] = counts.scored;
-        if (result->stats) {
-          result->stats->candidates_scored[q] = counts.scored;
-          result->stats->bins_probed[q] = static_cast<uint32_t>(probes);
-          result->stats->filtered_out[q] = counts.filtered_out;
-        }
-        return hits;
-      });
+  return GatherRadius(dist_, request,
+                      [&](size_t q, std::vector<uint32_t>* ids) {
+                        CollectCandidates(scores.Row(q), probes, ids);
+                        return static_cast<uint32_t>(probes);
+                      });
 }
 
 size_t PartitionIndex::EstimateCandidates(size_t budget) const {
@@ -112,45 +101,15 @@ BatchSearchResult PartitionIndex::SearchBatchWithScores(
     const SearchOptions& options) const {
   USP_CHECK(scores.rows() == queries.rows());
   USP_CHECK(scores.cols() == buckets_.size());
-  const size_t nq = queries.rows();
   const size_t probes = std::min(options.budget, buckets_.size());
+  const SearchRequest request{queries, options};
   if (probes == buckets_.size()) {
-    return FlatScanKnn(dist_, SearchRequest{queries, options},
-                       static_cast<uint32_t>(probes));
+    return FlatScanKnn(dist_, request, static_cast<uint32_t>(probes));
   }
-  BatchSearchResult result;
-  result.Prepare(nq, options);
-
-  ParallelFor(nq, 8, options.num_threads, [&](size_t begin, size_t end,
-                                              size_t) {
-    std::vector<uint32_t> candidates;
-    for (size_t q = begin; q < end; ++q) {
-      CollectCandidates(scores.Row(q), probes, &candidates);
-      RerankCounts counts;
-      result.SetRow(q, RerankCandidatesScored(dist_, queries.Row(q),
-                                              candidates, options.k,
-                                              options.filter, &counts));
-      // Buckets are disjoint, so post-dedupe scored == collected when no
-      // filter drops anything: candidate_counts stays |C(q)| as scored.
-      result.candidate_counts[q] = counts.scored;
-      if (result.stats) {
-        result.stats->candidates_scored[q] = counts.scored;
-        result.stats->bins_probed[q] = static_cast<uint32_t>(probes);
-        result.stats->filtered_out[q] = counts.filtered_out;
-      }
-    }
+  return GatherKnn(dist_, request, [&](size_t q, std::vector<uint32_t>* ids) {
+    CollectCandidates(scores.Row(q), probes, ids);
+    return static_cast<uint32_t>(probes);
   });
-  return result;
-}
-
-BatchSearchResult PartitionIndex::SearchBatchWithScores(
-    MatrixView queries, const Matrix& scores, size_t k, size_t num_probes,
-    size_t num_threads) const {
-  SearchOptions options;
-  options.k = k;
-  options.budget = num_probes;
-  options.num_threads = num_threads;
-  return SearchBatchWithScores(queries, scores, options);
 }
 
 double KnnAccuracy(const BatchSearchResult& result,

@@ -60,23 +60,21 @@ class PartitionIndex : public Index {
   BatchSearchResult SearchBatch(const SearchRequest& request) const override;
 
   /// Radius search: gather candidates from the `options.budget` best bins,
-  /// then range-filter them by exact distance (workload/radius.h). At full
-  /// budget every bin is probed, so the request runs FlatScanRadius and the
-  /// result is bit-identical to BruteForceRadius over the allowed base.
+  /// then range-filter them by exact distance (GatherRadius,
+  /// knn/brute_force.h). At full budget every bin is probed, so the request
+  /// runs FlatScanRadius and the result is bit-identical to BruteForceRadius
+  /// over the allowed base.
   RadiusResult RadiusSearchBatch(const RadiusRequest& request) const override;
 
   /// Same but with externally computed scores (one scoring, many sweeps).
+  /// This is the raw pushdown path: no planning. A partial budget runs
+  /// GatherKnn (knn/brute_force.h) over CollectCandidates.
   BatchSearchResult SearchBatchWithScores(MatrixView queries,
                                           const Matrix& scores,
                                           const SearchOptions& options) const;
 
-  /// Positional convenience over the options form (historical signature).
-  BatchSearchResult SearchBatchWithScores(MatrixView queries,
-                                          const Matrix& scores, size_t k,
-                                          size_t num_probes,
-                                          size_t num_threads = 0) const;
-
-  /// Collects the candidate ids for one query given its bin scores.
+  /// Collects the candidate ids for one query given its bin scores: the
+  /// members of the `num_probes` best bins in RankBins order.
   void CollectCandidates(const float* scores, size_t num_probes,
                          std::vector<uint32_t>* candidates) const;
 
@@ -102,6 +100,12 @@ class PartitionIndex : public Index {
   std::vector<uint32_t> assignments_;
   std::vector<std::vector<uint32_t>> buckets_;  ///< the paper's lookup table
 };
+
+/// Alg. 2's probe order: fills `order` with the bin ids 0 .. num_bins - 1,
+/// the first `probes` of them ranked by descending score (ties by bin id).
+/// The partition-based types all probe in this order.
+void RankBins(const float* scores, size_t num_bins, size_t probes,
+              std::vector<uint32_t>* order);
 
 /// Fraction of true neighbors recovered (Eq. 1): |returned ∩ truth| / k,
 /// averaged over queries. `truth_row(q)` must hold >= k entries.

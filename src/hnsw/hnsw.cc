@@ -28,6 +28,9 @@ struct CloserFirst {
   }
 };
 
+// The radius of a k-NN walk (HnswIndex::SearchLayer).
+constexpr float kNoRadius = -std::numeric_limits<float>::infinity();
+
 // HNSW neighbor-selection heuristic (Alg. 4 of the paper): walk candidates in
 // ascending distance from `node`, keeping a candidate only if it is closer to
 // `node` than to every already-kept neighbor; this preserves edges across
@@ -84,9 +87,36 @@ HnswIndex::HnswIndex(HnswConfig config, MatrixView base,
   USP_CHECK(max_level_ >= 0 && entry_point_ < base_.rows());
 }
 
-std::vector<HnswIndex::Scored> HnswIndex::SearchLayer(
-    const float* query, uint32_t entry, size_t ef, int level,
-    const IdSelector* filter, LayerStats* stats) const {
+uint32_t HnswIndex::Descend(const float* query, int floor,
+                            size_t* evaluations) const {
+  const size_t d = base_.cols();
+  const DistanceKernels& kd = GetDistanceKernels();
+  uint32_t current = entry_point_;
+  float current_dist = kd.squared_l2(query, base_.Row(current), d);
+  size_t evals = 1;
+  for (int l = max_level_; l > floor; --l) {
+    bool improved = true;
+    while (improved) {
+      improved = false;
+      for (uint32_t nb : LinksAt(current, l)) {
+        const float dist = kd.squared_l2(query, base_.Row(nb), d);
+        ++evals;
+        if (dist < current_dist) {
+          current_dist = dist;
+          current = nb;
+          improved = true;
+        }
+      }
+    }
+  }
+  if (evaluations != nullptr) *evaluations = evals;
+  return current;
+}
+
+std::vector<Neighbor> HnswIndex::SearchLayer(
+    const float* query, uint32_t entry, size_t ef, int level, float radius,
+    const IdSelector* filter, LayerStats* stats,
+    std::vector<Neighbor>* hits) const {
   const size_t d = base_.cols();
   const DistanceKernels& kd = GetDistanceKernels();
   std::vector<uint8_t> visited(base_.rows(), 0);
@@ -107,6 +137,9 @@ std::vector<HnswIndex::Scored> HnswIndex::SearchLayer(
   frontier.push({entry_dist, entry});
   if (filter == nullptr || filter->is_member(entry)) {
     best.push({entry_dist, entry});
+    if (hits != nullptr && entry_dist <= radius) {
+      hits->push_back(Neighbor{entry_dist, entry});
+    }
   } else if (stats != nullptr) {
     ++stats->filtered_out;
   }
@@ -114,13 +147,15 @@ std::vector<HnswIndex::Scored> HnswIndex::SearchLayer(
   // Visit-but-don't-return: the frontier expands through every node (the
   // admission bound uses the worst kept *allowed* distance, so navigation
   // crosses filtered regions), while `best` only ever holds allowed nodes.
-  // With no filter this is arithmetic-for-arithmetic the classic ef-bounded
-  // search: `best` is non-empty from the entry push onward, so the size
-  // guard below never changes a comparison.
+  // With no filter and radius = -inf this is arithmetic-for-arithmetic the
+  // classic ef-bounded search: `best` is non-empty from the entry push
+  // onward, so the size guard below never changes a comparison.
   while (!frontier.empty()) {
     const auto [dist, node] = frontier.top();
     frontier.pop();
-    if (best.size() >= ef && dist > best.top().first) break;
+    // Stop only once the closest frontier node is both outside the radius
+    // and worse than a full beam.
+    if (dist > radius && best.size() >= ef && dist > best.top().first) break;
     for (uint32_t nb : LinksAt(node, level)) {
       if (visited[nb]) continue;
       visited[nb] = 1;
@@ -133,82 +168,43 @@ std::vector<HnswIndex::Scored> HnswIndex::SearchLayer(
         // really is "visited nodes the selector excluded".
         if (!allowed) ++stats->filtered_out;
       }
-      if (best.size() < ef || nb_dist < best.top().first) {
+      if (nb_dist <= radius || best.size() < ef ||
+          nb_dist < best.top().first) {
         frontier.push({nb_dist, nb});
         if (allowed) {
+          if (hits != nullptr && nb_dist <= radius) {
+            hits->push_back(Neighbor{nb_dist, nb});
+          }
           best.push({nb_dist, nb});
           if (best.size() > ef) best.pop();
         }
       }
     }
   }
+  if (hits != nullptr) return {};
 
-  std::vector<Scored> result(best.size());
+  std::vector<Neighbor> result(best.size());
   for (size_t i = best.size(); i-- > 0;) {
-    result[i] = {best.top().first, best.top().second};
+    result[i] = Neighbor{best.top().first, best.top().second};
     best.pop();
   }
   return result;  // ascending by distance
 }
 
-std::vector<HnswIndex::Scored> HnswIndex::RadiusLayer(
-    const float* query, uint32_t entry, size_t ef, float radius,
-    const IdSelector* filter, LayerStats* stats) const {
-  const size_t d = base_.cols();
-  const DistanceKernels& kd = GetDistanceKernels();
-  std::vector<uint8_t> visited(base_.rows(), 0);
-
-  std::priority_queue<std::pair<float, uint32_t>,
-                      std::vector<std::pair<float, uint32_t>>, FartherFirst>
-      frontier;
-  std::priority_queue<std::pair<float, uint32_t>,
-                      std::vector<std::pair<float, uint32_t>>, CloserFirst>
-      best;  // ef-bounded beam of allowed nodes, as in SearchLayer
-  std::vector<Scored> hits;
-
-  const float entry_dist = kd.squared_l2(query, base_.Row(entry), d);
-  if (stats != nullptr) {
-    ++stats->evaluations;
-    ++stats->visited;
-  }
-  visited[entry] = 1;
-  frontier.push({entry_dist, entry});
-  if (filter == nullptr || filter->is_member(entry)) {
-    best.push({entry_dist, entry});
-    if (entry_dist <= radius) hits.push_back({entry_dist, entry});
-  } else if (stats != nullptr) {
-    ++stats->filtered_out;
-  }
-
-  while (!frontier.empty()) {
-    const auto [dist, node] = frontier.top();
-    frontier.pop();
-    // Stop only once the closest frontier node is both outside the radius
-    // and worse than a full beam: the radius term keeps in-range regions
-    // expanding no matter how small ef is.
-    if (dist > radius && best.size() >= ef && dist > best.top().first) break;
-    for (uint32_t nb : LinksAt(node, 0)) {
-      if (visited[nb]) continue;
-      visited[nb] = 1;
-      const float nb_dist = kd.squared_l2(query, base_.Row(nb), d);
-      const bool allowed = filter == nullptr || filter->is_member(nb);
-      if (stats != nullptr) {
-        ++stats->evaluations;
-        ++stats->visited;
-        if (!allowed) ++stats->filtered_out;
-      }
-      if (nb_dist <= radius || best.size() < ef ||
-          nb_dist < best.top().first) {
-        frontier.push({nb_dist, nb});
-        if (allowed) {
-          if (nb_dist <= radius) hits.push_back({nb_dist, nb});
-          best.push({nb_dist, nb});
-          if (best.size() > ef) best.pop();
-        }
-      }
-    }
-  }
-  return hits;
+std::vector<Neighbor> HnswIndex::SearchBase(const float* query, size_t ef,
+                                            float radius,
+                                            const IdSelector* filter,
+                                            std::vector<Neighbor>* hits,
+                                            QueryCounters* counters) const {
+  size_t descent_evals = 0;
+  const uint32_t entry = Descend(query, 0, &descent_evals);
+  LayerStats layer;
+  std::vector<Neighbor> nearest =
+      SearchLayer(query, entry, ef, 0, radius, filter, &layer, hits);
+  counters->scored = static_cast<uint32_t>(descent_evals + layer.evaluations);
+  counters->filtered_out = static_cast<uint32_t>(layer.filtered_out);
+  counters->nodes_visited = static_cast<uint32_t>(layer.visited);
+  return nearest;
 }
 
 void HnswIndex::Build(const Matrix& base) {
@@ -238,28 +234,14 @@ void HnswIndex::Build(const Matrix& base) {
     }
 
     // Greedy descent through layers above the node's top level.
-    uint32_t current = entry_point_;
+    uint32_t current = Descend(base.Row(i), level, /*evaluations=*/nullptr);
     const size_t d = base.cols();
-    float current_dist = kd.squared_l2(base.Row(i), base.Row(current), d);
-    for (int l = max_level_; l > level; --l) {
-      bool improved = true;
-      while (improved) {
-        improved = false;
-        for (uint32_t nb : LinksAt(current, l)) {
-          const float dist = kd.squared_l2(base.Row(i), base.Row(nb), d);
-          if (dist < current_dist) {
-            current_dist = dist;
-            current = nb;
-            improved = true;
-          }
-        }
-      }
-    }
 
     // Connect on each layer from min(level, max_level_) down to 0.
     for (int l = std::min(level, max_level_); l >= 0; --l) {
       auto nearest = SearchLayer(base.Row(i), current, config_.ef_construction,
-                                 l, /*filter=*/nullptr, /*stats=*/nullptr);
+                                 l, kNoRadius, /*filter=*/nullptr,
+                                 /*stats=*/nullptr, /*hits=*/nullptr);
       const size_t cap = (l == 0) ? max_links0 : config_.max_neighbors;
       std::vector<std::pair<float, uint32_t>> candidates;
       candidates.reserve(nearest.size());
@@ -296,40 +278,8 @@ void HnswIndex::Build(const Matrix& base) {
   }
 }
 
-std::vector<uint32_t> HnswIndex::Search(const float* query, size_t k,
-                                        size_t budget) const {
-  USP_CHECK(!base_.empty() && max_level_ >= 0);
-  // Greedy descent to layer 1.
-  uint32_t current = entry_point_;
-  const size_t d = base_.cols();
-  const DistanceKernels& kd = GetDistanceKernels();
-  float current_dist = kd.squared_l2(query, base_.Row(current), d);
-  for (int l = max_level_; l >= 1; --l) {
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      for (uint32_t nb : LinksAt(current, l)) {
-        const float dist = kd.squared_l2(query, base_.Row(nb), d);
-        if (dist < current_dist) {
-          current_dist = dist;
-          current = nb;
-          improved = true;
-        }
-      }
-    }
-  }
-  LayerStats layer_stats;
-  const auto nearest = SearchLayer(query, current, std::max(k, budget), 0,
-                                   /*filter=*/nullptr, &layer_stats);
-  std::vector<uint32_t> out;
-  out.reserve(std::min(k, nearest.size()));
-  for (size_t i = 0; i < nearest.size() && i < k; ++i) {
-    out.push_back(nearest[i].id);
-  }
-  return out;
-}
-
 BatchSearchResult HnswIndex::SearchBatch(const SearchRequest& request) const {
+  USP_CHECK(!base_.empty() && max_level_ >= 0);
   // Planner hook (index/query_planner.h): this is the fix for the
   // low-selectivity cliff documented above — when the selector admits fewer
   // nodes than the beam, the planner reroutes to brute force over the
@@ -337,58 +287,20 @@ BatchSearchResult HnswIndex::SearchBatch(const SearchRequest& request) const {
   if (auto planned = MaybeReroute(*this, request)) return std::move(*planned);
   const MatrixView queries = request.queries;
   const SearchOptions& options = request.options;
-  const size_t k = options.k;
-  const size_t nq = queries.rows();
+  const size_t ef = std::max(options.k, options.budget);
   BatchSearchResult result;
-  result.Prepare(nq, options);
-  const DistanceKernels& kd = GetDistanceKernels();
-  ParallelFor(nq, 4, options.num_threads, [&](size_t begin, size_t end,
-                                              size_t) {
+  result.Prepare(queries.rows(), options);
+  ParallelFor(queries.rows(), 4, options.num_threads,
+              [&](size_t begin, size_t end, size_t) {
     for (size_t q = begin; q < end; ++q) {
-      // Greedy descent ignores the filter: upper layers only pick the base
-      // layer's entry point, never a returned neighbor.
-      size_t evals = 0;
-      uint32_t current = entry_point_;
-      const size_t d = base_.cols();
-      float current_dist =
-          kd.squared_l2(queries.Row(q), base_.Row(current), d);
-      ++evals;
-      for (int l = max_level_; l >= 1; --l) {
-        bool improved = true;
-        while (improved) {
-          improved = false;
-          for (uint32_t nb : LinksAt(current, l)) {
-            const float dist =
-                kd.squared_l2(queries.Row(q), base_.Row(nb), d);
-            ++evals;
-            if (dist < current_dist) {
-              current_dist = dist;
-              current = nb;
-              improved = true;
-            }
-          }
-        }
-      }
-      LayerStats layer_stats;
-      const auto nearest = SearchLayer(queries.Row(q), current,
-                                       std::max(k, options.budget), 0,
-                                       options.filter, &layer_stats);
-      for (size_t i = 0; i < nearest.size() && i < k; ++i) {
-        result.ids[q * k + i] = nearest[i].id;
-        result.distances[q * k + i] = nearest[i].distance;
-      }
       // Every visited node is distance-scored (navigation requires it), so
       // the scored count is descent evals + base-layer evals even under a
       // filter — see the SearchBatch contract in hnsw.h.
-      result.candidate_counts[q] =
-          static_cast<uint32_t>(evals + layer_stats.evaluations);
-      if (result.stats) {
-        result.stats->candidates_scored[q] = result.candidate_counts[q];
-        result.stats->filtered_out[q] =
-            static_cast<uint32_t>(layer_stats.filtered_out);
-        result.stats->nodes_visited[q] =
-            static_cast<uint32_t>(layer_stats.visited);
-      }
+      QueryCounters counters;
+      result.SetRow(q, SearchBase(queries.Row(q), ef, kNoRadius,
+                                  options.filter, /*hits=*/nullptr,
+                                  &counters));
+      SetCounters(q, counters, &result);
     }
   });
   return result;
@@ -397,50 +309,15 @@ BatchSearchResult HnswIndex::SearchBatch(const SearchRequest& request) const {
 RadiusResult HnswIndex::RadiusSearchBatch(const RadiusRequest& request) const {
   USP_CHECK(!base_.empty() && max_level_ >= 0);
   const MatrixView queries = request.queries;
-  const DistanceKernels& kd = GetDistanceKernels();
   const size_t ef = std::max<size_t>(request.options.budget, 1);
   return CollectRadiusRows(
       queries.rows(), request.options, [&](size_t q, RadiusResult* result) {
-        // Greedy descent ignores the filter, exactly as in SearchBatch.
-        size_t evals = 0;
-        uint32_t current = entry_point_;
-        const size_t d = base_.cols();
-        float current_dist =
-            kd.squared_l2(queries.Row(q), base_.Row(current), d);
-        ++evals;
-        for (int l = max_level_; l >= 1; --l) {
-          bool improved = true;
-          while (improved) {
-            improved = false;
-            for (uint32_t nb : LinksAt(current, l)) {
-              const float dist =
-                  kd.squared_l2(queries.Row(q), base_.Row(nb), d);
-              ++evals;
-              if (dist < current_dist) {
-                current_dist = dist;
-                current = nb;
-                improved = true;
-              }
-            }
-          }
-        }
-        LayerStats layer_stats;
-        const auto found =
-            RadiusLayer(queries.Row(q), current, ef, request.radius,
-                        request.options.filter, &layer_stats);
         std::vector<Neighbor> hits;
-        hits.reserve(found.size());
-        for (const auto& s : found) hits.push_back(Neighbor{s.distance, s.id});
+        QueryCounters counters;
+        SearchBase(queries.Row(q), ef, request.radius, request.options.filter,
+                   &hits, &counters);
         std::sort(hits.begin(), hits.end());
-        result->candidate_counts[q] =
-            static_cast<uint32_t>(evals + layer_stats.evaluations);
-        if (result->stats) {
-          result->stats->candidates_scored[q] = result->candidate_counts[q];
-          result->stats->filtered_out[q] =
-              static_cast<uint32_t>(layer_stats.filtered_out);
-          result->stats->nodes_visited[q] =
-              static_cast<uint32_t>(layer_stats.visited);
-        }
+        SetCounters(q, counters, result);
         return hits;
       });
 }

@@ -35,11 +35,8 @@ class HnswIndex : public Index {
   /// Inserts all base points (sequentially; deterministic given the seed).
   void Build(const Matrix& base);
 
-  /// Single-query search with beam width `budget` (= ef_search, >= k).
-  std::vector<uint32_t> Search(const float* query, size_t k,
-                               size_t budget) const override;
-
-  /// Batch search with beam width `options.budget` (= ef_search).
+  /// Batch search with beam width max(k, `options.budget`) (= ef_search);
+  /// the graph must be built or loaded.
   /// `candidate_counts` reports the number of distance evaluations per query,
   /// the analogue of the candidate-set size |C| used to compare against
   /// partition-based methods; HNSW scores every node it visits (navigation
@@ -101,32 +98,39 @@ class HnswIndex : public Index {
   uint32_t entry_point() const { return entry_point_; }
 
  private:
-  // Best-first search on one layer from `entry`; returns up to `ef` closest
-  // *allowed* (distance, id) pairs. `filter` (optional) applies the
-  // visit-but-don't-return semantics above; disallowed nodes still steer the
-  // frontier. `stats` (optional) accumulates traversal counters.
-  struct Scored {
-    float distance;
-    uint32_t id;
-  };
   struct LayerStats {
     size_t evaluations = 0;   ///< distance computations
     size_t visited = 0;       ///< distinct nodes marked visited
     size_t filtered_out = 0;  ///< visited nodes the selector excluded
   };
-  std::vector<Scored> SearchLayer(const float* query, uint32_t entry,
-                                  size_t ef, int level,
-                                  const IdSelector* filter,
-                                  LayerStats* stats) const;
-  // Radius variant of SearchLayer on the base layer: returns every *allowed*
-  // visited node with distance <= radius (unsorted). The beam keeps the
-  // ef-bounded expansion of SearchLayer; in-range nodes additionally always
-  // enter the frontier and override the termination bound, so a full-budget
-  // call degenerates to a component traversal.
-  std::vector<Scored> RadiusLayer(const float* query, uint32_t entry,
-                                  size_t ef, float radius,
-                                  const IdSelector* filter,
-                                  LayerStats* stats) const;
+  // Greedy descent from the entry point through layers max_level_ down to
+  // floor + 1, one closest-neighbor hop at a time; returns the node it ends
+  // on. Upper layers only pick the next layer's entry, never a returned
+  // neighbor, so no filter applies. `evaluations` (optional) receives the
+  // distance computations.
+  uint32_t Descend(const float* query, int floor, size_t* evaluations) const;
+  // Best-first search on one layer from `entry` with an ef-bounded beam of
+  // *allowed* nodes. `filter` (optional) applies the visit-but-don't-return
+  // semantics above: disallowed nodes still steer the frontier. Nodes within
+  // `radius` always enter the frontier and keep the walk going however
+  // small ef is, so a full-budget radius walk traverses the connected
+  // component; when `hits` is set, every allowed node within `radius` is
+  // appended to it (unsorted) and nothing is returned. Otherwise returns the
+  // beam ascending by distance. k-NN passes radius = -inf: no distance, NaN
+  // included, is <= -inf, so every comparison is the classic ef-bounded
+  // one. `stats` (optional) accumulates traversal counters.
+  std::vector<Neighbor> SearchLayer(const float* query, uint32_t entry,
+                                    size_t ef, int level, float radius,
+                                    const IdSelector* filter,
+                                    LayerStats* stats,
+                                    std::vector<Neighbor>* hits) const;
+  // One query: Descend to the base layer, then SearchLayer there. Fills the
+  // query's counters: every distance computed (descent and walk) as scored,
+  // plus the walk's visited and filtered-out nodes.
+  std::vector<Neighbor> SearchBase(const float* query, size_t ef,
+                                   float radius, const IdSelector* filter,
+                                   std::vector<Neighbor>* hits,
+                                   QueryCounters* counters) const;
   std::vector<uint32_t>& LinksAt(uint32_t node, int level) {
     return links_[node][level];
   }

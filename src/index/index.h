@@ -1,9 +1,9 @@
 // The unified ANN-index interface. Every index type in the repository —
-// PartitionIndex, IvfFlatIndex, IvfPqIndex, ScannIndex, HnswIndex,
-// UspEnsemble, DynamicIndex — implements Index, so benches, examples, and the
-// serving layer program against one vtable and the serialization layer
-// (index/serialize.h) can persist and reopen any of them behind a single
-// OpenIndex() call.
+// PartitionIndex, IvfFlatIndex, IvfPqIndex, ScannIndex, Sq8Index, HnswIndex,
+// UspEnsemble, DynamicIndex, ShardedIndex — implements Index, so benches,
+// examples, and the serving layer program against one vtable and the
+// serialization layer (index/serialize.h) can persist and reopen any of them
+// behind a single OpenIndex() call.
 //
 // Queries are expressed as a SearchRequest: a view of the query vectors plus
 // SearchOptions carrying k, the effort budget, the thread cap, an optional
@@ -130,6 +130,28 @@ struct SearchStats {
   /// Sizes every counter to `num_queries` zeroed entries.
   void Allocate(size_t num_queries);
 };
+
+/// One query's work counters: its candidate_counts entry and its four
+/// SearchStats entries.
+struct QueryCounters {
+  uint32_t scored = 0;         ///< candidate_counts / candidates_scored
+  uint32_t bins_probed = 0;
+  uint32_t filtered_out = 0;
+  uint32_t nodes_visited = 0;  ///< HNSW only
+};
+
+/// Writes query q's counters into a BatchSearchResult or RadiusResult: its
+/// candidate_counts entry always, the four stats entries when engaged.
+template <typename Result>
+void SetCounters(size_t q, const QueryCounters& counters, Result* result) {
+  result->candidate_counts[q] = counters.scored;
+  if (result->stats) {
+    result->stats->candidates_scored[q] = counters.scored;
+    result->stats->bins_probed[q] = counters.bins_probed;
+    result->stats->filtered_out[q] = counters.filtered_out;
+    result->stats->nodes_visited[q] = counters.nodes_visited;
+  }
+}
 
 /// Search output for a batch of queries.
 struct BatchSearchResult {
@@ -298,10 +320,10 @@ class Index {
   }
 
   /// Single-query convenience: returns up to k neighbor ids, ascending by
-  /// distance. The default wraps `query` in a 1-row MatrixView (zero-copy)
-  /// and routes through SearchBatch on the calling thread.
-  virtual std::vector<uint32_t> Search(const float* query, size_t k,
-                                       size_t budget) const;
+  /// distance — row 0 of SearchBatch over `query` viewed as a 1-row
+  /// MatrixView (zero-copy) on the calling thread, without its padding.
+  std::vector<uint32_t> Search(const float* query, size_t k,
+                               size_t budget) const;
 
   virtual size_t dim() const = 0;     ///< base vector dimensionality
   virtual size_t size() const = 0;    ///< number of indexed base vectors

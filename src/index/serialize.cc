@@ -289,8 +289,8 @@ Status SaveIvfFlat(const IvfFlatIndex& index, Writer* out,
   const Matrix& centroids = index.coarse_quantizer().centroids();
   writer.AddSection(SectionTag::kCentroids, 0, centroids.data(),
                     centroids.size() * sizeof(float));
-  AppendBaseSection(index.partition().base(), &writer);
-  AppendAssignments(index.partition().assignments(), 0, &writer);
+  AppendBaseSection(index.base(), &writer);
+  AppendAssignments(index.assignments(), 0, &writer);
   return writer.WriteTo(out, name);
 }
 
@@ -307,21 +307,21 @@ Status SaveIvfPq(const IvfPqIndex& index, Writer* out,
   ContainerWriter writer(IndexType::kIvfPq, index.metric(), index.dim(),
                          index.size());
   IvfPqConfigRecord config{};
-  config.nlist = index.config().nlist;
-  config.kmeans_iterations = index.config().kmeans_iterations;
-  config.seed = index.config().seed;
-  config.rerank_budget = index.config().rerank_budget;
+  config.nlist = index.ivf_config().nlist;
+  config.kmeans_iterations = index.ivf_config().kmeans_iterations;
+  config.seed = index.ivf_config().seed;
+  config.rerank_budget = index.ivf_config().rerank_budget;
   writer.AddSection(SectionTag::kConfig, 0, &config, sizeof(config));
   const Matrix& centroids = index.coarse_quantizer().centroids();
   writer.AddSection(SectionTag::kCentroids, 0, centroids.data(),
                     centroids.size() * sizeof(float));
-  AppendBaseSection(index.scann().base(), &writer);
-  const std::vector<uint32_t> assignments = index.scann().Assignments();
+  AppendBaseSection(index.base(), &writer);
+  const std::vector<uint32_t> assignments = index.Assignments();
   AppendAssignments(assignments, 0, &writer);
-  const PqSections pq = AppendPqSections(index.scann().quantizer(), &writer);
-  writer.AddSection(SectionTag::kPqCodes, 0, index.scann().codes(),
-                    index.size() * index.scann().quantizer().num_subspaces());
-  AppendPackedCodes(index.scann(), &writer);
+  const PqSections pq = AppendPqSections(index.quantizer(), &writer);
+  writer.AddSection(SectionTag::kPqCodes, 0, index.codes(),
+                    index.size() * index.quantizer().num_subspaces());
+  AppendPackedCodes(index, &writer);
   return writer.WriteTo(out, name);
 }
 
@@ -568,10 +568,6 @@ class LoadedIndex : public Index {
   }
   RadiusResult RadiusSearchBatch(const RadiusRequest& request) const override {
     return bundle_->index->RadiusSearchBatch(request);
-  }
-  std::vector<uint32_t> Search(const float* query, size_t k,
-                               size_t budget) const override {
-    return bundle_->index->Search(query, k, budget);
   }
   size_t dim() const override { return bundle_->index->dim(); }
   size_t size() const override { return bundle_->index->size(); }

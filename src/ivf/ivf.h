@@ -40,60 +40,42 @@ struct IvfConfig {
   AdcMode adc = AdcMode::kAuto;
 };
 
-/// IVF-Flat: probe nprobe nearest centroids, scan their lists exactly.
-class IvfFlatIndex : public Index {
+/// A coarse quantizer and each base row's list (ivf/ivf.cc).
+struct IvfCoarse;
+
+/// IVF-Flat: probe nprobe nearest centroids, scan their lists exactly. A
+/// PartitionIndex over its own k-means coarse quantizer: k-NN and radius
+/// search, planning and filter pushdown are the base's, with budget =
+/// nprobe.
+class IvfFlatIndex : public PartitionIndex {
  public:
   IvfFlatIndex(const Matrix* base, const IvfConfig& config);
 
   /// Rehydrates from deserialized state: `centroids` and `assignments` must
   /// be exactly what a previous index exposed through coarse_quantizer() and
-  /// partition().assignments().
+  /// assignments().
   IvfFlatIndex(MatrixView base, const IvfConfig& config, Matrix centroids,
                std::vector<uint32_t> assignments);
 
-  size_t dim() const override { return index_->dim(); }
-  size_t size() const override { return index_->size(); }
-  Metric metric() const override { return index_->metric(); }
   IndexType type() const override { return IndexType::kIvfFlat; }
-  MatrixView base_view() const override { return index_->base(); }
-
-  /// Planner cost input: the inner PartitionIndex's balanced-list estimate.
-  /// (Query planning itself also happens in the inner index, whose
-  /// SearchBatch this class delegates to.)
-  size_t EstimateCandidates(size_t budget) const override {
-    return index_->EstimateCandidates(budget);
-  }
-
-  /// k-NN search probing the `options.budget` (= nprobe) best lists; an
-  /// options.filter restricts results to allowed base rows (dropped before
-  /// the exact scan). `options.num_threads` caps the per-query search
-  /// sharding (0 = pool default, 1 = serial; coarse scoring still uses the
-  /// pool's GEMM); results are identical at every setting.
-  using Index::SearchBatch;
-  BatchSearchResult SearchBatch(const SearchRequest& request) const override;
-
-  /// Radius search over the probed lists: delegates to the inner
-  /// PartitionIndex, which shares this index's base view and metric, so the
-  /// full-budget bit-identity contract carries over unchanged.
-  RadiusResult RadiusSearchBatch(const RadiusRequest& request) const override {
-    return index_->RadiusSearchBatch(request);
-  }
 
   const KMeansPartitioner& coarse_quantizer() const { return *coarse_; }
-  const PartitionIndex& partition() const { return *index_; }
   const IvfConfig& config() const { return config_; }
 
  private:
+  IvfFlatIndex(MatrixView base, const IvfConfig& config, IvfCoarse coarse);
+
   IvfConfig config_;
   std::unique_ptr<KMeansPartitioner> coarse_;
-  std::unique_ptr<PartitionIndex> index_;
 };
 
-/// IVF-PQ: probe nprobe lists, score with ADC, exact re-rank of the best.
-class IvfPqIndex : public Index {
+/// IVF-PQ: probe nprobe lists, score with ADC, exact re-rank of the best. A
+/// ScannIndex over its own k-means coarse quantizer, with budget = nprobe.
+class IvfPqIndex : public ScannIndex {
  public:
-  /// Constructing with an invalid config (see ValidateConfig) aborts; call
-  /// ValidateConfig first when the config comes from user input or a file.
+  /// Constructing with an invalid config (see ValidateConfig) aborts before
+  /// any training; call ValidateConfig first when the config comes from
+  /// user input or a file.
   IvfPqIndex(const Matrix* base, const IvfConfig& config);
 
   /// Rehydrates from deserialized state; `codes` points at external (possibly
@@ -112,43 +94,21 @@ class IvfPqIndex : public Index {
   /// rank the ADC stage by dot-product tables (quant/scann_index.h).
   static Status ValidateConfig(const IvfConfig& config);
 
-  size_t dim() const override { return index_->dim(); }
-  size_t size() const override { return index_->size(); }
-  Metric metric() const override { return config_.metric; }
   IndexType type() const override { return IndexType::kIvfPq; }
-  MatrixView base_view() const override { return index_->base(); }
-
-  /// Planner cost input: the inner ScannIndex's balanced-list estimate.
-  /// (Query planning itself also happens in the inner index, whose
-  /// SearchBatch this class delegates to.)
-  size_t EstimateCandidates(size_t budget) const override {
-    return index_->EstimateCandidates(budget);
-  }
-
-  /// k-NN search probing the `options.budget` (= nprobe) best lists; an
-  /// options.filter drops disallowed rows before the ADC scan, so filtered
-  /// rows never consume rerank budget. `options.num_threads` caps the
-  /// per-query search sharding (0 = pool default, 1 = serial; coarse scoring
-  /// still uses the pool's GEMM); results are identical at every setting.
-  using Index::SearchBatch;
-  BatchSearchResult SearchBatch(const SearchRequest& request) const override;
-
-  /// Radius search over the probed lists. Delegates to the inner ScannIndex,
-  /// which skips the ADC stage entirely for range queries (every gathered
-  /// candidate is exact-scored — the radius cut needs true distances), so
-  /// the result matches the flat types bit for bit at full budget.
-  RadiusResult RadiusSearchBatch(const RadiusRequest& request) const override {
-    return index_->RadiusSearchBatch(request);
-  }
 
   const KMeansPartitioner& coarse_quantizer() const { return *coarse_; }
-  const ScannIndex& scann() const { return *index_; }
-  const IvfConfig& config() const { return config_; }
+  /// The IVF config (config() is the ScannIndex search config).
+  const IvfConfig& ivf_config() const { return ivf_config_; }
 
  private:
-  IvfConfig config_;
+  IvfPqIndex(const Matrix* base, const IvfConfig& config, IvfCoarse coarse);
+  IvfPqIndex(MatrixView base, const IvfConfig& config,
+             std::unique_ptr<KMeansPartitioner> coarse,
+             ProductQuantizer quantizer, const uint8_t* codes,
+             const std::vector<uint32_t>& assignments, const uint8_t* packed);
+
+  IvfConfig ivf_config_;
   std::unique_ptr<KMeansPartitioner> coarse_;
-  std::unique_ptr<ScannIndex> index_;
 };
 
 }  // namespace usp

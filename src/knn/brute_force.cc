@@ -83,16 +83,14 @@ struct ScanRows {
     count = ids.size();
   }
 
-  // Query q's counters in a BatchSearchResult or RadiusResult: every scanned
-  // row scored, the rest dropped by the filter, `bins_probed` bins probed.
-  template <typename Result>
-  void Count(size_t q, uint32_t bins_probed, Result* result) const {
-    result->candidate_counts[q] = static_cast<uint32_t>(count);
-    if (result->stats) {
-      result->stats->candidates_scored[q] = static_cast<uint32_t>(count);
-      result->stats->bins_probed[q] = bins_probed;
-      result->stats->filtered_out[q] = static_cast<uint32_t>(num_rows - count);
-    }
+  // Every query's counters: every scanned row scored, the rest dropped by
+  // the filter, `bins_probed` bins probed.
+  QueryCounters Counters(uint32_t bins_probed) const {
+    QueryCounters counters;
+    counters.scored = static_cast<uint32_t>(count);
+    counters.bins_probed = bins_probed;
+    counters.filtered_out = static_cast<uint32_t>(num_rows - count);
+    return counters;
   }
 };
 
@@ -157,6 +155,46 @@ KnnResult KnnImplMetric(MatrixView base, MatrixView queries, size_t k,
   result.distances = std::move(scan.distances);
   return result;
 }
+
+// The front half of RerankCandidatesScored and RangeFilterCandidates: sorts
+// and dedupes `ids` in place (overlapping probes can repeat ids; no point is
+// scored or reported twice), drops the ids `filter` rejects, and scores the
+// survivors, in id order, into `scores`.
+RerankCounts ScoreCandidates(const DistanceComputer& dist, const float* query,
+                             std::vector<uint32_t>* ids,
+                             const IdSelector* filter,
+                             std::vector<float>* scores) {
+  SortUniqueIds(ids);
+  RerankCounts counts;
+  if (filter != nullptr) {
+    const size_t before = ids->size();
+    ids->erase(std::remove_if(
+                   ids->begin(), ids->end(),
+                   [&](uint32_t id) { return !filter->is_member(id); }),
+               ids->end());
+    counts.filtered_out = static_cast<uint32_t>(before - ids->size());
+  }
+  counts.scored = static_cast<uint32_t>(ids->size());
+
+  std::vector<float> scratch;
+  const float* prepared = dist.PrepareQuery(query, &scratch);
+  scores->resize(ids->size());
+  dist.ScoreIds(prepared, ids->data(), ids->size(), scores->data());
+  return counts;
+}
+
+// RerankCandidatesScored over `ids`, which it sorts, dedupes and filters in
+// place.
+std::vector<Neighbor> RerankIds(const DistanceComputer& dist,
+                                const float* query, std::vector<uint32_t>* ids,
+                                size_t k, const IdSelector* filter,
+                                RerankCounts* counts) {
+  std::vector<float> scores;
+  *counts = ScoreCandidates(dist, query, ids, filter, &scores);
+  TopK heap(std::min(k, ids->size()));
+  for (size_t i = 0; i < ids->size(); ++i) heap.Push(scores[i], (*ids)[i]);
+  return heap.TakeSorted();
+}
 }  // namespace
 
 KnnResult BruteForceKnn(MatrixView base, MatrixView queries, size_t k,
@@ -212,7 +250,7 @@ BatchSearchResult FlatScanKnn(const DistanceComputer& dist,
              });
     for (size_t q = q_begin; q < q_end; ++q) {
       result.SetRow(q, heaps[q - q_begin].TakeSorted());
-      rows.Count(q, bins_probed, &result);
+      SetCounters(q, rows.Counters(bins_probed), &result);
     }
   });
   return result;
@@ -244,8 +282,53 @@ RadiusResult FlatScanRadius(const DistanceComputer& dist,
           // Rows arrive in id order; every radius row is sorted by
           // (distance, id).
           std::sort((*hits)[q].begin(), (*hits)[q].end());
-          rows.Count(q, bins_probed, result);
+          SetCounters(q, rows.Counters(bins_probed), result);
         }
+      });
+}
+
+BatchSearchResult GatherKnn(const DistanceComputer& dist,
+                            const SearchRequest& request,
+                            const CandidateSource& source) {
+  const MatrixView queries = request.queries;
+  const SearchOptions& options = request.options;
+  BatchSearchResult result;
+  result.Prepare(queries.rows(), options);
+  ParallelFor(queries.rows(), 8, options.num_threads,
+              [&](size_t q_begin, size_t q_end, size_t) {
+    std::vector<uint32_t> ids;
+    for (size_t q = q_begin; q < q_end; ++q) {
+      ids.clear();
+      QueryCounters counters;
+      counters.bins_probed = source(q, &ids);
+      RerankCounts counts;
+      result.SetRow(q, RerankIds(dist, queries.Row(q), &ids, options.k,
+                                 options.filter, &counts));
+      counters.scored = counts.scored;
+      counters.filtered_out = counts.filtered_out;
+      SetCounters(q, counters, &result);
+    }
+  });
+  return result;
+}
+
+RadiusResult GatherRadius(const DistanceComputer& dist,
+                          const RadiusRequest& request,
+                          const CandidateSource& source) {
+  const MatrixView queries = request.queries;
+  return CollectRadiusRows(
+      queries.rows(), request.options, [&](size_t q, RadiusResult* result) {
+        std::vector<uint32_t> ids;
+        QueryCounters counters;
+        counters.bins_probed = source(q, &ids);
+        RerankCounts counts;
+        std::vector<Neighbor> hits =
+            RangeFilterCandidates(dist, queries.Row(q), &ids, request.radius,
+                                  request.options.filter, &counts);
+        counters.scored = counts.scored;
+        counters.filtered_out = counts.filtered_out;
+        SetCounters(q, counters, result);
+        return hits;
       });
 }
 
@@ -300,48 +383,31 @@ std::vector<Neighbor> RerankCandidatesScored(
     const DistanceComputer& dist, const float* query,
     const std::vector<uint32_t>& candidates, size_t k,
     const IdSelector* filter, RerankCounts* counts) {
-  // Ensembles and multi-probe sweeps can feed overlapping candidate lists;
-  // dedupe so duplicates never occupy several top-k slots.
   std::vector<uint32_t> ids(candidates);
-  SortUniqueIds(&ids);
+  RerankCounts tallies;
+  std::vector<Neighbor> top = RerankIds(dist, query, &ids, k, filter,
+                                        &tallies);
+  if (counts != nullptr) *counts = tallies;
+  return top;
+}
 
-  if (filter != nullptr) {
-    const size_t before = ids.size();
-    ids.erase(std::remove_if(ids.begin(), ids.end(),
-                             [&](uint32_t id) { return !filter->is_member(id); }),
-              ids.end());
-    if (counts != nullptr) {
-      counts->filtered_out = static_cast<uint32_t>(before - ids.size());
-    }
+std::vector<Neighbor> RangeFilterCandidates(const DistanceComputer& dist,
+                                            const float* query,
+                                            std::vector<uint32_t>* candidates,
+                                            float radius,
+                                            const IdSelector* filter,
+                                            RerankCounts* counts) {
+  std::vector<float> scores;
+  const RerankCounts tallies =
+      ScoreCandidates(dist, query, candidates, filter, &scores);
+  if (counts != nullptr) *counts = tallies;
+  const std::vector<uint32_t>& ids = *candidates;
+  std::vector<Neighbor> hits;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (scores[i] <= radius) hits.push_back(Neighbor{scores[i], ids[i]});
   }
-  if (counts != nullptr) counts->scored = static_cast<uint32_t>(ids.size());
-
-  std::vector<float> scratch;
-  const float* prepared = dist.PrepareQuery(query, &scratch);
-  std::vector<float> scores(ids.size());
-  dist.ScoreIds(prepared, ids.data(), ids.size(), scores.data());
-
-  TopK heap(std::min(k, ids.size()));
-  for (size_t i = 0; i < ids.size(); ++i) heap.Push(scores[i], ids[i]);
-  return heap.TakeSorted();
-}
-
-std::vector<uint32_t> RerankCandidates(const DistanceComputer& dist,
-                                       const float* query,
-                                       const std::vector<uint32_t>& candidates,
-                                       size_t k) {
-  const auto sorted = RerankCandidatesScored(dist, query, candidates, k);
-  std::vector<uint32_t> out;
-  out.reserve(sorted.size());
-  for (const auto& n : sorted) out.push_back(n.id);
-  return out;
-}
-
-std::vector<uint32_t> RerankCandidates(MatrixView base, const float* query,
-                                       const std::vector<uint32_t>& candidates,
-                                       size_t k) {
-  return RerankCandidates(DistanceComputer(base, Metric::kSquaredL2), query,
-                          candidates, k);
+  std::sort(hits.begin(), hits.end());  // (distance, id) total order
+  return hits;
 }
 
 }  // namespace usp

@@ -5,6 +5,7 @@
 #define USP_KNN_BRUTE_FORCE_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "dist/distance_computer.h"
@@ -84,6 +85,32 @@ RadiusResult FlatScanRadius(const DistanceComputer& dist,
                             const RadiusRequest& request,
                             uint32_t bins_probed);
 
+/// The candidate generation of a partial-budget search (Alg. 2's C(q)):
+/// appends query q's candidate ids to the empty `ids` (repeats and any order
+/// allowed) and returns the number of bins it probed. Called once per query,
+/// concurrently for different queries.
+using CandidateSource =
+    std::function<uint32_t(size_t q, std::vector<uint32_t>* ids)>;
+
+/// The gather stage of a partial-budget k-NN request, whatever picked the
+/// candidates: per query, `source` fills C(q) and RerankCandidatesScored
+/// returns its k best under request.options.filter (pushdown). Rows,
+/// candidate_counts and stats (scored and filtered_out post-dedupe,
+/// bins_probed from the source) are written per query, sharded over
+/// ParallelFor chunks of 8 queries under options.num_threads. Rows are
+/// bit-identical to FlatScanKnn when every query's source returns every id.
+/// options.budget and options.plan are not consulted (callers plan first and
+/// pass the budget to their source).
+BatchSearchResult GatherKnn(const DistanceComputer& dist,
+                            const SearchRequest& request,
+                            const CandidateSource& source);
+
+/// Radius counterpart of GatherKnn: RangeFilterCandidates over each query's
+/// candidates, with the same counters.
+RadiusResult GatherRadius(const DistanceComputer& dist,
+                          const RadiusRequest& request,
+                          const CandidateSource& source);
+
 /// Exact radius (range) search: for every query, all base rows whose
 /// minimized-form distance is <= radius (inclusive), as a CSR RadiusResult
 /// with rows sorted by ascending (distance, id). This is the reference every
@@ -104,8 +131,8 @@ RadiusResult BruteForceRadius(MatrixView base, MatrixView queries,
 /// (row i never contains i). This is Fig. 2 of the paper.
 KnnResult BuildKnnMatrix(const Matrix& data, size_t k);
 
-/// Work counters reported by RerankCandidatesScored (both post-dedupe).
-/// `scored` is the |C(q)| that lands in BatchSearchResult::candidate_counts:
+/// Work counters of RerankCandidatesScored and RangeFilterCandidates (both
+/// post-dedupe). `scored` is the |C(q)| that lands in candidate_counts:
 /// candidates that passed the selector and were exact-scored.
 struct RerankCounts {
   uint32_t scored = 0;
@@ -124,24 +151,29 @@ struct RerankCounts {
 /// pushdown: disallowed rows cost no distance work and can never displace
 /// allowed ones); `counts`, when non-null, receives the scored/filtered
 /// tallies. Scoring goes through the batched gather-by-id kernels
-/// (prefetched, four rows in flight). Used by every partition-based index
-/// for the final scan of the candidate set; the scores feed cross-segment
-/// merging in the serving layer.
+/// (prefetched, four rows in flight). GatherKnn runs it for every
+/// partition-based index; the scores feed cross-segment merging in the
+/// serving layer.
 std::vector<Neighbor> RerankCandidatesScored(
     const DistanceComputer& dist, const float* query,
     const std::vector<uint32_t>& candidates, size_t k,
     const IdSelector* filter = nullptr, RerankCounts* counts = nullptr);
 
-/// Id-only convenience wrapper over RerankCandidatesScored.
-std::vector<uint32_t> RerankCandidates(const DistanceComputer& dist,
-                                       const float* query,
-                                       const std::vector<uint32_t>& candidates,
-                                       size_t k);
-
-/// Squared-L2 convenience overload over a raw base matrix.
-std::vector<uint32_t> RerankCandidates(MatrixView base, const float* query,
-                                       const std::vector<uint32_t>& candidates,
-                                       size_t k);
+/// The radius counterpart of RerankCandidatesScored, with the same front
+/// half (dedupe, pushdown, ScoreIds scoring): sorts and deduplicates
+/// `candidates` in place and drops the selector's rejects from it, then
+/// returns the hits with distance <= radius sorted by ascending (distance,
+/// id). Because ScoreIds applies the same per-row kernel as the brute-force
+/// reference, a candidate set that covers the allowed base makes the output
+/// bit-identical to BruteForceRadius; the index types then run
+/// FlatScanRadius instead (tests/flat_scan_test.cc pins the two against
+/// each other).
+std::vector<Neighbor> RangeFilterCandidates(const DistanceComputer& dist,
+                                            const float* query,
+                                            std::vector<uint32_t>* candidates,
+                                            float radius,
+                                            const IdSelector* filter = nullptr,
+                                            RerankCounts* counts = nullptr);
 
 /// Restricts a global k-NN matrix to a subset of points, renumbering to local
 /// ids (position in `subset_ids`). A point's filtered list keeps its global

@@ -11,7 +11,6 @@
 #include "knn/top_k.h"
 #include "tensor/ops.h"
 #include "util/thread_pool.h"
-#include "workload/radius.h"
 
 namespace usp {
 
@@ -186,22 +185,15 @@ BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
       const float* query = queries.Row(q);
       const float* prepared = dist_.PrepareQuery(query, &query_scratch);
 
-      // Probed-bucket order (shared by both ADC modes).
+      // Probed-bucket order (shared by both ADC modes and radius).
       size_t probes = 0;
       if (partitioner_ != nullptr) {
         probes = std::min(options.budget, buckets_.size());
-        const float* s = scores.Row(q);
-        order.resize(buckets_.size());
-        std::iota(order.begin(), order.end(), 0u);
-        std::partial_sort(order.begin(), order.begin() + probes, order.end(),
-                          [&](uint32_t a, uint32_t b) {
-                            if (s[a] != s[b]) return s[a] > s[b];
-                            return a < b;
-                          });
+        RankBins(scores.Row(q), buckets_.size(), probes, &order);
       }
 
       Shortlist approx(std::max(k, config_.rerank_budget));
-      size_t scored = 0;
+      size_t scored = 0, dropped = 0;
 
       if (fast_scan) {
         // Quantize the per-query float table once, then score whole packed
@@ -231,11 +223,6 @@ BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
                        bucket.size());
           }
         }
-        result.candidate_counts[q] = static_cast<uint32_t>(scored);
-        if (result.stats) {
-          result.stats->candidates_scored[q] = static_cast<uint32_t>(scored);
-          result.stats->bins_probed[q] = static_cast<uint32_t>(probes);
-        }
       } else {
         // Float path: candidate generation, selector pushdown, per-code walk.
         candidates.clear();
@@ -251,7 +238,6 @@ BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
 
         // Selector pushdown ahead of the ADC stage: disallowed rows cost no
         // table lookups and cannot crowd allowed rows out of the shortlist.
-        size_t dropped = 0;
         if (options.filter != nullptr) {
           const size_t before = candidates.size();
           candidates.erase(
@@ -262,19 +248,18 @@ BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
               candidates.end());
           dropped = before - candidates.size();
         }
-        result.candidate_counts[q] = static_cast<uint32_t>(candidates.size());
-        if (result.stats) {
-          result.stats->candidates_scored[q] =
-              static_cast<uint32_t>(candidates.size());
-          result.stats->bins_probed[q] = static_cast<uint32_t>(probes);
-          result.stats->filtered_out[q] = static_cast<uint32_t>(dropped);
-        }
+        scored = candidates.size();
 
         const std::vector<float> table = BuildMetricTable(prepared);
         for (uint32_t id : candidates) {
           approx.Push(quantizer_.AdcDistance(table, codes_ + id * m_sub), id);
         }
       }
+      QueryCounters counters;
+      counters.scored = static_cast<uint32_t>(scored);
+      counters.bins_probed = static_cast<uint32_t>(probes);
+      counters.filtered_out = static_cast<uint32_t>(dropped);
+      SetCounters(q, counters, &result);
 
       shortlist.clear();
       for (const Neighbor& cand : approx.Take()) shortlist.push_back(cand.id);
@@ -289,7 +274,6 @@ BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
 }
 
 RadiusResult ScannIndex::RadiusSearchBatch(const RadiusRequest& request) const {
-  const MatrixView queries = request.queries;
   const size_t probes =
       partitioner_ == nullptr
           ? 0
@@ -299,37 +283,19 @@ RadiusResult ScannIndex::RadiusSearchBatch(const RadiusRequest& request) const {
   if (probes == buckets_.size()) {
     return FlatScanRadius(dist_, request, static_cast<uint32_t>(probes));
   }
-  const Matrix scores = partitioner_->ScoreBins(queries);
-
-  return CollectRadiusRows(
-      queries.rows(), request.options, [&](size_t q, RadiusResult* result) {
-        // Same probe order as SearchBatch: bins by descending score, ties by
-        // bin id.
-        const float* s = scores.Row(q);
-        std::vector<uint32_t> order(buckets_.size());
-        std::iota(order.begin(), order.end(), 0u);
-        std::partial_sort(order.begin(), order.begin() + probes, order.end(),
-                          [&](uint32_t a, uint32_t b) {
-                            if (s[a] != s[b]) return s[a] > s[b];
-                            return a < b;
-                          });
-        std::vector<uint32_t> candidates;
-        for (size_t p = 0; p < probes; ++p) {
-          const auto& bucket = buckets_[order[p]];
-          candidates.insert(candidates.end(), bucket.begin(), bucket.end());
-        }
-        RadiusRowCounts counts;
-        auto hits = RangeFilterCandidates(dist_, queries.Row(q), &candidates,
-                                          request.radius,
-                                          request.options.filter, &counts);
-        result->candidate_counts[q] = counts.scored;
-        if (result->stats) {
-          result->stats->candidates_scored[q] = counts.scored;
-          result->stats->bins_probed[q] = static_cast<uint32_t>(probes);
-          result->stats->filtered_out[q] = counts.filtered_out;
-        }
-        return hits;
-      });
+  const Matrix scores = partitioner_->ScoreBins(request.queries);
+  return GatherRadius(dist_, request,
+                      [&](size_t q, std::vector<uint32_t>* ids) {
+                        std::vector<uint32_t> order;
+                        RankBins(scores.Row(q), buckets_.size(), probes,
+                                 &order);
+                        for (size_t p = 0; p < probes; ++p) {
+                          const auto& bucket = buckets_[order[p]];
+                          ids->insert(ids->end(), bucket.begin(),
+                                      bucket.end());
+                        }
+                        return static_cast<uint32_t>(probes);
+                      });
 }
 
 }  // namespace usp

@@ -87,9 +87,11 @@ class ScannIndex : public Index {
   /// by *exact* distance. The ADC stage is skipped — a range cut needs true
   /// distances, and approximating it with table scores would break the
   /// brute-force bit-identity contract — so rerank_budget does not apply to
-  /// radius requests; options.budget (probed bins) is the only knob. When the
-  /// candidates are the whole base (partition-free, or every bin probed) the
-  /// request runs FlatScanRadius (knn/brute_force.h) instead of the gather.
+  /// radius requests; options.budget (probed bins) is the only knob. A
+  /// partial budget runs GatherRadius (knn/brute_force.h) over the probed
+  /// buckets, in SearchBatch's probe order (RankBins). When the candidates
+  /// are the whole base (partition-free, or every bin probed) the request
+  /// runs FlatScanRadius instead.
   RadiusResult RadiusSearchBatch(const RadiusRequest& request) const override;
 
   size_t dim() const override { return base_.cols(); }

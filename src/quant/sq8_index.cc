@@ -162,11 +162,10 @@ BatchSearchResult Sq8Index::SearchBatch(const SearchRequest& request) const {
           ++scored;
         }
       }
-      result.candidate_counts[q] = static_cast<uint32_t>(scored);
-      if (result.stats) {
-        result.stats->candidates_scored[q] = static_cast<uint32_t>(scored);
-        result.stats->filtered_out[q] = static_cast<uint32_t>(dropped);
-      }
+      QueryCounters counters;
+      counters.scored = static_cast<uint32_t>(scored);
+      counters.filtered_out = static_cast<uint32_t>(dropped);
+      SetCounters(q, counters, &result);
 
       shortlist.clear();
       for (const Neighbor& cand : approx.Take()) shortlist.push_back(cand.id);

@@ -1,46 +1,8 @@
 #include "workload/radius.h"
 
-#include <algorithm>
-
 #include "util/thread_pool.h"
 
 namespace usp {
-
-std::vector<Neighbor> RangeFilterCandidates(const DistanceComputer& dist,
-                                            const float* query,
-                                            std::vector<uint32_t>* candidates,
-                                            float radius,
-                                            const IdSelector* filter,
-                                            RadiusRowCounts* counts) {
-  std::vector<uint32_t>& ids = *candidates;
-  // Overlapping probes (ensembles, multi-bin unions) can repeat ids; dedupe so
-  // no point is scored twice or reported twice.
-  SortUniqueIds(&ids);
-
-  if (filter != nullptr) {
-    const size_t before = ids.size();
-    ids.erase(
-        std::remove_if(ids.begin(), ids.end(),
-                       [&](uint32_t id) { return !filter->is_member(id); }),
-        ids.end());
-    if (counts != nullptr) {
-      counts->filtered_out = static_cast<uint32_t>(before - ids.size());
-    }
-  }
-  if (counts != nullptr) counts->scored = static_cast<uint32_t>(ids.size());
-
-  std::vector<float> scratch;
-  const float* prepared = dist.PrepareQuery(query, &scratch);
-  std::vector<float> scores(ids.size());
-  dist.ScoreIds(prepared, ids.data(), ids.size(), scores.data());
-
-  std::vector<Neighbor> hits;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (scores[i] <= radius) hits.push_back(Neighbor{scores[i], ids[i]});
-  }
-  std::sort(hits.begin(), hits.end());  // (distance, id) total order
-  return hits;
-}
 
 RadiusResult CollectRadiusChunks(size_t num_queries,
                                  const RadiusOptions& options,

@@ -6,12 +6,10 @@
 // reference BruteForceRadius (knn/brute_force.h), the same acceptance
 // contract filtered k-NN search pins (tests/radius_search_test.cc).
 //
-// RangeFilterCandidates is the gather stage of a partial-budget request:
-// sort/dedupe/pushdown of the probed candidates, exact ScoreIds scoring and
-// the radius cut. A request whose probes cover every bin skips it for
-// FlatScanRadius (knn/brute_force.h), which scores the base rows in id
-// order and gives the same rows bit for bit. CollectRadiusChunks and
-// CollectRadiusRows are the parallel drivers that assemble the CSR result.
+// CollectRadiusChunks and CollectRadiusRows are the parallel drivers that
+// assemble the CSR result. The radius collectors run on them: the
+// full-budget FlatScanRadius and the partial-budget GatherRadius
+// (knn/brute_force.h), plus HNSW's graph walk and the serving fan-out merge.
 #ifndef USP_WORKLOAD_RADIUS_H_
 #define USP_WORKLOAD_RADIUS_H_
 
@@ -19,36 +17,10 @@
 #include <functional>
 #include <vector>
 
-#include "dist/distance_computer.h"
-#include "index/id_selector.h"
 #include "index/index.h"
 #include "knn/top_k.h"
 
 namespace usp {
-
-/// Work counters of one RangeFilterCandidates call (mirrors RerankCounts).
-struct RadiusRowCounts {
-  uint32_t scored = 0;        ///< candidates exact-scored (post-filter)
-  uint32_t filtered_out = 0;  ///< candidates the selector dropped unscored
-};
-
-/// The shared range-filter stage of the candidate-generating index types at
-/// a partial budget: sorts and deduplicates `candidates` in place
-/// (SortUniqueIds, knn/top_k.h: a strictly increasing list skips the sort),
-/// drops selector-rejected ids *before* scoring (pushdown — same contract as
-/// RerankCandidatesScored), exact-scores the survivors through
-/// dist.ScoreIds, and returns the hits with distance <= radius sorted by
-/// ascending (distance, id). Because ScoreIds applies the same per-row
-/// kernel as the brute-force reference, a candidate set that covers the
-/// allowed base makes the output bit-identical to BruteForceRadius; the
-/// index types then run FlatScanRadius instead (tests/flat_scan_test.cc pins
-/// the two against each other).
-std::vector<Neighbor> RangeFilterCandidates(const DistanceComputer& dist,
-                                            const float* query,
-                                            std::vector<uint32_t>* candidates,
-                                            float radius,
-                                            const IdSelector* filter = nullptr,
-                                            RadiusRowCounts* counts = nullptr);
 
 /// Body of CollectRadiusChunks: fills (*rows)[q] with query q's hits sorted
 /// by (distance, id), and result->candidate_counts[q] (plus the stats

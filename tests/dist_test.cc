@@ -438,10 +438,10 @@ TEST(MetricRerankTest, RerankMatchesGroundTruthOverFullCandidateSet) {
     const KnnResult gt = BruteForceKnn(w.base, w.queries, 5, metric);
     const DistanceComputer dist(&w.base, metric);
     for (size_t q = 0; q < w.queries.rows(); ++q) {
-      const auto top = RerankCandidates(dist, w.queries.Row(q), all, 5);
+      const auto top = RerankCandidatesScored(dist, w.queries.Row(q), all, 5);
       ASSERT_EQ(top.size(), 5u);
       for (size_t j = 0; j < 5; ++j) {
-        EXPECT_EQ(top[j], gt.indices[q * 5 + j])
+        EXPECT_EQ(top[j].id, gt.indices[q * 5 + j])
             << MetricName(metric) << " q=" << q;
       }
     }

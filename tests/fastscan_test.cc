@@ -238,10 +238,10 @@ TEST(FastScanTest, FastScanRecallMatchesFloatAdc) {
 
     config.adc = AdcMode::kFastScan;
     IvfPqIndex fast(&w.base, config);
-    ASSERT_TRUE(fast.scann().has_fast_scan());
+    ASSERT_TRUE(fast.has_fast_scan());
     config.adc = AdcMode::kFloat;
     IvfPqIndex slow(&w.base, config);
-    ASSERT_FALSE(slow.scann().has_fast_scan());
+    ASSERT_FALSE(slow.has_fast_scan());
 
     const KnnResult truth = BruteForceKnn(w.base, w.queries, 10, metric);
     const auto rf = fast.SearchBatch(w.queries, 10, 4);
@@ -267,7 +267,7 @@ TEST(FastScanTest, FilteredSearchFallsBackToFloatPathExactly) {
   config.pq.codebook_size = 16;
   config.rerank_budget = w.base.rows();
   IvfPqIndex index(&w.base, config);
-  ASSERT_TRUE(index.scann().has_fast_scan());
+  ASSERT_TRUE(index.has_fast_scan());
 
   IdSelectorRange filter(100, 400);
   SearchRequest request;
@@ -289,7 +289,7 @@ TEST(FastScanTest, WideCodebookNeverBuildsFastScan) {
   config.pq.num_subspaces = 8;
   config.pq.codebook_size = 32;
   IvfPqIndex index(&w.base, config);
-  EXPECT_FALSE(index.scann().has_fast_scan());
+  EXPECT_FALSE(index.has_fast_scan());
 }
 
 }  // namespace

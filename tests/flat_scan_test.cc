@@ -1,5 +1,7 @@
 // Pins the full-budget flat scan (knn/brute_force.h FlatScanKnn and
-// FlatScanRadius) against the gather stage it stands in for. When a
+// FlatScanRadius) against the gather stage it stands in for, and the gather
+// stage (GatherKnn and GatherRadius) against the per-query rerank and range
+// filter it runs. When a
 // request's probes cover every bin, PartitionIndex (k-NN and radius),
 // UspEnsemble (k-NN and radius) and ScannIndex (radius) score the base rows
 // in id order instead of building, sorting and gathering the list of every
@@ -173,7 +175,7 @@ void ExpectRadiusMatchesGather(const Index& index, const IdSelector* filter,
     size_t hits = 0;
     for (size_t q = 0; q < w.queries.rows(); ++q) {
       std::vector<uint32_t> all = AllIds();
-      RadiusRowCounts counts;
+      RerankCounts counts;
       const std::vector<Neighbor> want = RangeFilterCandidates(
           dist, w.queries.Row(q), &all, radius, filter, &counts);
       ASSERT_EQ(got.RowSize(q), want.size()) << "q=" << q;
@@ -190,6 +192,72 @@ void ExpectRadiusMatchesGather(const Index& index, const IdSelector* filter,
     }
     EXPECT_GT(hits, 0u);  // the radius admits rows, so the cut is exercised
   }
+}
+
+// The gather stage written out per query: `source` fills C(q) and
+// RerankCandidatesScored ranks it. `got` must match rows, distance bits,
+// candidate_counts and all four stats vectors, with the bins the source
+// reports.
+void ExpectKnnMatchesSource(const BatchSearchResult& got,
+                            const DistanceComputer& dist,
+                            const CandidateSource& source,
+                            const IdSelector* filter) {
+  const Workload& w = FlatWorkload();
+  ASSERT_TRUE(got.stats.has_value());
+  ASSERT_EQ(got.k, kTopK);
+  for (size_t q = 0; q < w.queries.rows(); ++q) {
+    std::vector<uint32_t> ids;
+    const uint32_t bins = source(q, &ids);
+    RerankCounts counts;
+    const std::vector<Neighbor> want = RerankCandidatesScored(
+        dist, w.queries.Row(q), ids, kTopK, filter, &counts);
+    for (size_t j = 0; j < kTopK; ++j) {
+      if (j < want.size()) {
+        ASSERT_EQ(got.Row(q)[j], want[j].id) << "q=" << q << " j=" << j;
+        ASSERT_EQ(Bits(got.DistanceRow(q)[j]), Bits(want[j].distance))
+            << "q=" << q << " j=" << j;
+      } else {
+        ASSERT_EQ(got.Row(q)[j], kInvalidId) << "q=" << q << " j=" << j;
+      }
+    }
+    EXPECT_EQ(got.candidate_counts[q], counts.scored) << "q=" << q;
+    EXPECT_EQ(got.stats->candidates_scored[q], counts.scored) << "q=" << q;
+    EXPECT_EQ(got.stats->filtered_out[q], counts.filtered_out) << "q=" << q;
+    EXPECT_EQ(got.stats->bins_probed[q], bins) << "q=" << q;
+    EXPECT_EQ(got.stats->nodes_visited[q], 0u) << "q=" << q;
+  }
+}
+
+// Radius counterpart of ExpectKnnMatchesSource: RangeFilterCandidates over
+// each query's candidates.
+void ExpectRadiusMatchesSource(const RadiusResult& got,
+                               const DistanceComputer& dist,
+                               const CandidateSource& source, float radius,
+                               const IdSelector* filter) {
+  const Workload& w = FlatWorkload();
+  ASSERT_TRUE(got.stats.has_value());
+  ASSERT_EQ(got.num_queries(), w.queries.rows());
+  size_t hits = 0;
+  for (size_t q = 0; q < w.queries.rows(); ++q) {
+    std::vector<uint32_t> ids;
+    const uint32_t bins = source(q, &ids);
+    RerankCounts counts;
+    const std::vector<Neighbor> want = RangeFilterCandidates(
+        dist, w.queries.Row(q), &ids, radius, filter, &counts);
+    ASSERT_EQ(got.RowSize(q), want.size()) << "q=" << q;
+    for (size_t j = 0; j < want.size(); ++j) {
+      ASSERT_EQ(got.RowIds(q)[j], want[j].id) << "q=" << q << " j=" << j;
+      ASSERT_EQ(Bits(got.RowDistances(q)[j]), Bits(want[j].distance))
+          << "q=" << q << " j=" << j;
+    }
+    hits += want.size();
+    EXPECT_EQ(got.candidate_counts[q], counts.scored) << "q=" << q;
+    EXPECT_EQ(got.stats->candidates_scored[q], counts.scored) << "q=" << q;
+    EXPECT_EQ(got.stats->filtered_out[q], counts.filtered_out) << "q=" << q;
+    EXPECT_EQ(got.stats->bins_probed[q], bins) << "q=" << q;
+    EXPECT_EQ(got.stats->nodes_visited[q], 0u) << "q=" << q;
+  }
+  EXPECT_GT(hits, 0u);  // the radius admits rows, so the cut is exercised
 }
 
 const char* FilterName(const IdSelector* filter) {
@@ -262,6 +330,120 @@ TEST(FlatScanTest, EnsembleMatchesGatherBitForBit) {
                      << " budget=" << budget << " " << FilterName(filter));
         ExpectKnnMatchesGather(ensemble, filter, budget, bins);
         ExpectRadiusMatchesGather(ensemble, filter, budget, bins);
+      }
+    }
+
+    // Budgets below the bin count take the gather stage. Its reference is
+    // built from the models here: under kBestConfidence (Alg. 4) query q
+    // probes the model whose top bin scores highest (the first such model
+    // on a tie), under kUnion every model.
+    std::vector<Matrix> scores;
+    for (size_t j = 0; j < ensemble.num_models(); ++j) {
+      scores.push_back(ensemble.model(j).ScoreBins(w.queries));
+    }
+    const DistanceComputer dist(w.base, Metric::kSquaredL2);
+    const float radius = MedianRadius(Metric::kSquaredL2);
+    for (const size_t budget : {size_t{1}, size_t{2}}) {
+      const CandidateSource reference = [&](size_t q,
+                                            std::vector<uint32_t>* ids) {
+        std::vector<size_t> probed;
+        if (combine == EnsembleCombine::kUnion) {
+          for (size_t j = 0; j < scores.size(); ++j) probed.push_back(j);
+        } else {
+          size_t best = 0;
+          for (size_t j = 1; j < scores.size(); ++j) {
+            const float* row = scores[j].Row(q);
+            const float* best_row = scores[best].Row(q);
+            if (*std::max_element(row, row + kBins) >
+                *std::max_element(best_row, best_row + kBins)) {
+              best = j;
+            }
+          }
+          probed.push_back(best);
+        }
+        uint32_t bins = 0;
+        for (const size_t j : probed) {
+          std::vector<uint32_t> bucket_ids;
+          ensemble.index(j).CollectCandidates(scores[j].Row(q), budget,
+                                              &bucket_ids);
+          ids->insert(ids->end(), bucket_ids.begin(), bucket_ids.end());
+          bins += static_cast<uint32_t>(budget);
+        }
+        return bins;
+      };
+      for (const IdSelector* filter : Filters()) {
+        for (const size_t threads : {size_t{1}, size_t{0}}) {
+          SCOPED_TRACE(testing::Message()
+                       << (combine == EnsembleCombine::kUnion ? "union"
+                                                              : "best")
+                       << " budget=" << budget << " " << FilterName(filter)
+                       << " num_threads=" << threads);
+          SearchRequest request;
+          request.queries = w.queries;
+          request.options.k = kTopK;
+          request.options.budget = budget;
+          request.options.num_threads = threads;
+          request.options.filter = filter;
+          request.options.stats = true;
+          request.options.plan = PlanMode::kForcePushdown;
+          ExpectKnnMatchesSource(ensemble.SearchBatch(request), dist,
+                                 reference, filter);
+          RadiusOptions options;
+          options.budget = budget;
+          options.num_threads = threads;
+          options.filter = filter;
+          options.stats = true;
+          ExpectRadiusMatchesSource(
+              ensemble.RadiusSearch(w.queries, radius, options), dist,
+              reference, radius, filter);
+        }
+      }
+    }
+  }
+}
+
+// A candidate source of two overlapping buckets, each in descending id
+// order, that reports a per-query bin count. Query 0 gets fewer candidates
+// than k, so its rows pad.
+uint32_t TwoBuckets(size_t q, std::vector<uint32_t>* ids) {
+  const uint32_t n = static_cast<uint32_t>(FlatWorkload().base.rows());
+  const uint32_t count = q == 0 ? 3 : 400;
+  const uint32_t start = static_cast<uint32_t>(q * 131) % n;
+  for (uint32_t i = count; i-- > 0;) ids->push_back((start + 3 * i) % n);
+  for (uint32_t i = count + count / 2; i-- > count / 2;) {
+    ids->push_back((start + 3 * i) % n);
+  }
+  return static_cast<uint32_t>(2 + q % 3);
+}
+
+TEST(GatherTest, MatchesPerQueryRerankAndRangeFilter) {
+  const Workload& w = FlatWorkload();
+  for (const Metric metric :
+       {Metric::kSquaredL2, Metric::kInnerProduct, Metric::kCosine}) {
+    const DistanceComputer dist(w.base, metric);
+    const float radius = MedianRadius(metric);
+    for (const IdSelector* filter : Filters()) {
+      for (const size_t threads : {size_t{1}, size_t{0}}) {
+        SCOPED_TRACE(testing::Message()
+                     << MetricName(metric) << " " << FilterName(filter)
+                     << " num_threads=" << threads);
+        SearchRequest request;
+        request.queries = w.queries;
+        request.options.k = kTopK;
+        request.options.num_threads = threads;
+        request.options.filter = filter;
+        request.options.stats = true;
+        ExpectKnnMatchesSource(GatherKnn(dist, request, TwoBuckets), dist,
+                               TwoBuckets, filter);
+        RadiusRequest radius_request;
+        radius_request.queries = w.queries;
+        radius_request.radius = radius;
+        radius_request.options.num_threads = threads;
+        radius_request.options.filter = filter;
+        radius_request.options.stats = true;
+        ExpectRadiusMatchesSource(GatherRadius(dist, radius_request,
+                                               TwoBuckets),
+                                  dist, TwoBuckets, radius, filter);
       }
     }
   }

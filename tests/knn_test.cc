@@ -191,11 +191,23 @@ TEST(KnnMatrixTest, NearDuplicatePointsAreMutualNeighbors) {
   EXPECT_EQ(knn.indices[3], 2u);
 }
 
+// The ids RerankCandidatesScored returns under squared L2, in rank order.
+std::vector<uint32_t> RerankIds(const Matrix& base, const float* query,
+                                const std::vector<uint32_t>& candidates,
+                                size_t k) {
+  std::vector<uint32_t> ids;
+  for (const Neighbor& n : RerankCandidatesScored(
+           DistanceComputer(base, Metric::kSquaredL2), query, candidates, k)) {
+    ids.push_back(n.id);
+  }
+  return ids;
+}
+
 TEST(RerankTest, ReturnsTopKByExactDistance) {
   Matrix base(5, 1);
   for (size_t i = 0; i < 5; ++i) base(i, 0) = static_cast<float>(i);
   const float query = 2.2f;
-  const auto top = RerankCandidates(base, &query, {0, 1, 2, 3, 4}, 2);
+  const auto top = RerankIds(base, &query, {0, 1, 2, 3, 4}, 2);
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0], 2u);
   EXPECT_EQ(top[1], 3u);
@@ -212,7 +224,7 @@ TEST(RerankTest, DeduplicatesOverlappingCandidates) {
        {std::vector<uint32_t>{2, 0, 0, 1, 1, 1, 2, 3},
         std::vector<uint32_t>{0, 1, 1, 2, 3},
         std::vector<uint32_t>{0, 1, 2, 3}}) {
-    const auto top = RerankCandidates(base, &query, candidates, 4);
+    const auto top = RerankIds(base, &query, candidates, 4);
     EXPECT_EQ(top, (std::vector<uint32_t>{0, 1, 2, 3}));
   }
 }
@@ -220,7 +232,7 @@ TEST(RerankTest, DeduplicatesOverlappingCandidates) {
 TEST(RerankTest, HandlesFewerCandidatesThanK) {
   Matrix base(3, 1);
   const float query = 0.0f;
-  const auto top = RerankCandidates(base, &query, {1}, 5);
+  const auto top = RerankIds(base, &query, {1}, 5);
   ASSERT_EQ(top.size(), 1u);
   EXPECT_EQ(top[0], 1u);
 }

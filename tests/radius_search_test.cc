@@ -353,7 +353,7 @@ TEST(RangeFilterTest, DeduplicatesOverlappingCandidates) {
         std::vector<uint32_t>{0, 1, 1, 2, 3},
         std::vector<uint32_t>{0, 1, 2, 3}}) {
     std::vector<uint32_t> candidates = input;
-    RadiusRowCounts counts;
+    RerankCounts counts;
     const std::vector<Neighbor> hits = RangeFilterCandidates(
         dist, &query, &candidates, 100.0f, /*filter=*/nullptr, &counts);
     EXPECT_EQ(candidates, (std::vector<uint32_t>{0, 1, 2, 3}));

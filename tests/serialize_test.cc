@@ -341,7 +341,7 @@ TEST(IndexContainerTest, IvfPqWideCodebookRoundTripsWithoutPackedSection) {
   config.pq.codebook_size = 32;
   config.rerank_budget = 50;
   IvfPqIndex index(&w.base, config);
-  EXPECT_FALSE(index.scann().has_fast_scan());
+  EXPECT_FALSE(index.has_fast_scan());
   ExpectRoundTrip(index, w.queries, 10, 4, "ivf_pq_wide");
 
   const std::string path = TempPath("ivf_pq_wide_section.uspidx");
@@ -360,7 +360,7 @@ TEST(IndexContainerTest, PackedCodesSectionIsSavedAndAdoptedOnLoad) {
   config.pq.num_subspaces = 4;
   config.pq.codebook_size = 16;
   IvfPqIndex index(&w.base, config);
-  ASSERT_TRUE(index.scann().has_fast_scan());
+  ASSERT_TRUE(index.has_fast_scan());
 
   const std::string path = TempPath("ivf_pq_packed.uspidx");
   ASSERT_TRUE(SaveIndex(index, path).ok());
@@ -375,8 +375,8 @@ TEST(IndexContainerTest, PackedCodesSectionIsSavedAndAdoptedOnLoad) {
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   const auto& loaded =
       static_cast<const IvfPqIndex&>(mapped.value()->underlying());
-  EXPECT_TRUE(loaded.scann().has_fast_scan());
-  EXPECT_EQ(loaded.scann().PackedBytes(), index.scann().PackedBytes());
+  EXPECT_TRUE(loaded.has_fast_scan());
+  EXPECT_EQ(loaded.PackedBytes(), index.PackedBytes());
   std::remove(path.c_str());
 }
 

@@ -74,11 +74,15 @@ TEST(ThreadPoolStressTest, SearchBatchWithScoresIsThreadCountInvariant) {
   PartitionIndex index(&w.base, &kmeans);
 
   const Matrix scores = index.ScoreQueries(w.queries);
-  const auto serial =
-      index.SearchBatchWithScores(w.queries, scores, 10, 6, /*num_threads=*/1);
+  SearchOptions options;
+  options.k = 10;
+  options.budget = 6;
+  options.num_threads = 1;
+  const auto serial = index.SearchBatchWithScores(w.queries, scores, options);
   for (size_t threads : ThreadCounts()) {
+    options.num_threads = threads;
     ExpectIdenticalResults(
-        index.SearchBatchWithScores(w.queries, scores, 10, 6, threads), serial,
+        index.SearchBatchWithScores(w.queries, scores, options), serial,
         threads);
   }
 }
