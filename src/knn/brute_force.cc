@@ -1,6 +1,7 @@
 #include "knn/brute_force.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 
 #include "dist/distance_kernels.h"
@@ -76,10 +77,9 @@ struct ScanRows {
       return;
     }
     gathered = true;
-    for (size_t b = 0; b < num_rows; ++b) {
-      const uint32_t id = static_cast<uint32_t>(b);
-      if (filter->is_member(id)) ids.push_back(id);
-    }
+    ids.resize(num_rows);
+    std::iota(ids.begin(), ids.end(), 0u);
+    KeepMembers(*filter, &ids);
     count = ids.size();
   }
 
@@ -167,12 +167,7 @@ RerankCounts ScoreCandidates(const DistanceComputer& dist, const float* query,
   SortUniqueIds(ids);
   RerankCounts counts;
   if (filter != nullptr) {
-    const size_t before = ids->size();
-    ids->erase(std::remove_if(
-                   ids->begin(), ids->end(),
-                   [&](uint32_t id) { return !filter->is_member(id); }),
-               ids->end());
-    counts.filtered_out = static_cast<uint32_t>(before - ids->size());
+    counts.filtered_out = static_cast<uint32_t>(KeepMembers(*filter, ids));
   }
   counts.scored = static_cast<uint32_t>(ids->size());
 

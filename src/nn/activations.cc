@@ -44,16 +44,22 @@ Matrix Dropout::Forward(const Matrix& input, bool training) {
   if (!training || rate_ == 0.0f) return input.Clone();
   last_was_training_ = true;
   Matrix out(input.rows(), input.cols());
-  mask_.assign(input.size(), 0);
+  const size_t size = input.size();
+  mask_.resize(size);
   const float scale = 1.0f / (1.0f - rate_);
   const float* src = input.data();
   float* dst = out.data();
-  for (size_t i = 0; i < input.size(); ++i) {
-    if (rng_.Uniform() >= rate_) {
-      mask_[i] = 1;
-      dst[i] = src[i] * scale;
-    }
+  uint8_t* mask = mask_.data();
+  // One inline draw per element, and a select rather than a branch on it.
+  // The generator runs on a local copy: byte stores through `mask` may alias
+  // a member's state, which would then go through memory on every draw.
+  Rng rng = rng_;
+  for (size_t i = 0; i < size; ++i) {
+    const bool keep = rng.Uniform() >= rate_;
+    mask[i] = keep;
+    dst[i] = keep ? src[i] * scale : 0.0f;
   }
+  rng_ = rng;
   return out;
 }
 

@@ -181,6 +181,34 @@ float ProductQuantizer::AdcDistance(const std::vector<float>& table,
   return total;
 }
 
+void ProductQuantizer::AdcDistances(const std::vector<float>& table,
+                                    const uint8_t* codes, const uint32_t* ids,
+                                    size_t count, float* out) const {
+  const size_t m = config_.num_subspaces, k = config_.codebook_size;
+  size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    const uint8_t* c0 = codes + size_t{ids[i]} * m;
+    const uint8_t* c1 = codes + size_t{ids[i + 1]} * m;
+    const uint8_t* c2 = codes + size_t{ids[i + 2]} * m;
+    const uint8_t* c3 = codes + size_t{ids[i + 3]} * m;
+    float t0 = 0.0f, t1 = 0.0f, t2 = 0.0f, t3 = 0.0f;
+    const float* row = table.data();
+    for (size_t s = 0; s < m; ++s, row += k) {
+      t0 += row[c0[s]];
+      t1 += row[c1[s]];
+      t2 += row[c2[s]];
+      t3 += row[c3[s]];
+    }
+    out[i] = t0;
+    out[i + 1] = t1;
+    out[i + 2] = t2;
+    out[i + 3] = t3;
+  }
+  for (; i < count; ++i) {
+    out[i] = AdcDistance(table, codes + size_t{ids[i]} * m);
+  }
+}
+
 void ProductQuantizer::Decode(const uint8_t* code, float* out) const {
   for (size_t s = 0; s < config_.num_subspaces; ++s) {
     const size_t sd = SubspaceDim(s), off = SubspaceBegin(s);

@@ -61,6 +61,14 @@ class ProductQuantizer {
   float AdcDistance(const std::vector<float>& table,
                     const uint8_t* code) const;
 
+  /// AdcDistance of many encoded points: out[i] scores the code at
+  /// codes + ids[i] * num_subspaces(), for i in [0, count). Four codes are
+  /// walked at once on independent add chains; each chain adds its table
+  /// entries from +0 in subspace order, as AdcDistance does, so every score
+  /// has AdcDistance's bits.
+  void AdcDistances(const std::vector<float>& table, const uint8_t* codes,
+                    const uint32_t* ids, size_t count, float* out) const;
+
   /// Exact reconstruction of a code (for tests / diagnostics).
   void Decode(const uint8_t* code, float* out) const;
 

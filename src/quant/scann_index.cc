@@ -180,6 +180,7 @@ BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
     std::vector<uint32_t> shortlist;
     std::vector<uint32_t> order;
     std::vector<uint16_t> sums;
+    std::vector<float> adc;
     std::vector<float> query_scratch;
     for (size_t q = begin; q < end; ++q) {
       const float* query = queries.Row(q);
@@ -239,20 +240,16 @@ BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
         // Selector pushdown ahead of the ADC stage: disallowed rows cost no
         // table lookups and cannot crowd allowed rows out of the shortlist.
         if (options.filter != nullptr) {
-          const size_t before = candidates.size();
-          candidates.erase(
-              std::remove_if(candidates.begin(), candidates.end(),
-                             [&](uint32_t id) {
-                               return !options.filter->is_member(id);
-                             }),
-              candidates.end());
-          dropped = before - candidates.size();
+          dropped = KeepMembers(*options.filter, &candidates);
         }
         scored = candidates.size();
 
         const std::vector<float> table = BuildMetricTable(prepared);
-        for (uint32_t id : candidates) {
-          approx.Push(quantizer_.AdcDistance(table, codes_ + id * m_sub), id);
+        adc.resize(candidates.size());
+        quantizer_.AdcDistances(table, codes_, candidates.data(),
+                                candidates.size(), adc.data());
+        for (size_t i = 0; i < candidates.size(); ++i) {
+          approx.Push(adc[i], candidates[i]);
         }
       }
       QueryCounters counters;
@@ -266,7 +263,9 @@ BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
 
       // Exact re-rank of the shortlist through the batched gather-by-id
       // kernels (already filtered in the float stage; fast-scan requests are
-      // unfiltered by construction).
+      // unfiltered by construction). The shortlist keeps arrival order, so
+      // one probed bucket's ids arrive ascending and the rerank skips its
+      // sort.
       result.SetRow(q, RerankCandidatesScored(dist_, query, shortlist, k));
     }
   });

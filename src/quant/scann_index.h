@@ -5,7 +5,8 @@
 // "ScaNN / K-means + ScaNN / USP + ScaNN" rows of Fig. 7.
 //
 // The ADC stage runs in one of two modes (quant/fastscan.h AdcMode):
-//   - float:     per-code walk of the float ADC table (the historical path).
+//   - float:     walk of the float ADC table, four codes at a time
+//     (ProductQuantizer::AdcDistances, bit-identical to the per-code walk).
 //   - fast-scan: 4-bit packed codes + quantized uint8 LUTs scored 32 codes
 //     per _mm256_shuffle_epi8 pass (dist/quant_kernels.h). Engages by
 //     default (kAuto) when codebook_size <= 16 and the request is
@@ -72,10 +73,12 @@ class ScannIndex : public Index {
   /// k-NN search: probe the `options.budget` best bins, ADC-score their
   /// points, then exact-rerank the shortlist: the max(k, rerank_budget)
   /// smallest (ADC score, id) pairs. A Shortlist (knn/top_k.h) picks them
-  /// without per-candidate heap work; it keeps exactly the set a TopK heap
-  /// would, and the rerank orders the ids itself. An options.filter is
-  /// applied before the ADC stage, so disallowed rows cost no table lookups
-  /// and never occupy shortlist slots — with all bins probed and
+  /// without per-candidate heap work or branches; it keeps exactly the set a
+  /// TopK heap would, in arrival order, so one probed bucket's shortlist
+  /// arrives sorted by id and the rerank skips its sort. An options.filter
+  /// is pushed down (KeepMembers) before the ADC stage, so disallowed rows
+  /// cost no table lookups and never occupy shortlist slots — with all bins
+  /// probed and
   /// rerank_budget >= the allowed count, the result is exact brute force
   /// over the allowed subset. `options.num_threads` caps the per-query search
   /// sharding (0 = thread-pool default, 1 = serial; partition scoring still

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "dist/quant_kernels.h"
 #include "index/query_planner.h"
@@ -111,6 +112,14 @@ BatchSearchResult Sq8Index::SearchBatch(const SearchRequest& request) const {
 
   const QuantKernels& kq = GetQuantKernels();
   const bool use_l2 = config_.metric == Metric::kSquaredL2;
+  // Selector pushdown, once per request: the allowed rows in id order.
+  // Disallowed rows cost no kernel work.
+  std::vector<uint32_t> allowed;
+  if (options.filter != nullptr) {
+    allowed.resize(n);
+    std::iota(allowed.begin(), allowed.end(), 0u);
+    KeepMembers(*options.filter, &allowed);
+  }
 
   ParallelFor(nq, 4, options.num_threads, [&](size_t begin, size_t end,
                                               size_t) {
@@ -147,20 +156,15 @@ BatchSearchResult Sq8Index::SearchBatch(const SearchRequest& request) const {
         }
         scored = n;
       } else {
-        // Selector pushdown: disallowed rows cost no kernel work.
-        for (size_t i = 0; i < n; ++i) {
-          const uint32_t id = static_cast<uint32_t>(i);
-          if (!options.filter->is_member(id)) {
-            ++dropped;
-            continue;
-          }
-          const uint8_t* row = codes_ + i * d;
+        for (const uint32_t id : allowed) {
+          const uint8_t* row = codes_ + size_t{id} * d;
           const float proxy =
               use_l2 ? static_cast<float>(kq.sq8_l2(qcode.data(), row, d))
                      : -static_cast<float>(kq.sq8_dot(qcode.data(), row, d));
           approx.Push(proxy, id);
-          ++scored;
         }
+        scored = allowed.size();
+        dropped = n - allowed.size();
       }
       QueryCounters counters;
       counters.scored = static_cast<uint32_t>(scored);
@@ -170,7 +174,9 @@ BatchSearchResult Sq8Index::SearchBatch(const SearchRequest& request) const {
       shortlist.clear();
       for (const Neighbor& cand : approx.Take()) shortlist.push_back(cand.id);
 
-      // Exact fp32 re-rank of the shortlist (already filtered above).
+      // Exact fp32 re-rank of the shortlist (already filtered above). The
+      // scan runs in id order and the shortlist keeps arrival order, so the
+      // ids arrive ascending and the rerank skips its sort.
       result.SetRow(q, RerankCandidatesScored(dist_, query, shortlist, k));
     }
   });

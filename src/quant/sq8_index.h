@@ -10,7 +10,9 @@
 // shortlist, and exact fp32 re-rank under the index metric produces the
 // final neighbors. A Shortlist (knn/top_k.h) selects them: the set a TopK
 // heap would keep, in O(rerank_budget) memory however many rows the scan
-// streams past it. The code-space proxy equals the true metric up to
+// streams past it, and in arrival order, so the shortlist of the id-ordered
+// scan arrives sorted and the rerank skips its sort. The code-space proxy
+// equals the true metric up to
 // per-dimension scale weighting, so with rerank_budget >= size() the result
 // is exact brute force regardless of quantization; tests/sq8_test.cc pins
 // that and the recall floor at practical budgets.
@@ -54,7 +56,8 @@ class Sq8Index : public Index {
   /// k-NN search: quantized-domain scan of every row (options.budget is
   /// irrelevant — the scan is exhaustive), exact re-rank of the best
   /// rerank_budget proxies. An options.filter drops rows before the
-  /// quantized scoring, so disallowed rows cost no kernel work; at
+  /// quantized scoring (the allowed ids are listed once per request by
+  /// KeepMembers), so disallowed rows cost no kernel work; at
   /// rerank_budget >= the allowed count the result is exact brute force over
   /// the allowed subset. `options.num_threads` caps per-query sharding;
   /// results are identical at every setting.

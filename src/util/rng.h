@@ -16,11 +16,22 @@ class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
-  /// Next raw 64-bit value.
-  uint64_t Next();
+  /// Next raw 64-bit value. Inline, with Uniform: per-element draws (e.g.
+  /// Dropout masks) then cost no call.
+  uint64_t Next() {
+    const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double Uniform();
+  /// Uniform double in [0, 1): the 53 high bits of Next().
+  double Uniform() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
 
   /// Uniform float in [lo, hi).
   float UniformFloat(float lo, float hi);
@@ -45,6 +56,10 @@ class Rng {
   Rng Fork();
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t state_[4];
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;

@@ -1,8 +1,9 @@
 // Tests for the 4-bit PQ fast-scan path (quant/fastscan.h +
 // dist/quant_kernels.h): packed layout round trips, scalar-vs-AVX2 bitwise
-// parity across every SIMD tail, the LUT quantization error bound, and
-// end-to-end agreement between the fast-scan and float ADC pipelines inside
-// ScannIndex / IvfPqIndex under every metric.
+// parity across every SIMD tail, the LUT bytes and quantization error bound,
+// and end-to-end agreement between the fast-scan and float ADC pipelines
+// inside ScannIndex / IvfPqIndex under every metric.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <random>
@@ -190,6 +191,64 @@ TEST(FastScanTest, LutQuantizationErrorIsBounded) {
       }
     }
   }
+}
+
+// QuantizeAdcTable's LUT bytes against a test-local std::lround reference:
+// entry = min(lround((T[s][c] - min_s) / delta), 255) with delta the widest
+// subspace range / 255. In the first table subspace 0 spans exactly 255, so
+// delta is 1 and every other entry sits exactly on a half step above its
+// subspace minimum (also below zero), where rounding must go up as lround's
+// does; random tables cover k < 16 and many subspaces.
+TEST(FastScanTest, LutBytesMatchLroundReference) {
+  const auto reference = [](const std::vector<float>& table, size_t m,
+                            size_t k) {
+    std::vector<uint8_t> lut(m * 16, 0);
+    std::vector<float> lows(m);
+    float max_range = 0.0f;
+    for (size_t s = 0; s < m; ++s) {
+      const float* row = table.data() + s * k;
+      lows[s] = *std::min_element(row, row + k);
+      max_range = std::max(max_range, *std::max_element(row, row + k) - lows[s]);
+    }
+    const float delta = max_range / 255.0f;
+    for (size_t s = 0; s < m && delta > 0.0f; ++s) {
+      for (size_t c = 0; c < k; ++c) {
+        const long rounded =
+            std::lround((table[s * k + c] - lows[s]) / delta);
+        lut[s * 16 + c] = static_cast<uint8_t>(std::min(rounded, 255L));
+      }
+    }
+    return lut;
+  };
+  struct Case {
+    size_t m, k;
+    std::vector<float> table;
+  };
+  std::vector<Case> cases;
+  cases.push_back({3, 6,
+                   {0.0f, 255.0f, 0.5f, 1.5f, 127.5f, 254.5f,        //
+                    10.0f, 10.5f, 11.5f, 12.5f, 200.5f, 264.5f,      //
+                    -100.0f, -99.5f, -0.5f, 0.0f, 20.5f, 154.5f}});
+  std::mt19937_64 rng(19);
+  std::uniform_real_distribution<float> val(-4.0f, 9.0f);
+  for (const size_t m : {1u, 8u, 32u}) {
+    for (const size_t k : {2u, 9u, 16u}) {
+      Case c{m, k, std::vector<float>(m * k)};
+      for (float& t : c.table) t = val(rng);
+      cases.push_back(std::move(c));
+    }
+  }
+  for (const Case& c : cases) {
+    const QuantizedLut lut = QuantizeAdcTable(c.table.data(), c.m, c.k);
+    EXPECT_EQ(lut.lut, reference(c.table, c.m, c.k))
+        << "m=" << c.m << " k=" << c.k;
+  }
+  // The half-step table's entries land on n + 0.5 exactly.
+  const QuantizedLut half = QuantizeAdcTable(cases[0].table.data(), 3, 6);
+  EXPECT_EQ(half.delta, 1.0f);
+  EXPECT_EQ(half.lut[2], 1);     // 0.5 rounds up
+  EXPECT_EQ(half.lut[16 + 5], 255);  // 254.5 rounds up
+  EXPECT_EQ(half.lut[32 + 2], 100);  // -0.5 - (-100) = 99.5 rounds up
 }
 
 TEST(FastScanTest, ConstantTableQuantizesToZeroDelta) {

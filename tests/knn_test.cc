@@ -2,6 +2,7 @@
 // search against an O(n^2) reference, k'-NN matrix construction invariants,
 // candidate re-ranking, and subset filtering.
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <vector>
@@ -50,59 +51,86 @@ TEST(TopKTest, FewerCandidatesThanK) {
   EXPECT_EQ(sorted[0].id, 0u);
 }
 
-// The ADC shortlist keeps exactly the set a TopK(keep) keeps. Scores come
-// from a handful of values, so most comparisons fall through to the id
-// tie-break; ids are distinct, as in every index. Streams of 20000 pairs
-// come shuffled, ascending and descending: in descending (distance, id)
-// order every pair beats the kept worst, so the buffer (4 * keep slots, at
-// least 64) is cut each time it refills, even at keep = 2500; keep >= n - 1
-// never fills it and leaves the work to the final cut.
+// The ADC shortlist keeps exactly the set a TopK(keep) keeps, and returns it
+// in arrival order. Scores come from a handful of values, so most
+// comparisons fall through to the id tie-break; ids are distinct, as in
+// every index. The second value set holds negative scores (negated IP and
+// cosine ADC scores) below a majority of -0.0f and +0.0f (SQ8's dot proxy
+// -static_cast<float>(0) is -0; the two compare equal, so their ties break
+// by id), and keep = 4500 and 11000 cut inside those zeros. Streams of 20000
+// pairs come shuffled, ascending and descending: in descending (distance,
+// id) order every pair beats the kept worst, so the buffer (4 * keep slots,
+// at least 64) is cut each time it refills, even at keep = 4500;
+// keep >= n - 1 never fills it and leaves the work to the final cut.
 TEST(ShortlistTest, KeepsTheSetTopKKeeps) {
   constexpr size_t kN = 20000;
-  const float kValues[] = {0.0f, 0.5f, 1.0f, 2.5f, 4.0f};
-  Rng rng(41);
-  std::vector<Neighbor> stream(kN);
-  for (size_t i = 0; i < kN; ++i) {
-    stream[i] = {kValues[rng.UniformInt(5)], static_cast<uint32_t>(3 * i + 7)};
-  }
-  std::vector<std::vector<Neighbor>> orders(3, stream);
-  for (size_t i = kN; i > 1; --i) {
-    std::swap(orders[0][i - 1], orders[0][rng.UniformInt(i)]);
-  }
-  std::sort(orders[1].begin(), orders[1].end());
-  std::sort(orders[2].rbegin(), orders[2].rend());
-  for (size_t o = 0; o < orders.size(); ++o) {
-    for (const size_t keep :
-         {size_t{0}, size_t{1}, size_t{10}, size_t{2500}, kN - 1, kN,
-          kN + 5}) {
-      SCOPED_TRACE(testing::Message() << "order " << o << " keep " << keep);
-      Shortlist shortlist(keep);
-      TopK heap(keep);
-      for (const Neighbor& n : orders[o]) {
-        shortlist.Push(n.distance, n.id);
-        heap.Push(n.distance, n.id);
-      }
-      std::vector<Neighbor> got = shortlist.Take();
-      std::sort(got.begin(), got.end());
-      const std::vector<Neighbor> want = heap.TakeSorted();
-      ASSERT_EQ(got.size(), want.size());
-      for (size_t j = 0; j < want.size(); ++j) {
-        ASSERT_EQ(got[j].id, want[j].id) << "slot " << j;
-        ASSERT_EQ(got[j].distance, want[j].distance) << "slot " << j;
+  const std::vector<std::vector<float>> value_sets = {
+      {0.0f, 0.5f, 1.0f, 2.5f, 4.0f},
+      {-2.0f, -0.5f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f, 0.0f, 1.5f, 3.0f}};
+  for (size_t v = 0; v < value_sets.size(); ++v) {
+    const std::vector<float>& values = value_sets[v];
+    Rng rng(41);
+    std::vector<Neighbor> stream(kN);
+    for (size_t i = 0; i < kN; ++i) {
+      stream[i] = {values[rng.UniformInt(values.size())],
+                   static_cast<uint32_t>(3 * i + 7)};
+    }
+    std::vector<std::vector<Neighbor>> orders(3, stream);
+    for (size_t i = kN; i > 1; --i) {
+      std::swap(orders[0][i - 1], orders[0][rng.UniformInt(i)]);
+    }
+    std::sort(orders[1].begin(), orders[1].end());
+    std::sort(orders[2].rbegin(), orders[2].rend());
+    for (size_t o = 0; o < orders.size(); ++o) {
+      for (const size_t keep :
+           {size_t{0}, size_t{1}, size_t{10}, size_t{2500}, size_t{4500},
+            size_t{11000}, kN - 1, kN, kN + 5}) {
+        SCOPED_TRACE(testing::Message()
+                     << "values " << v << " order " << o << " keep " << keep);
+        Shortlist shortlist(keep);
+        TopK heap(keep);
+        for (const Neighbor& n : orders[o]) {
+          shortlist.Push(n.distance, n.id);
+          heap.Push(n.distance, n.id);
+        }
+        const std::vector<Neighbor> got = shortlist.Take();
+        std::vector<Neighbor> sorted = got;
+        std::sort(sorted.begin(), sorted.end());
+        const std::vector<Neighbor> want = heap.TakeSorted();
+        ASSERT_EQ(sorted.size(), want.size());
+        std::vector<bool> kept(3 * kN + 7, false);
+        for (size_t j = 0; j < want.size(); ++j) {
+          ASSERT_EQ(sorted[j].id, want[j].id) << "slot " << j;
+          ASSERT_EQ(sorted[j].distance, want[j].distance) << "slot " << j;
+          kept[want[j].id] = true;
+        }
+        // Arrival order, with each pair's distance bits (-0 stays -0).
+        size_t j = 0;
+        for (const Neighbor& n : orders[o]) {
+          if (!kept[n.id]) continue;
+          ASSERT_LT(j, got.size());
+          ASSERT_EQ(got[j].id, n.id) << "position " << j;
+          ASSERT_EQ(std::memcmp(&got[j].distance, &n.distance, sizeof(float)),
+                    0)
+              << "position " << j;
+          ++j;
+        }
+        ASSERT_EQ(j, got.size());
       }
     }
-  }
-  // A keep near SIZE_MAX (e.g. a rerank budget meaning "everything") keeps
-  // the whole stream: the buffer size saturates instead of wrapping.
-  std::sort(stream.begin(), stream.end());
-  for (const size_t keep : {std::numeric_limits<size_t>::max() / 4 + 1,
-                            std::numeric_limits<size_t>::max()}) {
-    Shortlist shortlist(keep);
-    for (const Neighbor& n : orders[0]) shortlist.Push(n.distance, n.id);
-    std::vector<Neighbor> got = shortlist.Take();
-    std::sort(got.begin(), got.end());
-    ASSERT_EQ(got.size(), kN) << "keep " << keep;
-    for (size_t j = 0; j < kN; ++j) ASSERT_EQ(got[j].id, stream[j].id);
+    if (v != 0) continue;
+    // A keep near SIZE_MAX (e.g. a rerank budget meaning "everything") keeps
+    // the whole stream: the buffer size saturates instead of wrapping.
+    std::sort(stream.begin(), stream.end());
+    for (const size_t keep : {std::numeric_limits<size_t>::max() / 4 + 1,
+                              std::numeric_limits<size_t>::max()}) {
+      Shortlist shortlist(keep);
+      for (const Neighbor& n : orders[0]) shortlist.Push(n.distance, n.id);
+      std::vector<Neighbor> got = shortlist.Take();
+      std::sort(got.begin(), got.end());
+      ASSERT_EQ(got.size(), kN) << "keep " << keep;
+      for (size_t j = 0; j < kN; ++j) ASSERT_EQ(got[j].id, stream[j].id);
+    }
   }
 }
 

@@ -1,7 +1,8 @@
 // Tests for quant/: PQ codebook training, encode/decode consistency, ADC
-// distance quality, the anisotropic objective's effect, and the ScaNN-style
-// index end-to-end (vanilla scan vs. partitioned, and a partial ADC
-// shortlist pinned against a heap-built reference).
+// distance quality, the four-code batch ADC walk, the anisotropic
+// objective's effect, and the ScaNN-style index end-to-end (vanilla scan vs.
+// partitioned, and partial float-ADC and fast-scan shortlists pinned against
+// a heap-built reference).
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -14,11 +15,14 @@
 #include "core/partitioner.h"
 #include "dataset/workload.h"
 #include "dist/distance_computer.h"
+#include "index/id_selector.h"
 #include "knn/brute_force.h"
 #include "knn/top_k.h"
+#include "quant/fastscan.h"
 #include "quant/pq.h"
 #include "quant/scann_index.h"
 #include "tensor/ops.h"
+#include "util/rng.h"
 
 namespace usp {
 namespace {
@@ -109,6 +113,43 @@ TEST(PqTest, AdcMatchesDecodedDistance) {
       const float exact =
           SquaredDistance(query, reconstructed.data(), w.base.cols());
       EXPECT_NEAR(adc, exact, 1e-1f + 1e-3f * exact);
+    }
+  }
+}
+
+// The batch ADC entry walks four codes at once, each on its own add chain
+// from +0 in subspace order, so every score must carry AdcDistance's bits.
+// Counts 0..11 cover every remainder of the four-code loop; the negated dot
+// table pins negative entries too.
+TEST(PqTest, BatchAdcMatchesAdcDistanceBitForBit) {
+  const Workload& w = QuantWorkload();
+  const size_t n = w.base.rows();
+  std::vector<uint32_t> ids(11);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = static_cast<uint32_t>((i * 389 + 11) % n);  // scrambled order
+  }
+  for (const size_t m : {size_t{1}, size_t{7}, size_t{8}, size_t{32}}) {
+    PqConfig config;
+    config.num_subspaces = m;
+    config.codebook_size = 16;
+    config.kmeans_iterations = 4;
+    ProductQuantizer pq(config);
+    pq.Train(w.base);
+    const std::vector<uint8_t> codes = pq.Encode(w.base);
+    std::vector<float> dot = pq.BuildDotTable(w.queries.Row(1));
+    for (float& v : dot) v = -v;
+    for (const std::vector<float>& table :
+         {pq.BuildAdcTable(w.queries.Row(0)), dot}) {
+      for (size_t count = 0; count <= ids.size(); ++count) {
+        std::vector<float> got(count + 1, -1.0f);
+        pq.AdcDistances(table, codes.data(), ids.data(), count, got.data());
+        for (size_t i = 0; i < count; ++i) {
+          const float want = pq.AdcDistance(table, codes.data() + ids[i] * m);
+          EXPECT_EQ(std::memcmp(&got[i], &want, sizeof(float)), 0)
+              << "m " << m << " count " << count << " code " << i;
+        }
+        EXPECT_EQ(got[count], -1.0f) << "wrote past count " << count;
+      }
     }
   }
 }
@@ -215,10 +256,55 @@ TEST(ScannIndexTest, BiggerRerankBudgetHelps) {
   }
 }
 
+// The ids a partial ScaNN query probes, in probe order: the first `probes`
+// bins by descending partitioner score, ties by bin id.
+std::vector<uint32_t> ProbedIds(const ScannIndex& index, const float* scores,
+                                size_t probes) {
+  std::vector<uint32_t> bins(index.buckets().size());
+  std::iota(bins.begin(), bins.end(), 0u);
+  std::stable_sort(bins.begin(), bins.end(), [&](uint32_t a, uint32_t b) {
+    return scores[a] > scores[b];
+  });
+  std::vector<uint32_t> ids;
+  for (size_t p = 0; p < probes; ++p) {
+    const std::vector<uint32_t>& bucket = index.buckets()[bins[p]];
+    ids.insert(ids.end(), bucket.begin(), bucket.end());
+  }
+  return ids;
+}
+
+// The heap-built reference of a ScaNN row: a TopK(rerank_budget) shortlist
+// of the (ADC score, id) pairs, reranked by RerankCandidatesScored. `got`
+// must hold the same ids and distance bits in row q.
+void ExpectRowMatchesHeapReference(const BatchSearchResult& got, size_t q,
+                                   const float* query,
+                                   const std::vector<Neighbor>& scored,
+                                   size_t rerank_budget) {
+  const size_t k = got.k;
+  TopK approx(rerank_budget);
+  for (const Neighbor& n : scored) approx.Push(n.distance, n.id);
+  std::vector<uint32_t> shortlist;
+  for (const Neighbor& n : approx.TakeSorted()) shortlist.push_back(n.id);
+  const DistanceComputer dist(QuantWorkload().base, Metric::kSquaredL2);
+  const std::vector<Neighbor> want =
+      RerankCandidatesScored(dist, query, shortlist, k);
+  ASSERT_EQ(want.size(), k);
+  EXPECT_EQ(got.candidate_counts[q], scored.size());
+  for (size_t j = 0; j < k; ++j) {
+    EXPECT_EQ(got.ids[q * k + j], want[j].id) << "slot " << j;
+    EXPECT_EQ(std::memcmp(&got.distances[q * k + j], &want[j].distance,
+                          sizeof(float)),
+              0)
+        << "slot " << j;
+  }
+}
+
 // The float ADC path (the one filtered requests take) with a rerank budget
 // below the probed candidate count, so the shortlist is partial: every row
 // must equal, bit for bit, a reference that shortlists the same candidates
-// through a TopK heap and reranks them with RerankCandidatesScored.
+// through a TopK heap and reranks them with RerankCandidatesScored. It runs
+// unfiltered and under a 30% bitmap, whose pushdown must drop exactly the
+// rejected ids before the ADC stage.
 TEST(ScannIndexTest, PartialFloatAdcShortlistMatchesHeapReference) {
   const Workload& w = QuantWorkload();
   KMeansConfig kc;
@@ -236,43 +322,96 @@ TEST(ScannIndexTest, PartialFloatAdcShortlistMatchesHeapReference) {
   ScannIndex index(&w.base, &partitioner, std::move(pq), config);
   ASSERT_FALSE(index.has_fast_scan());
 
+  Rng rng(17);
+  std::vector<uint32_t> allowed;
+  for (uint32_t id = 0; id < w.base.rows(); ++id) {
+    if (rng.Uniform() < 0.3) allowed.push_back(id);
+  }
+  const IdSelectorBitmap bitmap(w.base.rows(), allowed);
+
   constexpr size_t kK = 10, kProbes = 3;
-  const BatchSearchResult got = index.SearchBatch(w.queries, kK, kProbes);
   const Matrix scores = partitioner.ScoreBins(w.queries);
-  const DistanceComputer dist(w.base, Metric::kSquaredL2);
   const ProductQuantizer& quantizer = index.quantizer();
   const size_t m = quantizer.num_subspaces();
-  for (size_t q = 0; q < w.queries.rows(); ++q) {
-    SCOPED_TRACE(testing::Message() << "query " << q);
-    const float* query = w.queries.Row(q);
-    // Probe order: bins by descending score, ties by bin id.
-    const float* s = scores.Row(q);
-    std::vector<uint32_t> bins(index.buckets().size());
-    std::iota(bins.begin(), bins.end(), 0u);
-    std::stable_sort(bins.begin(), bins.end(),
-                     [&](uint32_t a, uint32_t b) { return s[a] > s[b]; });
-    const std::vector<float> table = quantizer.BuildAdcTable(query);
-    TopK approx(config.rerank_budget);
-    uint32_t probed = 0;
-    for (size_t p = 0; p < kProbes; ++p) {
-      for (const uint32_t id : index.buckets()[bins[p]]) {
-        approx.Push(quantizer.AdcDistance(table, index.codes() + id * m), id);
-        ++probed;
+  for (const IdSelector* filter : {static_cast<const IdSelector*>(nullptr),
+                                   static_cast<const IdSelector*>(&bitmap)}) {
+    SCOPED_TRACE(filter == nullptr ? "unfiltered" : "30% bitmap");
+    SearchRequest request;
+    request.queries = w.queries;
+    request.options.k = kK;
+    request.options.budget = kProbes;
+    request.options.filter = filter;
+    request.options.plan = PlanMode::kForcePushdown;
+    request.options.stats = true;
+    const BatchSearchResult got = index.SearchBatch(request);
+    for (size_t q = 0; q < w.queries.rows(); ++q) {
+      SCOPED_TRACE(testing::Message() << "query " << q);
+      const float* query = w.queries.Row(q);
+      const std::vector<float> table = quantizer.BuildAdcTable(query);
+      std::vector<Neighbor> scored;
+      uint32_t dropped = 0;
+      for (const uint32_t id : ProbedIds(index, scores.Row(q), kProbes)) {
+        if (filter != nullptr && !filter->is_member(id)) {
+          ++dropped;
+          continue;
+        }
+        scored.push_back(
+            {quantizer.AdcDistance(table, index.codes() + id * m), id});
       }
+      ASSERT_GT(scored.size(), config.rerank_budget);
+      EXPECT_EQ(got.stats->filtered_out[q], dropped);
+      ExpectRowMatchesHeapReference(got, q, query, scored,
+                                    config.rerank_budget);
     }
-    ASSERT_GT(probed, config.rerank_budget);
-    std::vector<uint32_t> shortlist;
-    for (const Neighbor& n : approx.TakeSorted()) shortlist.push_back(n.id);
-    const std::vector<Neighbor> want =
-        RerankCandidatesScored(dist, query, shortlist, kK);
-    ASSERT_EQ(want.size(), kK);
-    EXPECT_EQ(got.candidate_counts[q], probed);
-    for (size_t j = 0; j < kK; ++j) {
-      EXPECT_EQ(got.ids[q * kK + j], want[j].id) << "slot " << j;
-      EXPECT_EQ(std::memcmp(&got.distances[q * kK + j], &want[j].distance,
-                            sizeof(float)),
-                0)
-          << "slot " << j;
+  }
+}
+
+// The fast-scan path at budgets 1 and 3 with a rerank budget below the
+// probed candidate count: the shortlist of pq4 scores (the LUT's uint16 sum
+// per code, mapped back through QuantizedLut::Score) must keep the set a
+// TopK heap keeps, and every row must match the heap reference bit for bit.
+TEST(ScannIndexTest, PartialFastScanShortlistMatchesHeapReference) {
+  const Workload& w = QuantWorkload();
+  KMeansConfig kc;
+  kc.num_clusters = 8;
+  kc.seed = 5;
+  KMeansPartitioner partitioner(w.base, kc);
+  PqConfig pq_config;
+  pq_config.num_subspaces = 8;
+  pq_config.codebook_size = 16;
+  ProductQuantizer pq(pq_config);
+  pq.Train(w.base);
+  ScannIndexConfig config;
+  config.rerank_budget = 30;
+  config.adc = AdcMode::kFastScan;
+  ScannIndex index(&w.base, &partitioner, std::move(pq), config);
+  ASSERT_TRUE(index.has_fast_scan());
+
+  constexpr size_t kK = 10;
+  const Matrix scores = partitioner.ScoreBins(w.queries);
+  const ProductQuantizer& quantizer = index.quantizer();
+  const size_t m = quantizer.num_subspaces();
+  for (const size_t probes : {size_t{1}, size_t{3}}) {
+    SCOPED_TRACE(testing::Message() << "probes " << probes);
+    const BatchSearchResult got = index.SearchBatch(w.queries, kK, probes);
+    for (size_t q = 0; q < w.queries.rows(); ++q) {
+      SCOPED_TRACE(testing::Message() << "query " << q);
+      const float* query = w.queries.Row(q);
+      const std::vector<float> table = quantizer.BuildAdcTable(query);
+      const QuantizedLut lut =
+          QuantizeAdcTable(table.data(), m, quantizer.codebook_size());
+      std::vector<Neighbor> scored;
+      for (const uint32_t id : ProbedIds(index, scores.Row(q), probes)) {
+        uint16_t sum = 0;
+        for (size_t s = 0; s < m; ++s) {
+          sum = static_cast<uint16_t>(sum +
+                                      lut.lut[s * 16 + index.codes()[id * m + s]]);
+        }
+        scored.push_back({lut.Score(sum), id});
+      }
+      ASSERT_GT(scored.size(), config.rerank_budget);
+      ExpectRowMatchesHeapReference(got, q, query, scored,
+                                    config.rerank_budget);
     }
   }
 }
