@@ -68,6 +68,8 @@ class UspPartitioner : public BinScorer {
 
   const std::vector<EpochStats>& epoch_stats() const { return epoch_stats_; }
   const UspTrainConfig& config() const { return config_; }
+  /// Width of the rows the model scores (0 until trained or loaded).
+  size_t input_dim() const { return input_dim_; }
 
   /// Persists the trained model (config + every state tensor, including
   /// batch-norm running statistics) so the offline phase can run once and the

@@ -18,63 +18,6 @@ std::string SectionName(SectionTag tag, uint32_t ordinal) {
 
 }  // namespace
 
-ContainerWriter::ContainerWriter(IndexType type, Metric metric, uint64_t dim,
-                                 uint64_t num_points) {
-  std::memset(&header_, 0, sizeof(header_));
-  std::memcpy(header_.magic, kContainerMagic, sizeof(kContainerMagic));
-  header_.version = kContainerVersion;
-  header_.index_type = static_cast<uint32_t>(type);
-  header_.metric = static_cast<uint32_t>(metric);
-  header_.dim = dim;
-  header_.num_points = num_points;
-}
-
-void ContainerWriter::AddSection(SectionTag tag, uint32_t ordinal,
-                                 const void* data, uint64_t size) {
-  PendingSection section;
-  section.entry = {static_cast<uint32_t>(tag), ordinal, 0, size};
-  section.data = data;
-  sections_.push_back(std::move(section));
-}
-
-void ContainerWriter::AddOwnedSection(SectionTag tag, uint32_t ordinal,
-                                      std::string bytes) {
-  PendingSection section;
-  section.entry = {static_cast<uint32_t>(tag), ordinal, 0, bytes.size()};
-  section.data = nullptr;
-  section.owned = std::move(bytes);
-  sections_.push_back(std::move(section));
-}
-
-Status ContainerWriter::WriteTo(Writer* out, const std::string& name) {
-  header_.section_count = static_cast<uint32_t>(sections_.size());
-  uint64_t cursor =
-      sizeof(ContainerHeader) + sections_.size() * sizeof(SectionEntry);
-  for (PendingSection& section : sections_) {
-    cursor = AlignUp(cursor, kSectionAlignment);
-    section.entry.offset = cursor;
-    cursor += section.entry.size;
-  }
-  header_.file_size = cursor;
-
-  bool ok = out->WritePod(header_);
-  for (const PendingSection& section : sections_) {
-    ok = ok && out->WritePod(section.entry);
-  }
-  static constexpr char kPadding[kSectionAlignment] = {};
-  uint64_t written =
-      sizeof(ContainerHeader) + sections_.size() * sizeof(SectionEntry);
-  for (const PendingSection& section : sections_) {
-    ok = ok && out->Write(kPadding, section.entry.offset - written);
-    const void* data =
-        section.data != nullptr ? section.data : section.owned.data();
-    ok = ok && out->Write(data, section.entry.size);
-    written = section.entry.offset + section.entry.size;
-  }
-  if (!ok) return Status::IoError("short write to " + name);
-  return Status::Ok();
-}
-
 StreamingContainerWriter::StreamingContainerWriter(IndexType type,
                                                    Metric metric, uint64_t dim,
                                                    uint64_t num_points) {
@@ -99,8 +42,6 @@ Status StreamingContainerWriter::Start(Writer* out, const std::string& name) {
   }
   out_ = out;
   name_ = name;
-  // ContainerWriter::WriteTo's layout, verbatim: the two writers must place
-  // every byte identically.
   header_.section_count = static_cast<uint32_t>(sections_.size());
   uint64_t cursor =
       sizeof(ContainerHeader) + sections_.size() * sizeof(SectionEntry);
@@ -185,13 +126,40 @@ Status StreamingContainerWriter::Finish() {
         " of " + std::to_string(entry.size) + " bytes appended");
   }
   // Trailing zero-size sections still claim an aligned offset; pad out to
-  // the declared file size so the bytes match ContainerWriter exactly.
+  // the declared file size.
   Status status = Pad(header_.file_size);
   if (!status.ok()) return status;
   started_ = false;
   return Status::Ok();
 }
 
+ContainerWriter::ContainerWriter(IndexType type, Metric metric, uint64_t dim,
+                                 uint64_t num_points)
+    : stream_(type, metric, dim, num_points) {}
+
+void ContainerWriter::AddSection(SectionTag tag, uint32_t ordinal,
+                                 const void* data, uint64_t size) {
+  stream_.PlanSection(tag, ordinal, size);
+  sections_.push_back({data, size, std::string()});
+}
+
+void ContainerWriter::AddOwnedSection(SectionTag tag, uint32_t ordinal,
+                                      std::string bytes) {
+  const uint64_t size = bytes.size();
+  stream_.PlanSection(tag, ordinal, size);
+  sections_.push_back({nullptr, size, std::move(bytes)});
+}
+
+Status ContainerWriter::WriteTo(Writer* out, const std::string& name) {
+  Status status = stream_.Start(out, name);
+  for (size_t i = 0; status.ok() && i < sections_.size(); ++i) {
+    const PendingSection& section = sections_[i];
+    status = stream_.Append(
+        section.data != nullptr ? section.data : section.owned.data(),
+        section.size);
+  }
+  return status.ok() ? stream_.Finish() : status;
+}
 
 Status ContainerReader::ValidateTable() {
   if (std::memcmp(header_.magic, kContainerMagic, sizeof(kContainerMagic)) !=
@@ -226,6 +194,38 @@ Status ContainerReader::ValidateTable() {
   return Status::Ok();
 }
 
+bool ContainerReader::ReadAt(uint64_t offset, void* out, uint64_t size) {
+  if (file_ != nullptr) return file_->Seek(offset) && file_->Read(out, size);
+  if (offset > actual_file_size_ || size > actual_file_size_ - offset) {
+    return false;
+  }
+  std::memcpy(out, view_ + offset, size);
+  return true;
+}
+
+Status ContainerReader::Parse() {
+  if (!ReadAt(0, &header_, sizeof(header_))) {
+    return Status::IoError("truncated container header in " + path_);
+  }
+  // Bound the table read before trusting section_count.
+  const uint64_t table_bytes =
+      static_cast<uint64_t>(header_.section_count) * sizeof(SectionEntry);
+  if (actual_file_size_ < sizeof(ContainerHeader) + table_bytes) {
+    // Magic/version errors should win over the size complaint.
+    if (std::memcmp(header_.magic, kContainerMagic,
+                    sizeof(kContainerMagic)) != 0) {
+      return Status::InvalidArgument(path_ + " is not a USP index container");
+    }
+    return Status::IoError("truncated container " + path_);
+  }
+  table_.resize(header_.section_count);
+  if (!table_.empty() &&
+      !ReadAt(sizeof(ContainerHeader), table_.data(), table_bytes)) {
+    return Status::IoError("truncated section table in " + path_);
+  }
+  return ValidateTable();
+}
+
 StatusOr<std::unique_ptr<ContainerReader>> ContainerReader::OpenFile(
     const std::string& path) {
   auto reader = std::unique_ptr<ContainerReader>(new ContainerReader());
@@ -235,51 +235,9 @@ StatusOr<std::unique_ptr<ContainerReader>> ContainerReader::OpenFile(
   StatusOr<uint64_t> size = reader->file_->Size();
   if (!size.ok()) return size.status();
   reader->actual_file_size_ = size.value();
-  if (!reader->file_->ReadPod(&reader->header_)) {
-    return Status::IoError("truncated container header in " + path);
-  }
-  // Bound the table read before trusting section_count.
-  if (reader->actual_file_size_ <
-      sizeof(ContainerHeader) +
-          static_cast<uint64_t>(reader->header_.section_count) *
-              sizeof(SectionEntry)) {
-    // Magic/version errors should win over the size complaint.
-    if (std::memcmp(reader->header_.magic, kContainerMagic,
-                    sizeof(kContainerMagic)) != 0) {
-      return Status::InvalidArgument(path + " is not a USP index container");
-    }
-    return Status::IoError("truncated container " + path);
-  }
-  reader->table_.resize(reader->header_.section_count);
-  if (!reader->table_.empty() &&
-      !reader->file_->Read(reader->table_.data(),
-                           reader->table_.size() * sizeof(SectionEntry))) {
-    return Status::IoError("truncated section table in " + path);
-  }
-  Status status = reader->ValidateTable();
+  Status status = reader->Parse();
   if (!status.ok()) return status;
   return reader;
-}
-
-Status ContainerReader::ParseView() {
-  if (actual_file_size_ < sizeof(ContainerHeader)) {
-    return Status::IoError("truncated container header in " + path_);
-  }
-  std::memcpy(&header_, view_, sizeof(ContainerHeader));
-  const uint64_t table_bytes =
-      static_cast<uint64_t>(header_.section_count) * sizeof(SectionEntry);
-  if (actual_file_size_ < sizeof(ContainerHeader) + table_bytes) {
-    if (std::memcmp(header_.magic, kContainerMagic,
-                    sizeof(kContainerMagic)) != 0) {
-      return Status::InvalidArgument(path_ + " is not a USP index container");
-    }
-    return Status::IoError("truncated container " + path_);
-  }
-  table_.resize(header_.section_count);
-  if (!table_.empty()) {
-    std::memcpy(table_.data(), view_ + sizeof(ContainerHeader), table_bytes);
-  }
-  return ValidateTable();
 }
 
 StatusOr<std::unique_ptr<ContainerReader>> ContainerReader::OpenMmap(
@@ -291,7 +249,7 @@ StatusOr<std::unique_ptr<ContainerReader>> ContainerReader::OpenMmap(
   reader->map_ = std::move(map).value();
   reader->view_ = reader->map_.data();
   reader->actual_file_size_ = reader->map_.size();
-  Status status = reader->ParseView();
+  Status status = reader->Parse();
   if (!status.ok()) return status;
   return reader;
 }
@@ -303,7 +261,7 @@ StatusOr<std::unique_ptr<ContainerReader>> ContainerReader::OpenMem(
   reader->mem_ = std::move(bytes);
   reader->view_ = reader->mem_.data();
   reader->actual_file_size_ = reader->mem_.size();
-  Status status = reader->ParseView();
+  Status status = reader->Parse();
   if (!status.ok()) return status;
   return reader;
 }
@@ -334,23 +292,17 @@ StatusOr<SectionEntry> ContainerReader::Find(SectionTag tag,
 
 Status ContainerReader::ReadSection(SectionTag tag, uint32_t ordinal,
                                     void* out, uint64_t expected_size) {
-  const SectionEntry* entry = FindEntry(tag, ordinal);
-  if (entry == nullptr) {
-    return Status::InvalidArgument("missing " + SectionName(tag, ordinal) +
-                                   " in " + path_);
-  }
-  if (entry->size != expected_size) {
+  StatusOr<SectionEntry> entry = Find(tag, ordinal);
+  if (!entry.ok()) return entry.status();
+  const uint64_t size = entry.value().size;
+  if (size != expected_size) {
     return Status::InvalidArgument(
         SectionName(tag, ordinal) + " in " + path_ + " has " +
-        std::to_string(entry->size) + " bytes, expected " +
+        std::to_string(size) + " bytes, expected " +
         std::to_string(expected_size));
   }
-  if (entry->size == 0) return Status::Ok();
-  if (view_ != nullptr) {
-    std::memcpy(out, view_ + entry->offset, entry->size);
-    return Status::Ok();
-  }
-  if (!file_->Seek(entry->offset) || !file_->Read(out, entry->size)) {
+  if (size == 0) return Status::Ok();
+  if (!ReadAt(entry.value().offset, out, size)) {
     return Status::IoError("short read of " + SectionName(tag, ordinal) +
                            " in " + path_);
   }
@@ -373,12 +325,9 @@ StatusOr<const uint8_t*> ContainerReader::SectionData(SectionTag tag,
     return Status::FailedPrecondition(
         "zero-copy section views need an mmap- or memory-opened container");
   }
-  const SectionEntry* entry = FindEntry(tag, ordinal);
-  if (entry == nullptr) {
-    return Status::InvalidArgument("missing " + SectionName(tag, ordinal) +
-                                   " in " + path_);
-  }
-  return view_ + entry->offset;
+  StatusOr<SectionEntry> entry = Find(tag, ordinal);
+  if (!entry.ok()) return entry.status();
+  return view_ + entry.value().offset;
 }
 
 }  // namespace usp

@@ -93,47 +93,14 @@ struct SectionEntry {
 };
 static_assert(sizeof(SectionEntry) == 24, "table layout is a contract");
 
-/// Assembles a container in memory (cheap: unowned payloads are referenced,
-/// not copied) and writes it in one pass. Payload pointers passed to
-/// AddSection must stay valid until WriteTo returns.
-class ContainerWriter {
- public:
-  ContainerWriter(IndexType type, Metric metric, uint64_t dim,
-                  uint64_t num_points);
-
-  /// References `size` bytes at `data` as section (tag, ordinal).
-  void AddSection(SectionTag tag, uint32_t ordinal, const void* data,
-                  uint64_t size);
-
-  /// Takes ownership of `bytes` (used for records assembled on the fly, e.g.
-  /// embedded model blobs and flattened graphs).
-  void AddOwnedSection(SectionTag tag, uint32_t ordinal, std::string bytes);
-
-  /// Lays out offsets and writes header + table + aligned payloads to any
-  /// byte sink (`name` labels errors). A StringWriter sink produces an
-  /// in-memory container — how sealed segments embed inside a dynamic-index
-  /// container (SerializeIndex in index/serialize.h).
-  Status WriteTo(Writer* out, const std::string& name);
-
- private:
-  struct PendingSection {
-    SectionEntry entry;
-    const void* data;  ///< nullptr when `owned` holds the payload
-    std::string owned;
-  };
-
-  ContainerHeader header_;
-  std::vector<PendingSection> sections_;
-};
-
 /// Writes a container front to back without ever holding a payload: section
 /// sizes are declared up front (PlanSection, in payload order), Start lays
 /// out the offsets and emits header + table, then payload bytes are streamed
 /// in with Append — split across as many calls as the producer likes, e.g.
-/// one call per base chunk. Given identical payload bytes the output file is
-/// byte-identical to ContainerWriter's, a property the out-of-core build
-/// path (serve/out_of_core_builder.h) turns into its bit-identity guarantee
-/// against SaveIndex. Finish verifies every declared byte arrived.
+/// one call per base chunk. This is the only place the layout is computed:
+/// ContainerWriter streams through it too, so given identical payload bytes
+/// the out-of-core build path (serve/out_of_core_builder.h) writes the same
+/// file as SaveIndex. Finish verifies every declared byte arrived.
 class StreamingContainerWriter {
  public:
   StreamingContainerWriter(IndexType type, Metric metric, uint64_t dim,
@@ -143,9 +110,8 @@ class StreamingContainerWriter {
   /// bytes will be appended. Must precede Start.
   void PlanSection(SectionTag tag, uint32_t ordinal, uint64_t size);
 
-  /// Lays out section offsets (ContainerWriter's exact algorithm) and writes
-  /// the header and section table to `out`, which must stay valid through
-  /// Finish. `name` labels errors.
+  /// Lays out section offsets and writes the header and section table to
+  /// `out`, which must stay valid through Finish. `name` labels errors.
   Status Start(Writer* out, const std::string& name);
 
   /// Appends payload bytes in planned order. Alignment padding before each
@@ -170,6 +136,40 @@ class StreamingContainerWriter {
   size_t current_ = 0;            ///< index of the section being filled
   uint64_t section_written_ = 0;  ///< bytes appended into that section
   uint64_t written_ = 0;          ///< absolute file position
+};
+
+/// Assembles a container in memory (cheap: unowned payloads are referenced,
+/// not copied) and writes it in one pass through a StreamingContainerWriter.
+/// Payload pointers passed to AddSection must stay valid until WriteTo
+/// returns.
+class ContainerWriter {
+ public:
+  ContainerWriter(IndexType type, Metric metric, uint64_t dim,
+                  uint64_t num_points);
+
+  /// References `size` bytes at `data` as section (tag, ordinal).
+  void AddSection(SectionTag tag, uint32_t ordinal, const void* data,
+                  uint64_t size);
+
+  /// Takes ownership of `bytes` (used for records assembled on the fly, e.g.
+  /// embedded model blobs and flattened graphs).
+  void AddOwnedSection(SectionTag tag, uint32_t ordinal, std::string bytes);
+
+  /// Writes header + table + aligned payloads to any byte sink (`name`
+  /// labels errors). A StringWriter sink produces an in-memory container —
+  /// how sealed segments embed inside a dynamic-index container
+  /// (SerializeIndex in index/serialize.h).
+  Status WriteTo(Writer* out, const std::string& name);
+
+ private:
+  struct PendingSection {
+    const void* data;  ///< nullptr when `owned` holds the payload
+    uint64_t size;
+    std::string owned;
+  };
+
+  StreamingContainerWriter stream_;
+  std::vector<PendingSection> sections_;
 };
 
 /// A validated, opened container. In mmap mode (zero_copy() == true) section
@@ -220,7 +220,9 @@ class ContainerReader {
   ContainerReader() = default;
 
   Status ValidateTable();
-  Status ParseView();  ///< header + table from view_ (mmap and mem modes)
+  Status Parse();  ///< reads header + table (every mode), then validates
+  /// Copies `size` bytes at `offset` from the file or the view.
+  bool ReadAt(uint64_t offset, void* out, uint64_t size);
   const SectionEntry* FindEntry(SectionTag tag, uint32_t ordinal) const;
 
   std::string path_;

@@ -425,6 +425,21 @@ Status SaveEnsemble(const UspEnsemble& index, Writer* out,
   return writer.WriteTo(out, name);
 }
 
+/// Appends part j of a nested (dynamic or sharded) container: the part's
+/// full container as kSegmentBlob j and its local -> global id map as
+/// kIdMap j.
+Status AppendPart(const Index& part, const std::vector<uint32_t>& ids,
+                  size_t j, ContainerWriter* writer) {
+  StatusOr<std::string> blob = SerializeIndex(part);
+  if (!blob.ok()) return blob.status();
+  const uint32_t ordinal = static_cast<uint32_t>(j);
+  writer->AddOwnedSection(SectionTag::kSegmentBlob, ordinal,
+                          std::move(blob).value());
+  writer->AddSection(SectionTag::kIdMap, ordinal, ids.data(),
+                     ids.size() * sizeof(uint32_t));
+  return Status::Ok();
+}
+
 Status SaveDynamic(const DynamicIndex& index, Writer* out,
                    const std::string& name) {
   // WithFrozenState holds the index's reader lock for the whole save, so the
@@ -432,8 +447,13 @@ Status SaveDynamic(const DynamicIndex& index, Writer* out,
   return index.WithFrozenState([&](const DynamicIndex::FrozenState& state)
                                    -> Status {
     uint64_t total_rows = state.write_rows;
+    std::vector<DynamicSegmentEntry> manifest;
     for (const auto& segment : state.sealed) {
-      total_rows += segment->index->size();
+      DynamicSegmentEntry entry{};
+      entry.rows = segment->index->size();
+      entry.index_type = static_cast<uint32_t>(segment->index->type());
+      manifest.push_back(entry);
+      total_rows += entry.rows;
     }
     ContainerWriter writer(IndexType::kDynamic, index.metric(), index.dim(),
                            total_rows);
@@ -446,28 +466,14 @@ Status SaveDynamic(const DynamicIndex& index, Writer* out,
     config.seal_threshold = index.config().seal_threshold;
     config.max_sealed_segments = index.config().max_sealed_segments;
     writer.AddSection(SectionTag::kConfig, 0, &config, sizeof(config));
-
-    std::vector<DynamicSegmentEntry> manifest;
-    manifest.reserve(state.sealed.size());
-    for (const auto& segment : state.sealed) {
-      DynamicSegmentEntry entry{};
-      entry.rows = segment->index->size();
-      entry.index_type = static_cast<uint32_t>(segment->index->type());
-      manifest.push_back(entry);
-    }
     writer.AddSection(SectionTag::kManifest, 0, manifest.data(),
                       manifest.size() * sizeof(DynamicSegmentEntry));
 
     for (size_t j = 0; j < state.sealed.size(); ++j) {
       const DynamicIndex::SealedSegment& segment = *state.sealed[j];
-      StatusOr<std::string> blob = SerializeIndex(*segment.index);
-      if (!blob.ok()) return blob.status();
-      writer.AddOwnedSection(SectionTag::kSegmentBlob,
-                             static_cast<uint32_t>(j),
-                             std::move(blob).value());
-      writer.AddSection(SectionTag::kIdMap, static_cast<uint32_t>(j),
-                        segment.global_ids.data(),
-                        segment.global_ids.size() * sizeof(uint32_t));
+      Status status =
+          AppendPart(*segment.index, segment.global_ids, j, &writer);
+      if (!status.ok()) return status;
     }
     writer.AddSection(SectionTag::kIdMap,
                       static_cast<uint32_t>(state.sealed.size()),
@@ -495,19 +501,7 @@ Status SaveSharded(const ShardedIndex& index, Writer* out,
   return index.WithFrozenState([&](const ShardedIndex::FrozenState& state)
                                    -> Status {
     uint64_t total_rows = 0;
-    for (const ShardedIndex::Shard& shard : state.shards) {
-      if (shard.index != nullptr) total_rows += shard.index->size();
-    }
-    ContainerWriter writer(IndexType::kSharded, index.metric(), index.dim(),
-                           total_rows);
-
-    ShardedConfigRecord config{};
-    config.next_global_id = state.next_global_id;
-    config.num_shards = state.shards.size();
-    writer.AddSection(SectionTag::kConfig, 0, &config, sizeof(config));
-
     std::vector<ShardManifestEntry> manifest;
-    manifest.reserve(state.shards.size());
     for (const ShardedIndex::Shard& shard : state.shards) {
       ShardManifestEntry entry{};
       if (shard.index != nullptr) {
@@ -516,21 +510,24 @@ Status SaveSharded(const ShardedIndex& index, Writer* out,
         entry.index_type = static_cast<uint32_t>(shard.index->type());
       }
       manifest.push_back(entry);
+      total_rows += entry.rows;
     }
+    ContainerWriter writer(IndexType::kSharded, index.metric(), index.dim(),
+                           total_rows);
+
+    ShardedConfigRecord config{};
+    config.next_global_id = state.next_global_id;
+    config.num_shards = state.shards.size();
+    writer.AddSection(SectionTag::kConfig, 0, &config, sizeof(config));
     writer.AddSection(SectionTag::kManifest, 0, manifest.data(),
                       manifest.size() * sizeof(ShardManifestEntry));
 
     for (size_t j = 0; j < state.shards.size(); ++j) {
       const ShardedIndex::Shard& shard = state.shards[j];
       if (shard.index == nullptr) continue;  // absent: manifest row only
-      StatusOr<std::string> blob = SerializeIndex(*shard.index);
-      if (!blob.ok()) return blob.status();
-      writer.AddOwnedSection(SectionTag::kSegmentBlob,
-                             static_cast<uint32_t>(j),
-                             std::move(blob).value());
-      writer.AddSection(SectionTag::kIdMap, static_cast<uint32_t>(j),
-                        shard.local_to_global.data(),
-                        shard.local_to_global.size() * sizeof(uint32_t));
+      Status status =
+          AppendPart(*shard.index, shard.local_to_global, j, &writer);
+      if (!status.ok()) return status;
     }
     return writer.WriteTo(out, name);
   });
@@ -540,20 +537,44 @@ Status SaveSharded(const ShardedIndex& index, Writer* out,
 // Load side: bundle (owned storage) + typed section helpers.
 // ---------------------------------------------------------------------------
 
+/// Multiplies size components with overflow detection.
+bool ByteCount(uint64_t count, uint64_t elem_size, uint64_t* out) {
+  if (elem_size != 0 && count > UINT64_MAX / elem_size) return false;
+  *out = count * elem_size;
+  return true;
+}
+
+/// Checks that section (tag, ordinal) holds exactly `bytes` bytes. Loaders
+/// call it BEFORE allocating anything sized from the file: sizes in the table
+/// are bounded by file_size, so a matching size bounds the allocation and a
+/// corrupt shape field fails with a Status, not a bad_alloc.
+Status CheckSectionSize(const ContainerReader& c, SectionTag tag,
+                        uint32_t ordinal, uint64_t bytes,
+                        const std::string& what) {
+  StatusOr<SectionEntry> entry = c.Find(tag, ordinal);
+  if (!entry.ok()) return entry.status();
+  if (entry.value().size != bytes) {
+    return Status::InvalidArgument(what + " section size mismatch in " +
+                                   c.path());
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 /// Everything a loaded index needs to stay alive: the container (holding the
 /// mmap in zero-copy mode), heap copies of payloads in streaming mode, and
 /// the ownership of scorers the concrete index only points at.
 struct IndexBundle {
   std::unique_ptr<ContainerReader> container;
-  Matrix base_owned;
+  std::vector<std::vector<uint8_t>> copies;  ///< streaming-mode payloads
   MatrixView base;
-  std::vector<uint8_t> codes_owned;
-  const uint8_t* codes = nullptr;
-  std::vector<uint8_t> packed_owned;
-  const uint8_t* packed = nullptr;  ///< fast-scan blocks (kPqPackedCodes)
+  const uint8_t* codes = nullptr;  ///< PQ code matrix (kPqCodes)
   std::unique_ptr<BinScorer> scorer;
   std::unique_ptr<Index> index;
 };
+
+namespace {
 
 /// The self-contained object OpenIndex returns: delegates every query to the
 /// concrete index while owning all backing storage.
@@ -583,16 +604,27 @@ class LoadedIndex : public Index {
   std::unique_ptr<IndexBundle> bundle_;
 };
 
-StatusOr<std::unique_ptr<Index>> FinishBundle(
-    std::unique_ptr<IndexBundle> bundle) {
-  return std::unique_ptr<Index>(new LoadedIndex(std::move(bundle)));
-}
-
-/// Multiplies size components with overflow detection.
-bool ByteCount(uint64_t count, uint64_t elem_size, uint64_t* out) {
-  if (elem_size != 0 && count > UINT64_MAX / elem_size) return false;
-  *out = count * elem_size;
-  return true;
+/// The payload of section (tag, ordinal), whose stored size must be `count`
+/// elements of `elem_size` bytes: a view into the mapping or the in-memory
+/// container, otherwise a heap copy the bundle keeps alive.
+StatusOr<const uint8_t*> MapPayload(IndexBundle* bundle, SectionTag tag,
+                                    uint32_t ordinal, uint64_t count,
+                                    uint64_t elem_size,
+                                    const std::string& what) {
+  ContainerReader* c = bundle->container.get();
+  uint64_t bytes = 0;
+  if (!ByteCount(count, elem_size, &bytes)) {
+    return Status::InvalidArgument("implausible " + what + " shape in " +
+                                   c->path());
+  }
+  Status status = CheckSectionSize(*c, tag, ordinal, bytes, what);
+  if (!status.ok()) return status;
+  if (c->zero_copy()) return c->SectionData(tag, ordinal);
+  std::vector<uint8_t> copy(bytes);
+  status = c->ReadSection(tag, ordinal, copy.data(), bytes);
+  if (!status.ok()) return status;
+  bundle->copies.push_back(std::move(copy));
+  return static_cast<const uint8_t*>(bundle->copies.back().data());
 }
 
 /// Reads a float-matrix section into owned heap memory (small payloads:
@@ -606,17 +638,10 @@ StatusOr<Matrix> ReadMatrixSection(ContainerReader* container, SectionTag tag,
     return Status::InvalidArgument("implausible matrix shape in " +
                                    container->path());
   }
-  // Check the stored size BEFORE allocating: a corrupt shape field (e.g. a
-  // patched nlist) must fail with a Status, not a bad_alloc. Sizes in the
-  // table are bounded by file_size, so a matching size bounds the allocation.
-  StatusOr<SectionEntry> entry = container->Find(tag, ordinal);
-  if (!entry.ok()) return entry.status();
-  if (entry.value().size != bytes) {
-    return Status::InvalidArgument("matrix section size mismatch in " +
-                                   container->path());
-  }
+  Status status = CheckSectionSize(*container, tag, ordinal, bytes, "matrix");
+  if (!status.ok()) return status;
   std::vector<float> data(rows * cols);
-  Status status = container->ReadSection(tag, ordinal, data.data(), bytes);
+  status = container->ReadSection(tag, ordinal, data.data(), bytes);
   if (!status.ok()) return status;
   return Matrix(rows, cols, std::move(data));
 }
@@ -632,53 +657,34 @@ StatusOr<std::vector<uint32_t>> ReadU32Section(ContainerReader* container,
   return values;
 }
 
-/// Materializes the base-vector payload: a zero-copy view in mmap mode, an
-/// owned heap Matrix in streaming mode. Fills bundle->base either way.
+/// Maps the base-vector payload into bundle->base (MapPayload: zero-copy
+/// when mapped, a heap copy otherwise).
 Status LoadBase(IndexBundle* bundle) {
   ContainerReader* container = bundle->container.get();
   const uint64_t rows = container->header().num_points;
-  const uint64_t cols = container->header().dim;
-  if (rows == 0 || cols == 0 || cols > (1ULL << 24) || rows > (1ULL << 40)) {
+  const uint64_t cols = container->header().dim;  // in [1, 2^24]
+  if (rows == 0 || rows > (1ULL << 40)) {
     return Status::InvalidArgument("implausible index shape in " +
                                    container->path());
   }
-  uint64_t bytes = 0;
-  if (rows > UINT64_MAX / cols ||
-      !ByteCount(rows * cols, sizeof(float), &bytes)) {
-    return Status::InvalidArgument("implausible index shape in " +
-                                   container->path());
-  }
-  StatusOr<SectionEntry> entry = container->Find(SectionTag::kBaseVectors, 0);
-  if (!entry.ok()) return entry.status();
-  if (entry.value().size != bytes) {
-    return Status::InvalidArgument("base-vector section size mismatch in " +
-                                   container->path());
-  }
-  if (container->zero_copy()) {
-    StatusOr<const uint8_t*> data =
-        container->SectionData(SectionTag::kBaseVectors, 0);
-    if (!data.ok()) return data.status();
-    bundle->base = MatrixView(reinterpret_cast<const float*>(data.value()),
-                              rows, cols);
-    return Status::Ok();
-  }
-  StatusOr<Matrix> owned =
-      ReadMatrixSection(container, SectionTag::kBaseVectors, 0, rows, cols);
-  if (!owned.ok()) return owned.status();
-  bundle->base_owned = std::move(owned).value();
-  bundle->base = MatrixView(bundle->base_owned);
+  StatusOr<const uint8_t*> data = MapPayload(
+      bundle, SectionTag::kBaseVectors, 0, rows, cols * sizeof(float),
+      "base-vector");
+  if (!data.ok()) return data.status();
+  bundle->base =
+      MatrixView(reinterpret_cast<const float*>(data.value()), rows, cols);
   return Status::Ok();
 }
 
-/// Loads residency assignments and checks every bin id against `num_bins`
-/// (the index constructors USP_CHECK this; a corrupt file must fail with a
-/// Status instead).
+/// Loads the header's num_points residency assignments and checks every bin
+/// id against `num_bins` (the index constructors USP_CHECK this; a corrupt
+/// file must fail with a Status instead).
 StatusOr<std::vector<uint32_t>> LoadAssignments(ContainerReader* container,
                                                 uint32_t ordinal,
-                                                uint64_t num_points,
                                                 uint64_t num_bins) {
-  StatusOr<std::vector<uint32_t>> assignments = ReadU32Section(
-      container, SectionTag::kAssignments, ordinal, num_points);
+  StatusOr<std::vector<uint32_t>> assignments =
+      ReadU32Section(container, SectionTag::kAssignments, ordinal,
+                     container->header().num_points);
   if (!assignments.ok()) return assignments.status();
   for (uint32_t bin : assignments.value()) {
     if (bin >= num_bins) {
@@ -689,12 +695,13 @@ StatusOr<std::vector<uint32_t>> LoadAssignments(ContainerReader* container,
   return assignments;
 }
 
-/// Rebuilds a serialized scorer. `dim` is the expected input dimensionality.
+/// Rebuilds a serialized scorer; its input dimensionality must be the
+/// header's dim.
 StatusOr<std::unique_ptr<BinScorer>> LoadScorer(ContainerReader* container,
                                                 uint32_t kind,
                                                 uint32_t scorer_metric,
-                                                uint32_t ordinal,
-                                                uint64_t dim) {
+                                                uint32_t ordinal) {
+  const uint64_t dim = container->header().dim;
   if (kind == kScorerKMeans) {
     Status status = CheckMetricValue(scorer_metric, container->path());
     if (!status.ok()) return status;
@@ -724,6 +731,14 @@ StatusOr<std::unique_ptr<BinScorer>> LoadScorer(ContainerReader* container,
     StatusOr<UspPartitioner> model =
         UspPartitioner::LoadFrom(&reader, container->path());
     if (!model.ok()) return model.status();
+    // A model trained on rows of another width would abort at its first
+    // forward pass.
+    if (model.value().input_dim() != dim) {
+      return Status::InvalidArgument(
+          "embedded model input dim " +
+          std::to_string(model.value().input_dim()) + " does not match dim " +
+          std::to_string(dim) + " of " + container->path());
+    }
     return std::unique_ptr<BinScorer>(
         new UspPartitioner(std::move(model).value()));
   }
@@ -732,8 +747,8 @@ StatusOr<std::unique_ptr<BinScorer>> LoadScorer(ContainerReader* container,
                                  container->path());
 }
 
-/// Loads PQ metadata + codebooks into a rehydrated quantizer, and the code
-/// bytes into bundle->codes (zero-copy when mapped).
+/// Loads PQ metadata + codebooks into a rehydrated quantizer, and maps the
+/// code bytes into bundle->codes.
 StatusOr<ProductQuantizer> LoadPq(IndexBundle* bundle) {
   ContainerReader* container = bundle->container.get();
   const std::string& path = container->path();
@@ -787,46 +802,29 @@ StatusOr<ProductQuantizer> LoadPq(IndexBundle* bundle) {
   config.anisotropic_eta = meta.anisotropic_eta;
   config.seed = meta.seed;
 
-  // Code bytes: (n x M) uint8 — the other zero-copy payload.
-  uint64_t code_bytes = 0;
-  if (!ByteCount(n, meta.num_subspaces, &code_bytes)) {
-    return Status::InvalidArgument("implausible code shape in " + path);
-  }
-  StatusOr<SectionEntry> codes_entry = container->Find(SectionTag::kPqCodes, 0);
-  if (!codes_entry.ok()) return codes_entry.status();
-  if (codes_entry.value().size != code_bytes) {
-    return Status::InvalidArgument("PQ code section size mismatch in " + path);
-  }
-  if (container->zero_copy()) {
-    StatusOr<const uint8_t*> data =
-        container->SectionData(SectionTag::kPqCodes, 0);
-    if (!data.ok()) return data.status();
-    bundle->codes = data.value();
-  } else {
-    StatusOr<std::vector<uint8_t>> owned =
-        container->ReadSectionBytes(SectionTag::kPqCodes, 0);
-    if (!owned.ok()) return owned.status();
-    bundle->codes_owned = std::move(owned).value();
-    bundle->codes = bundle->codes_owned.data();
-  }
+  // Code bytes: (n x M) uint8.
+  StatusOr<const uint8_t*> codes = MapPayload(
+      bundle, SectionTag::kPqCodes, 0, n, meta.num_subspaces, "PQ code");
+  if (!codes.ok()) return codes.status();
+  bundle->codes = codes.value();
 
   return ProductQuantizer(config, static_cast<size_t>(dim),
                           std::vector<size_t>(offsets.begin(), offsets.end()),
                           std::move(codebooks));
 }
 
-/// Loads the optional kPqPackedCodes section into bundle->packed (zero-copy
-/// when mapped). The stored size must equal the bucket-grouped block layout
-/// the index derives from `assignments` (quant/scann_index.cc SetUpFastScan);
-/// a missing section leaves bundle->packed null and the blocks are rebuilt
-/// from kPqCodes. Sections saved for a wide codebook are impossible (the
-/// saver only packs 4-bit codes), so codebook_size > 16 skips the read.
-Status LoadPackedCodes(IndexBundle* bundle, const ProductQuantizer& pq,
-                       const std::vector<uint32_t>& assignments,
-                       uint64_t num_bins) {
+/// Maps the optional kPqPackedCodes section. The stored size must equal the
+/// bucket-grouped block layout the index derives from `assignments`
+/// (quant/scann_index.cc SetUpFastScan); a missing section maps to nullptr
+/// and the blocks are rebuilt from kPqCodes. Sections saved for a wide
+/// codebook are impossible (the saver only packs 4-bit codes), so
+/// codebook_size > 16 skips the read.
+StatusOr<const uint8_t*> LoadPackedCodes(
+    IndexBundle* bundle, const ProductQuantizer& pq,
+    const std::vector<uint32_t>& assignments, uint64_t num_bins) {
   ContainerReader* c = bundle->container.get();
   if (pq.codebook_size() > 16 || !c->Has(SectionTag::kPqPackedCodes, 0)) {
-    return Status::Ok();
+    return static_cast<const uint8_t*>(nullptr);
   }
   const uint64_t n = c->header().num_points;
   uint64_t blocks = 0;
@@ -839,73 +837,41 @@ Status LoadPackedCodes(IndexBundle* bundle, const ProductQuantizer& pq,
       blocks += (count + kPq4BlockSize - 1) / kPq4BlockSize;
     }
   }
-  uint64_t bytes = 0;
-  if (!ByteCount(blocks, 16 * pq.num_subspaces(), &bytes)) {
-    return Status::InvalidArgument("implausible packed-code shape in " +
-                                   c->path());
-  }
-  StatusOr<SectionEntry> entry = c->Find(SectionTag::kPqPackedCodes, 0);
-  if (!entry.ok()) return entry.status();
-  if (entry.value().size != bytes) {
-    return Status::InvalidArgument("packed-code section size mismatch in " +
-                                   c->path());
-  }
-  if (c->zero_copy()) {
-    StatusOr<const uint8_t*> data =
-        c->SectionData(SectionTag::kPqPackedCodes, 0);
-    if (!data.ok()) return data.status();
-    bundle->packed = data.value();
-    return Status::Ok();
-  }
-  StatusOr<std::vector<uint8_t>> owned =
-      c->ReadSectionBytes(SectionTag::kPqPackedCodes, 0);
-  if (!owned.ok()) return owned.status();
-  bundle->packed_owned = std::move(owned).value();
-  bundle->packed = bundle->packed_owned.data();
-  return Status::Ok();
+  return MapPayload(bundle, SectionTag::kPqPackedCodes, 0, blocks,
+                    16 * pq.num_subspaces(), "packed-code");
 }
 
 // ---------------------------------------------------------------------------
-// Per-type loaders (registry targets).
+// Per-type loaders (registry targets). OpenIndexFromContainer has already
+// checked the header's metric tag and dim; each loader fills bundle->index.
 // ---------------------------------------------------------------------------
 
-StatusOr<std::unique_ptr<Index>> LoadPartition(
-    std::unique_ptr<ContainerReader> container) {
-  auto bundle = std::make_unique<IndexBundle>();
-  bundle->container = std::move(container);
+Status LoadPartition(IndexBundle* bundle) {
   ContainerReader* c = bundle->container.get();
-  Status status = CheckMetricValue(c->header().metric, c->path());
-  if (!status.ok()) return status;
-  status = LoadBase(bundle.get());
+  Status status = LoadBase(bundle);
   if (!status.ok()) return status;
 
   PartitionConfigRecord config{};
   status = c->ReadSection(SectionTag::kConfig, 0, &config, sizeof(config));
   if (!status.ok()) return status;
   StatusOr<std::unique_ptr<BinScorer>> scorer =
-      LoadScorer(c, config.scorer_kind, config.scorer_metric, 0,
-                 c->header().dim);
+      LoadScorer(c, config.scorer_kind, config.scorer_metric, 0);
   if (!scorer.ok()) return scorer.status();
   bundle->scorer = std::move(scorer).value();
 
-  StatusOr<std::vector<uint32_t>> assignments = LoadAssignments(
-      c, 0, c->header().num_points, bundle->scorer->num_bins());
+  StatusOr<std::vector<uint32_t>> assignments =
+      LoadAssignments(c, 0, bundle->scorer->num_bins());
   if (!assignments.ok()) return assignments.status();
 
   bundle->index = std::make_unique<PartitionIndex>(
       bundle->base, bundle->scorer.get(), std::move(assignments).value(),
       static_cast<Metric>(c->header().metric));
-  return FinishBundle(std::move(bundle));
+  return Status::Ok();
 }
 
-StatusOr<std::unique_ptr<Index>> LoadIvfFlat(
-    std::unique_ptr<ContainerReader> container) {
-  auto bundle = std::make_unique<IndexBundle>();
-  bundle->container = std::move(container);
+Status LoadIvfFlat(IndexBundle* bundle) {
   ContainerReader* c = bundle->container.get();
-  Status status = CheckMetricValue(c->header().metric, c->path());
-  if (!status.ok()) return status;
-  status = LoadBase(bundle.get());
+  Status status = LoadBase(bundle);
   if (!status.ok()) return status;
 
   IvfFlatConfigRecord record{};
@@ -918,7 +884,7 @@ StatusOr<std::unique_ptr<Index>> LoadIvfFlat(
       c, SectionTag::kCentroids, 0, record.nlist, c->header().dim);
   if (!centroids.ok()) return centroids.status();
   StatusOr<std::vector<uint32_t>> assignments =
-      LoadAssignments(c, 0, c->header().num_points, record.nlist);
+      LoadAssignments(c, 0, record.nlist);
   if (!assignments.ok()) return assignments.status();
 
   IvfConfig config;
@@ -929,23 +895,18 @@ StatusOr<std::unique_ptr<Index>> LoadIvfFlat(
   bundle->index = std::make_unique<IvfFlatIndex>(
       bundle->base, config, std::move(centroids).value(),
       std::move(assignments).value());
-  return FinishBundle(std::move(bundle));
+  return Status::Ok();
 }
 
-StatusOr<std::unique_ptr<Index>> LoadIvfPq(
-    std::unique_ptr<ContainerReader> container) {
-  auto bundle = std::make_unique<IndexBundle>();
-  bundle->container = std::move(container);
+Status LoadIvfPq(IndexBundle* bundle) {
   ContainerReader* c = bundle->container.get();
-  Status status = CheckMetricValue(c->header().metric, c->path());
-  if (!status.ok()) return status;
-  status = LoadBase(bundle.get());
+  Status status = LoadBase(bundle);
   if (!status.ok()) return status;
 
   IvfPqConfigRecord record{};
   status = c->ReadSection(SectionTag::kConfig, 0, &record, sizeof(record));
   if (!status.ok()) return status;
-  StatusOr<ProductQuantizer> pq = LoadPq(bundle.get());
+  StatusOr<ProductQuantizer> pq = LoadPq(bundle);
   if (!pq.ok()) return pq.status();
 
   IvfConfig config;
@@ -962,70 +923,58 @@ StatusOr<std::unique_ptr<Index>> LoadIvfPq(
       c, SectionTag::kCentroids, 0, record.nlist, c->header().dim);
   if (!centroids.ok()) return centroids.status();
   StatusOr<std::vector<uint32_t>> assignments =
-      LoadAssignments(c, 0, c->header().num_points, record.nlist);
+      LoadAssignments(c, 0, record.nlist);
   if (!assignments.ok()) return assignments.status();
-  status = LoadPackedCodes(bundle.get(), pq.value(), assignments.value(),
-                           record.nlist);
-  if (!status.ok()) return status;
+  StatusOr<const uint8_t*> packed = LoadPackedCodes(
+      bundle, pq.value(), assignments.value(), record.nlist);
+  if (!packed.ok()) return packed.status();
 
   bundle->index = std::make_unique<IvfPqIndex>(
       bundle->base, config, std::move(centroids).value(),
       std::move(pq).value(), bundle->codes, assignments.value(),
-      bundle->packed);
-  return FinishBundle(std::move(bundle));
+      packed.value());
+  return Status::Ok();
 }
 
-StatusOr<std::unique_ptr<Index>> LoadScann(
-    std::unique_ptr<ContainerReader> container) {
-  auto bundle = std::make_unique<IndexBundle>();
-  bundle->container = std::move(container);
+Status LoadScann(IndexBundle* bundle) {
   ContainerReader* c = bundle->container.get();
-  Status status = CheckMetricValue(c->header().metric, c->path());
-  if (!status.ok()) return status;
-  status = LoadBase(bundle.get());
+  Status status = LoadBase(bundle);
   if (!status.ok()) return status;
 
   ScannConfigRecord record{};
   status = c->ReadSection(SectionTag::kConfig, 0, &record, sizeof(record));
   if (!status.ok()) return status;
-  StatusOr<ProductQuantizer> pq = LoadPq(bundle.get());
+  StatusOr<ProductQuantizer> pq = LoadPq(bundle);
   if (!pq.ok()) return pq.status();
 
   std::vector<uint32_t> assignments;
   if (record.scorer_kind != kScorerNone) {
     StatusOr<std::unique_ptr<BinScorer>> scorer =
-        LoadScorer(c, record.scorer_kind, record.scorer_metric, 0,
-                   c->header().dim);
+        LoadScorer(c, record.scorer_kind, record.scorer_metric, 0);
     if (!scorer.ok()) return scorer.status();
     bundle->scorer = std::move(scorer).value();
-    StatusOr<std::vector<uint32_t>> loaded = LoadAssignments(
-        c, 0, c->header().num_points, bundle->scorer->num_bins());
+    StatusOr<std::vector<uint32_t>> loaded =
+        LoadAssignments(c, 0, bundle->scorer->num_bins());
     if (!loaded.ok()) return loaded.status();
     assignments = std::move(loaded).value();
   }
-  status = LoadPackedCodes(
-      bundle.get(), pq.value(), assignments,
+  StatusOr<const uint8_t*> packed = LoadPackedCodes(
+      bundle, pq.value(), assignments,
       bundle->scorer != nullptr ? bundle->scorer->num_bins() : 0);
-  if (!status.ok()) return status;
+  if (!packed.ok()) return packed.status();
 
   ScannIndexConfig config;
   config.rerank_budget = static_cast<size_t>(record.rerank_budget);
   bundle->index = std::make_unique<ScannIndex>(
       bundle->base, bundle->scorer.get(), std::move(pq).value(), config,
       bundle->codes, assignments, static_cast<Metric>(c->header().metric),
-      bundle->packed);
-  return FinishBundle(std::move(bundle));
+      packed.value());
+  return Status::Ok();
 }
 
-StatusOr<std::unique_ptr<Index>> LoadSq8(
-    std::unique_ptr<ContainerReader> container) {
-  auto bundle = std::make_unique<IndexBundle>();
-  bundle->container = std::move(container);
+Status LoadSq8(IndexBundle* bundle) {
   ContainerReader* c = bundle->container.get();
-  const std::string& path = c->path();
-  Status status = CheckMetricValue(c->header().metric, path);
-  if (!status.ok()) return status;
-  status = LoadBase(bundle.get());
+  Status status = LoadBase(bundle);
   if (!status.ok()) return status;
   const uint64_t n = c->header().num_points;
   const uint64_t dim = c->header().dim;
@@ -1041,45 +990,23 @@ StatusOr<std::unique_ptr<Index>> LoadSq8(
   std::vector<float> mins(params.begin(), params.begin() + dim);
   std::vector<float> scales(params.begin() + dim, params.end());
 
-  // The (n x dim) code matrix is the zero-copy payload.
-  uint64_t code_bytes = 0;
-  if (!ByteCount(n, dim, &code_bytes)) {
-    return Status::InvalidArgument("implausible code shape in " + path);
-  }
-  StatusOr<SectionEntry> entry = c->Find(SectionTag::kSq8Codes, 0);
-  if (!entry.ok()) return entry.status();
-  if (entry.value().size != code_bytes) {
-    return Status::InvalidArgument("SQ8 code section size mismatch in " +
-                                   path);
-  }
-  if (c->zero_copy()) {
-    StatusOr<const uint8_t*> data = c->SectionData(SectionTag::kSq8Codes, 0);
-    if (!data.ok()) return data.status();
-    bundle->codes = data.value();
-  } else {
-    StatusOr<std::vector<uint8_t>> owned =
-        c->ReadSectionBytes(SectionTag::kSq8Codes, 0);
-    if (!owned.ok()) return owned.status();
-    bundle->codes_owned = std::move(owned).value();
-    bundle->codes = bundle->codes_owned.data();
-  }
+  StatusOr<const uint8_t*> codes =
+      MapPayload(bundle, SectionTag::kSq8Codes, 0, n, dim, "SQ8 code");
+  if (!codes.ok()) return codes.status();
 
   Sq8IndexConfig config;
   config.metric = static_cast<Metric>(c->header().metric);
   config.rerank_budget = static_cast<size_t>(record.rerank_budget);
   bundle->index = std::make_unique<Sq8Index>(bundle->base, config,
                                              std::move(mins),
-                                             std::move(scales), bundle->codes);
-  return FinishBundle(std::move(bundle));
+                                             std::move(scales), codes.value());
+  return Status::Ok();
 }
 
-StatusOr<std::unique_ptr<Index>> LoadHnsw(
-    std::unique_ptr<ContainerReader> container) {
-  auto bundle = std::make_unique<IndexBundle>();
-  bundle->container = std::move(container);
+Status LoadHnsw(IndexBundle* bundle) {
   ContainerReader* c = bundle->container.get();
   const std::string& path = c->path();
-  Status status = LoadBase(bundle.get());
+  Status status = LoadBase(bundle);
   if (!status.ok()) return status;
   const uint64_t n = c->header().num_points;
 
@@ -1145,16 +1072,13 @@ StatusOr<std::unique_ptr<Index>> LoadHnsw(
       config, bundle->base, std::move(links),
       std::vector<int>(levels.begin(), levels.end()), record.max_level,
       record.entry_point);
-  return FinishBundle(std::move(bundle));
+  return Status::Ok();
 }
 
-StatusOr<std::unique_ptr<Index>> LoadEnsemble(
-    std::unique_ptr<ContainerReader> container) {
-  auto bundle = std::make_unique<IndexBundle>();
-  bundle->container = std::move(container);
+Status LoadEnsemble(IndexBundle* bundle) {
   ContainerReader* c = bundle->container.get();
   const std::string& path = c->path();
-  Status status = LoadBase(bundle.get());
+  Status status = LoadBase(bundle);
   if (!status.ok()) return status;
   const uint64_t n = c->header().num_points;
 
@@ -1170,12 +1094,12 @@ StatusOr<std::unique_ptr<Index>> LoadEnsemble(
   std::vector<std::unique_ptr<PartitionIndex>> indexes;
   for (uint32_t j = 0; j < record.num_models; ++j) {
     StatusOr<std::unique_ptr<BinScorer>> scorer =
-        LoadScorer(c, kScorerUsp, 0, j, c->header().dim);
+        LoadScorer(c, kScorerUsp, 0, j);
     if (!scorer.ok()) return scorer.status();
     auto model = std::unique_ptr<UspPartitioner>(
         static_cast<UspPartitioner*>(scorer.value().release()));
     StatusOr<std::vector<uint32_t>> assignments =
-        LoadAssignments(c, j, n, model->num_bins());
+        LoadAssignments(c, j, model->num_bins());
     if (!assignments.ok()) return assignments.status();
     indexes.push_back(std::make_unique<PartitionIndex>(
         bundle->base, model.get(), std::move(assignments).value(),
@@ -1196,25 +1120,78 @@ StatusOr<std::unique_ptr<Index>> LoadEnsemble(
   bundle->index = std::make_unique<UspEnsemble>(
       config, bundle->base, std::move(models), std::move(indexes),
       std::move(weights));
-  return FinishBundle(std::move(bundle));
+  return Status::Ok();
 }
 
-StatusOr<std::unique_ptr<Index>> LoadDynamic(
-    std::unique_ptr<ContainerReader> container) {
-  auto bundle = std::make_unique<IndexBundle>();
-  bundle->container = std::move(container);
+/// One part (segment or shard) of a nested container, opened.
+struct NestedPart {
+  std::unique_ptr<Index> index;
+  std::vector<uint32_t> ids;        ///< local id -> global id
+  DynamicIndex* dynamic = nullptr;  ///< the index, when it is mutable
+};
+
+/// Opens part j of a nested (dynamic or sharded) container: reads and opens
+/// the embedded container in kSegmentBlob j, matches its type tag against
+/// the manifest's `type_tag` and rejects the parent's own type (nesting
+/// would break the one-level embedding), dispatches it, matches its dim,
+/// metric and `rows` against the parent, and reads the `id_entries`-long id
+/// map in kIdMap j.
+StatusOr<NestedPart> OpenPart(ContainerReader* c, uint32_t j,
+                              uint32_t type_tag, uint64_t rows,
+                              uint64_t id_entries) {
+  const ContainerHeader& header = c->header();
+  const bool dynamic_parent =
+      header.index_type == static_cast<uint32_t>(IndexType::kDynamic);
+  const std::string corrupt =
+      std::string("corrupt ") + (dynamic_parent ? "dynamic" : "sharded");
+  StatusOr<std::vector<uint8_t>> blob =
+      c->ReadSectionBytes(SectionTag::kSegmentBlob, j);
+  if (!blob.ok()) return blob.status();
+  StatusOr<std::unique_ptr<ContainerReader>> sub = ContainerReader::OpenMem(
+      std::move(blob).value(), c->path() + (dynamic_parent ? " [segment "
+                                                            : " [shard ") +
+                                   std::to_string(j) + "]");
+  if (!sub.ok()) return sub.status();
+  if (sub.value()->header().index_type != type_tag ||
+      type_tag == header.index_type) {
+    return Status::InvalidArgument(corrupt + " manifest in " + c->path());
+  }
+  NestedPart part;
+  StatusOr<std::unique_ptr<Index>> index =
+      OpenIndexFromContainer(std::move(sub).value());
+  if (!index.ok()) return index.status();
+  part.index = std::move(index).value();
+  if (part.index->dim() != header.dim ||
+      part.index->metric() != static_cast<Metric>(header.metric) ||
+      part.index->size() != rows) {
+    return Status::InvalidArgument(corrupt + " manifest in " + c->path());
+  }
+  // A dynamic part stays mutable after load. The const_cast is sound — the
+  // loaded wrapper owns the object non-const and DynamicIndex's mutators are
+  // thread-safe. Its local ids span [0, next_global_id), tombstoned ones
+  // included; every one needs a global mapping or a remapped result could
+  // index past the table.
+  part.dynamic = dynamic_cast<DynamicIndex*>(
+      const_cast<Index*>(&part.index->underlying()));
+  if (id_entries !=
+      (part.dynamic != nullptr ? part.dynamic->next_global_id() : rows)) {
+    return Status::InvalidArgument(corrupt + " id map in " + c->path());
+  }
+  StatusOr<std::vector<uint32_t>> ids =
+      ReadU32Section(c, SectionTag::kIdMap, j, id_entries);
+  if (!ids.ok()) return ids.status();
+  part.ids = std::move(ids).value();
+  return part;
+}
+
+Status LoadDynamic(IndexBundle* bundle) {
   ContainerReader* c = bundle->container.get();
   const std::string& path = c->path();
-  Status status = CheckMetricValue(c->header().metric, path);
-  if (!status.ok()) return status;
-  const Metric metric = static_cast<Metric>(c->header().metric);
   const uint64_t dim = c->header().dim;
-  if (dim == 0 || dim > (1ULL << 24)) {
-    return Status::InvalidArgument("implausible index shape in " + path);
-  }
 
   DynamicConfigRecord record{};
-  status = c->ReadSection(SectionTag::kConfig, 0, &record, sizeof(record));
+  Status status =
+      c->ReadSection(SectionTag::kConfig, 0, &record, sizeof(record));
   if (!status.ok()) return status;
   if (record.num_sealed > 4096 || record.next_global_id > 0xFFFFFFFFull ||
       record.write_rows > record.next_global_id ||
@@ -1228,17 +1205,12 @@ StatusOr<std::unique_ptr<Index>> LoadDynamic(
   if (!status.ok()) return status;
 
   // Bound the id space by the tombstone bitmap the file actually carries
-  // before allocating anything sized by next_global_id: section sizes are
-  // bounded by file_size at open, so a corrupt record cannot force huge
-  // allocations (the failure contract is Status, never bad_alloc).
+  // before allocating anything sized by next_global_id.
   const uint64_t tombstone_words = (record.next_global_id + 63) / 64;
-  StatusOr<SectionEntry> tombstone_entry =
-      c->Find(SectionTag::kTombstones, 0);
-  if (!tombstone_entry.ok()) return tombstone_entry.status();
-  if (tombstone_entry.value().size != tombstone_words * sizeof(uint64_t)) {
-    return Status::InvalidArgument("tombstone bitmap size mismatch in " +
-                                   path);
-  }
+  status = CheckSectionSize(*c, SectionTag::kTombstones, 0,
+                            tombstone_words * sizeof(uint64_t),
+                            "tombstone bitmap");
+  if (!status.ok()) return status;
 
   // `seen` tracks which global ids physically exist (for uniqueness and for
   // validating the tombstone bitmap against real rows).
@@ -1255,31 +1227,12 @@ StatusOr<std::unique_ptr<Index>> LoadDynamic(
   sealed.reserve(record.num_sealed);
   uint64_t total_rows = record.write_rows;
   for (uint32_t j = 0; j < record.num_sealed; ++j) {
-    StatusOr<std::vector<uint8_t>> blob =
-        c->ReadSectionBytes(SectionTag::kSegmentBlob, j);
-    if (!blob.ok()) return blob.status();
-    StatusOr<std::unique_ptr<ContainerReader>> sub = ContainerReader::OpenMem(
-        std::move(blob).value(),
-        path + " [segment " + std::to_string(j) + "]");
-    if (!sub.ok()) return sub.status();
-    if (sub.value()->header().index_type != manifest[j].index_type ||
-        manifest[j].index_type ==
-            static_cast<uint32_t>(IndexType::kDynamic)) {
-      return Status::InvalidArgument("corrupt dynamic manifest in " + path);
-    }
-    StatusOr<std::unique_ptr<Index>> segment_index =
-        OpenIndexFromContainer(std::move(sub).value());
-    if (!segment_index.ok()) return segment_index.status();
+    StatusOr<NestedPart> part = OpenPart(c, j, manifest[j].index_type,
+                                         manifest[j].rows, manifest[j].rows);
+    if (!part.ok()) return part.status();
     auto segment = std::make_unique<DynamicIndex::SealedSegment>();
-    segment->index = std::move(segment_index).value();
-    if (segment->index->dim() != dim || segment->index->metric() != metric ||
-        segment->index->size() != manifest[j].rows) {
-      return Status::InvalidArgument("corrupt dynamic manifest in " + path);
-    }
-    StatusOr<std::vector<uint32_t>> ids =
-        ReadU32Section(c, SectionTag::kIdMap, j, manifest[j].rows);
-    if (!ids.ok()) return ids.status();
-    segment->global_ids = std::move(ids).value();
+    segment->index = std::move(part.value().index);
+    segment->global_ids = std::move(part.value().ids);
     if (!claim_ids(segment->global_ids)) {
       return Status::InvalidArgument("corrupt dynamic id map in " + path);
     }
@@ -1320,7 +1273,7 @@ StatusOr<std::unique_ptr<Index>> LoadDynamic(
   }
 
   DynamicIndexConfig config;
-  config.metric = metric;
+  config.metric = static_cast<Metric>(c->header().metric);
   config.seal_threshold = static_cast<size_t>(record.seal_threshold);
   config.max_sealed_segments =
       static_cast<size_t>(record.max_sealed_segments);
@@ -1328,25 +1281,16 @@ StatusOr<std::unique_ptr<Index>> LoadDynamic(
       static_cast<size_t>(dim), std::move(config), std::move(sealed),
       std::move(write_rows).value(), std::move(write_ids).value(),
       std::move(tombstones), static_cast<uint32_t>(record.next_global_id));
-  return FinishBundle(std::move(bundle));
+  return Status::Ok();
 }
 
-StatusOr<std::unique_ptr<Index>> LoadSharded(
-    std::unique_ptr<ContainerReader> container) {
-  auto bundle = std::make_unique<IndexBundle>();
-  bundle->container = std::move(container);
+Status LoadSharded(IndexBundle* bundle) {
   ContainerReader* c = bundle->container.get();
   const std::string& path = c->path();
-  Status status = CheckMetricValue(c->header().metric, path);
-  if (!status.ok()) return status;
-  const Metric metric = static_cast<Metric>(c->header().metric);
-  const uint64_t dim = c->header().dim;
-  if (dim == 0 || dim > (1ULL << 24)) {
-    return Status::InvalidArgument("implausible index shape in " + path);
-  }
 
   ShardedConfigRecord record{};
-  status = c->ReadSection(SectionTag::kConfig, 0, &record, sizeof(record));
+  Status status =
+      c->ReadSection(SectionTag::kConfig, 0, &record, sizeof(record));
   if (!status.ok()) return status;
   if (record.num_shards == 0 || record.num_shards > 4096 ||
       record.next_global_id > 0xFFFFFFFFull) {
@@ -1357,6 +1301,22 @@ StatusOr<std::unique_ptr<Index>> LoadSharded(
   status = c->ReadSection(SectionTag::kManifest, 0, manifest.data(),
                           record.num_shards * sizeof(ShardManifestEntry));
   if (!status.ok()) return status;
+
+  // Every id below next_global_id was issued to exactly one shard and keeps
+  // its id-map entry (tombstoned ones too), so next_global_id cannot exceed
+  // the entries the present shards' id maps hold. Counting them from the
+  // section table bounds every allocation sized by next_global_id by the
+  // file size.
+  uint64_t id_map_entries = 0;
+  for (uint32_t j = 0; j < record.num_shards; ++j) {
+    StatusOr<SectionEntry> ids = c->Find(SectionTag::kIdMap, j);
+    if (manifest[j].index_type != 0 && ids.ok()) {
+      id_map_entries += ids.value().size / sizeof(uint32_t);
+    }
+  }
+  if (record.next_global_id > id_map_entries) {
+    return Status::InvalidArgument("corrupt sharded config in " + path);
+  }
 
   // Uniqueness of global ids across shards; every validation below fails
   // with a Status (never an allocation or a crash) before the rehydrate
@@ -1376,47 +1336,15 @@ StatusOr<std::unique_ptr<Index>> LoadSharded(
         manifest[j].id_entries > record.next_global_id) {
       return Status::InvalidArgument("corrupt sharded manifest in " + path);
     }
-    StatusOr<std::vector<uint8_t>> blob =
-        c->ReadSectionBytes(SectionTag::kSegmentBlob, j);
-    if (!blob.ok()) return blob.status();
-    StatusOr<std::unique_ptr<ContainerReader>> sub = ContainerReader::OpenMem(
-        std::move(blob).value(), path + " [shard " + std::to_string(j) + "]");
-    if (!sub.ok()) return sub.status();
     // Shards may be any type including kDynamic (a mutable sharded index
-    // round-trips as mutable); only another router is rejected — nesting
-    // would break the one-level embedding.
-    if (sub.value()->header().index_type != manifest[j].index_type ||
-        manifest[j].index_type ==
-            static_cast<uint32_t>(IndexType::kSharded)) {
-      return Status::InvalidArgument("corrupt sharded manifest in " + path);
-    }
-    StatusOr<std::unique_ptr<Index>> shard_index =
-        OpenIndexFromContainer(std::move(sub).value());
-    if (!shard_index.ok()) return shard_index.status();
-    shard.index = std::move(shard_index).value();
-    if (shard.index->dim() != dim || shard.index->metric() != metric ||
-        shard.index->size() != manifest[j].rows) {
-      return Status::InvalidArgument("corrupt sharded manifest in " + path);
-    }
-    // Re-acquire the mutation handle: a dynamic shard stays mutable after
-    // load. The const_cast is sound — the loaded wrapper owns the object
-    // non-const and DynamicIndex's mutators are thread-safe.
-    shard.dynamic = dynamic_cast<DynamicIndex*>(
-        const_cast<Index*>(&shard.index->underlying()));
-    if (shard.dynamic != nullptr) {
-      // A dynamic shard's local ids span [0, next_global_id); every one
-      // needs a global mapping or a remapped result could index past the
-      // table.
-      if (manifest[j].id_entries != shard.dynamic->next_global_id()) {
-        return Status::InvalidArgument("corrupt sharded id map in " + path);
-      }
-    } else if (manifest[j].id_entries != manifest[j].rows) {
-      return Status::InvalidArgument("corrupt sharded id map in " + path);
-    }
-    StatusOr<std::vector<uint32_t>> ids =
-        ReadU32Section(c, SectionTag::kIdMap, j, manifest[j].id_entries);
-    if (!ids.ok()) return ids.status();
-    shard.local_to_global = std::move(ids).value();
+    // round-trips as mutable).
+    StatusOr<NestedPart> part =
+        OpenPart(c, j, manifest[j].index_type, manifest[j].rows,
+                 manifest[j].id_entries);
+    if (!part.ok()) return part.status();
+    shard.index = std::move(part.value().index);
+    shard.local_to_global = std::move(part.value().ids);
+    shard.dynamic = part.value().dynamic;
     uint32_t prev = 0;
     for (size_t i = 0; i < shard.local_to_global.size(); ++i) {
       const uint32_t gid = shard.local_to_global[i];
@@ -1437,12 +1365,19 @@ StatusOr<std::unique_ptr<Index>> LoadSharded(
   }
 
   ShardedIndexConfig config;
-  config.metric = metric;
+  config.metric = static_cast<Metric>(c->header().metric);
   config.num_shards = static_cast<size_t>(record.num_shards);
   bundle->index = std::make_unique<ShardedIndex>(
-      static_cast<size_t>(dim), std::move(config), std::move(shards),
-      static_cast<uint32_t>(record.next_global_id));
-  return FinishBundle(std::move(bundle));
+      static_cast<size_t>(c->header().dim), std::move(config),
+      std::move(shards), static_cast<uint32_t>(record.next_global_id));
+  return Status::Ok();
+}
+
+/// Registry saver adapter: `Save` takes the concrete type the entry's tag
+/// names.
+template <typename T, Status (*Save)(const T&, Writer*, const std::string&)>
+Status SaveAs(const Index& index, Writer* out, const std::string& name) {
+  return Save(static_cast<const T&>(index), out, name);
 }
 
 }  // namespace
@@ -1454,15 +1389,22 @@ StatusOr<std::unique_ptr<Index>> LoadSharded(
 const std::vector<IndexLoaderEntry>& IndexLoaderRegistry() {
   static const std::vector<IndexLoaderEntry>* registry =
       new std::vector<IndexLoaderEntry>{
-          {IndexType::kPartition, "partition", &LoadPartition},
-          {IndexType::kIvfFlat, "ivf_flat", &LoadIvfFlat},
-          {IndexType::kIvfPq, "ivf_pq", &LoadIvfPq},
-          {IndexType::kScann, "scann", &LoadScann},
-          {IndexType::kHnsw, "hnsw", &LoadHnsw},
-          {IndexType::kUspEnsemble, "usp_ensemble", &LoadEnsemble},
-          {IndexType::kDynamic, "dynamic", &LoadDynamic},
-          {IndexType::kSq8, "sq8", &LoadSq8},
-          {IndexType::kSharded, "sharded", &LoadSharded},
+          {IndexType::kPartition, "partition", &LoadPartition,
+           &SaveAs<PartitionIndex, &SavePartition>},
+          {IndexType::kIvfFlat, "ivf_flat", &LoadIvfFlat,
+           &SaveAs<IvfFlatIndex, &SaveIvfFlat>},
+          {IndexType::kIvfPq, "ivf_pq", &LoadIvfPq,
+           &SaveAs<IvfPqIndex, &SaveIvfPq>},
+          {IndexType::kScann, "scann", &LoadScann,
+           &SaveAs<ScannIndex, &SaveScann>},
+          {IndexType::kHnsw, "hnsw", &LoadHnsw, &SaveAs<HnswIndex, &SaveHnsw>},
+          {IndexType::kUspEnsemble, "usp_ensemble", &LoadEnsemble,
+           &SaveAs<UspEnsemble, &SaveEnsemble>},
+          {IndexType::kDynamic, "dynamic", &LoadDynamic,
+           &SaveAs<DynamicIndex, &SaveDynamic>},
+          {IndexType::kSq8, "sq8", &LoadSq8, &SaveAs<Sq8Index, &SaveSq8>},
+          {IndexType::kSharded, "sharded", &LoadSharded,
+           &SaveAs<ShardedIndex, &SaveSharded>},
       };
   return *registry;
 }
@@ -1477,32 +1419,10 @@ const IndexLoaderEntry* FindIndexLoader(uint32_t type_tag) {
 Status SaveIndexTo(const Index& index, Writer* out,
                    const std::string& name) {
   const Index& concrete = index.underlying();
-  switch (concrete.type()) {
-    case IndexType::kPartition:
-      return SavePartition(static_cast<const PartitionIndex&>(concrete), out,
-                           name);
-    case IndexType::kIvfFlat:
-      return SaveIvfFlat(static_cast<const IvfFlatIndex&>(concrete), out,
-                         name);
-    case IndexType::kIvfPq:
-      return SaveIvfPq(static_cast<const IvfPqIndex&>(concrete), out, name);
-    case IndexType::kScann:
-      return SaveScann(static_cast<const ScannIndex&>(concrete), out, name);
-    case IndexType::kHnsw:
-      return SaveHnsw(static_cast<const HnswIndex&>(concrete), out, name);
-    case IndexType::kUspEnsemble:
-      return SaveEnsemble(static_cast<const UspEnsemble&>(concrete), out,
-                          name);
-    case IndexType::kDynamic:
-      return SaveDynamic(static_cast<const DynamicIndex&>(concrete), out,
-                         name);
-    case IndexType::kSq8:
-      return SaveSq8(static_cast<const Sq8Index&>(concrete), out, name);
-    case IndexType::kSharded:
-      return SaveSharded(static_cast<const ShardedIndex&>(concrete), out,
-                         name);
-  }
-  return Status::InvalidArgument("unknown index type");
+  const IndexLoaderEntry* entry =
+      FindIndexLoader(static_cast<uint32_t>(concrete.type()));
+  if (entry == nullptr) return Status::InvalidArgument("unknown index type");
+  return entry->save(concrete, out, name);
 }
 
 Status SaveIndex(const Index& index, const std::string& path) {
@@ -1525,14 +1445,26 @@ StatusOr<std::string> SerializeIndex(const Index& index) {
 
 StatusOr<std::unique_ptr<Index>> OpenIndexFromContainer(
     std::unique_ptr<ContainerReader> container) {
-  const uint32_t type_tag = container->header().index_type;
+  const ContainerHeader& header = container->header();
   const std::string& path = container->path();
-  const IndexLoaderEntry* loader = FindIndexLoader(type_tag);
+  const IndexLoaderEntry* loader = FindIndexLoader(header.index_type);
   if (loader == nullptr) {
     return Status::InvalidArgument("unknown index type tag " +
-                                   std::to_string(type_tag) + " in " + path);
+                                   std::to_string(header.index_type) +
+                                   " in " + path);
   }
-  return loader->load(std::move(container));
+  // The prelude every type shares: the header's metric tag and dim must be
+  // plausible before any loader interprets a payload.
+  Status status = CheckMetricValue(header.metric, path);
+  if (!status.ok()) return status;
+  if (header.dim == 0 || header.dim > (1ULL << 24)) {
+    return Status::InvalidArgument("implausible index shape in " + path);
+  }
+  auto bundle = std::make_unique<IndexBundle>();
+  bundle->container = std::move(container);
+  status = loader->load(bundle.get());
+  if (!status.ok()) return status;
+  return std::unique_ptr<Index>(new LoadedIndex(std::move(bundle)));
 }
 
 StatusOr<std::unique_ptr<Index>> OpenIndex(const std::string& path,

@@ -67,16 +67,24 @@ StatusOr<std::unique_ptr<Index>> MmapIndex(const std::string& path);
 StatusOr<std::unique_ptr<Index>> OpenIndexFromContainer(
     std::unique_ptr<ContainerReader> container);
 
-/// One registered index type: its tag, name, and container loader.
+/// What a loaded index keeps alive: the opened container and any storage
+/// loaded from it (defined in index/serialize.cc).
+struct IndexBundle;
+
+/// One registered index type: its tag, name, container loader and saver.
 struct IndexLoaderEntry {
   IndexType type;
   const char* name;
-  StatusOr<std::unique_ptr<Index>> (*load)(
-      std::unique_ptr<ContainerReader> container);
+  /// Builds bundle->index from bundle->container. OpenIndexFromContainer
+  /// has already checked the header's metric tag and dim, and wraps the
+  /// result.
+  Status (*load)(IndexBundle* bundle);
+  /// Writes an index whose concrete type() is `type`.
+  Status (*save)(const Index& index, Writer* out, const std::string& name);
 };
 
-/// The type-tag registry OpenIndex dispatches through (one entry per
-/// IndexType value).
+/// The type-tag registry OpenIndex and SaveIndex dispatch through (one entry
+/// per IndexType value).
 const std::vector<IndexLoaderEntry>& IndexLoaderRegistry();
 
 /// Registry lookup by raw header tag; nullptr for unknown tags.

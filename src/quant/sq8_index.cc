@@ -20,29 +20,66 @@ namespace {
 constexpr size_t kScanChunk = 4096;
 }  // namespace
 
+void Sq8RangeFit::Add(MatrixView rows) {
+  const size_t d = rows.cols();
+  size_t first = 0;
+  if (mins.empty() && rows.rows() > 0) {
+    mins.assign(rows.Row(0), rows.Row(0) + d);
+    maxs = mins;
+    first = 1;
+  }
+  for (size_t i = first; i < rows.rows(); ++i) {
+    const float* row = rows.Row(i);
+    for (size_t j = 0; j < d; ++j) {
+      mins[j] = std::min(mins[j], row[j]);
+      maxs[j] = std::max(maxs[j], row[j]);
+    }
+  }
+}
+
+std::vector<float> Sq8RangeFit::Scales() const {
+  std::vector<float> scales(mins.size());
+  for (size_t j = 0; j < mins.size(); ++j) {
+    scales[j] = (maxs[j] - mins[j]) / 255.0f;
+  }
+  return scales;
+}
+
+void EncodeSq8(const float* x, const float* mins, const float* scales,
+               size_t dim, uint8_t* out) {
+  for (size_t j = 0; j < dim; ++j) {
+    if (scales[j] <= 0.0f) {
+      out[j] = 0;
+      continue;
+    }
+    const long code = std::lround((x[j] - mins[j]) / scales[j]);
+    out[j] = static_cast<uint8_t>(std::min<long>(std::max<long>(code, 0), 255));
+  }
+}
+
 Sq8Index::Sq8Index(const Matrix* base, Sq8IndexConfig config)
     : base_(*base), config_(config), dist_(MatrixView(*base), config.metric) {
   const size_t n = base_.rows(), d = base_.cols();
+  USP_CHECK(n > 0);
+  // Under kCosine the codes quantize the unit sphere; queries are normalized
+  // before encoding.
+  Matrix normalized;
+  MatrixView rows = base_;
   if (config_.metric == Metric::kCosine) {
-    // Codes quantize the unit sphere; queries are normalized before encoding.
-    Matrix normalized = base->Clone();
+    normalized = base->Clone();
     NormalizeRows(&normalized);
-    TrainRanges(MatrixView(normalized));
-    owned_codes_.resize(n * d);
-    ParallelFor(n, 256, [&](size_t begin, size_t end, size_t) {
-      for (size_t i = begin; i < end; ++i) {
-        EncodeVector(normalized.Row(i), owned_codes_.data() + i * d);
-      }
-    });
-  } else {
-    TrainRanges(base_);
-    owned_codes_.resize(n * d);
-    ParallelFor(n, 256, [&](size_t begin, size_t end, size_t) {
-      for (size_t i = begin; i < end; ++i) {
-        EncodeVector(base_.Row(i), owned_codes_.data() + i * d);
-      }
-    });
+    rows = MatrixView(normalized);
   }
+  Sq8RangeFit fit;
+  fit.Add(rows);
+  scales_ = fit.Scales();
+  mins_ = std::move(fit.mins);
+  owned_codes_.resize(n * d);
+  ParallelFor(n, 256, [&](size_t begin, size_t end, size_t) {
+    for (size_t i = begin; i < end; ++i) {
+      EncodeVector(rows.Row(i), owned_codes_.data() + i * d);
+    }
+  });
   codes_ = owned_codes_.data();
 }
 
@@ -58,37 +95,6 @@ Sq8Index::Sq8Index(MatrixView base, Sq8IndexConfig config,
   USP_CHECK(codes_ != nullptr);
   USP_CHECK(mins_.size() == base_.cols());
   USP_CHECK(scales_.size() == base_.cols());
-}
-
-void Sq8Index::TrainRanges(MatrixView rows) {
-  const size_t n = rows.rows(), d = rows.cols();
-  USP_CHECK(n > 0);
-  mins_.assign(d, 0.0f);
-  scales_.assign(d, 0.0f);
-  std::vector<float> maxs(d);
-  for (size_t j = 0; j < d; ++j) mins_[j] = maxs[j] = rows.Row(0)[j];
-  for (size_t i = 1; i < n; ++i) {
-    const float* row = rows.Row(i);
-    for (size_t j = 0; j < d; ++j) {
-      mins_[j] = std::min(mins_[j], row[j]);
-      maxs[j] = std::max(maxs[j], row[j]);
-    }
-  }
-  for (size_t j = 0; j < d; ++j) {
-    scales_[j] = (maxs[j] - mins_[j]) / 255.0f;
-  }
-}
-
-void Sq8Index::EncodeVector(const float* x, uint8_t* out) const {
-  const size_t d = base_.cols();
-  for (size_t j = 0; j < d; ++j) {
-    if (scales_[j] <= 0.0f) {
-      out[j] = 0;
-      continue;
-    }
-    const long code = std::lround((x[j] - mins_[j]) / scales_[j]);
-    out[j] = static_cast<uint8_t>(std::min<long>(std::max<long>(code, 0), 255));
-  }
 }
 
 void Sq8Index::DecodeVector(const uint8_t* code, float* out) const {

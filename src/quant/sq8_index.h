@@ -32,6 +32,25 @@
 
 namespace usp {
 
+/// Streaming fit of SQ8's per-dimension code ranges: Add row blocks in
+/// order, then read `mins` and Scales() ((max - min) / 255 per dimension, 0
+/// for a flat one). Sq8Index and the out-of-core builder
+/// (serve/out_of_core_builder.h) both train with it, so their ranges agree
+/// bit for bit.
+struct Sq8RangeFit {
+  std::vector<float> mins;  ///< empty until the first row
+  std::vector<float> maxs;
+
+  void Add(MatrixView rows);
+  std::vector<float> Scales() const;
+};
+
+/// Quantizes one vector (already metric-prepared, i.e. normalized under
+/// kCosine) into `dim` code bytes under per-dimension `mins`/`scales`,
+/// clamping to [0, 255].
+void EncodeSq8(const float* x, const float* mins, const float* scales,
+               size_t dim, uint8_t* out);
+
 /// Sq8Index knobs.
 struct Sq8IndexConfig {
   Metric metric = Metric::kSquaredL2;
@@ -84,14 +103,14 @@ class Sq8Index : public Index {
 
   /// Quantizes one vector (already metric-prepared, i.e. normalized under
   /// kCosine) into dim() code bytes, clamping to the trained ranges.
-  void EncodeVector(const float* x, uint8_t* out) const;
+  void EncodeVector(const float* x, uint8_t* out) const {
+    EncodeSq8(x, mins_.data(), scales_.data(), base_.cols(), out);
+  }
 
   /// Reconstructs the range midpoint of a code (tests / diagnostics).
   void DecodeVector(const uint8_t* code, float* out) const;
 
  private:
-  void TrainRanges(MatrixView rows);
-
   MatrixView base_;
   Sq8IndexConfig config_;
   DistanceComputer dist_;  ///< exact rerank under config_.metric

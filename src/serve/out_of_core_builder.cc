@@ -1,10 +1,8 @@
 #include "serve/out_of_core_builder.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "baselines/kmeans.h"
@@ -19,98 +17,8 @@ namespace usp {
 
 namespace {
 
-// Total ids buffered across all posting lists before spilling (4 MiB of
-// uint32). Divided evenly per list, so memory is flat in nlist.
-constexpr size_t kPostingBufferIds = 1u << 20;
-
 // Bytes per Append when relaying a temp file into a container section.
 constexpr size_t kRelayBytes = 1u << 20;
-
-/// Buffered append-only spill of per-list posting ids to one temp file per
-/// list. Files are opened only for the duration of a flush, so the open-fd
-/// count stays O(1) at any nlist. Reading one list back is the "one list" of
-/// the builder's RSS contract.
-class PostingSpill {
- public:
-  PostingSpill(std::string prefix, size_t nlist)
-      : prefix_(std::move(prefix)),
-        buffers_(nlist),
-        counts_(nlist, 0),
-        per_list_cap_(std::max<size_t>(
-            64, kPostingBufferIds / std::max<size_t>(nlist, 1))) {}
-
-  ~PostingSpill() { RemoveFiles(); }
-
-  std::string ListPath(size_t list) const {
-    return prefix_ + std::to_string(list);
-  }
-
-  Status Add(uint32_t list, uint32_t id) {
-    std::vector<uint32_t>& buffer = buffers_[list];
-    buffer.push_back(id);
-    ++counts_[list];
-    if (buffer.size() >= per_list_cap_) return Flush(list);
-    return Status::Ok();
-  }
-
-  Status FlushAll() {
-    for (size_t list = 0; list < buffers_.size(); ++list) {
-      if (!buffers_[list].empty()) {
-        Status status = Flush(list);
-        if (!status.ok()) return status;
-      }
-    }
-    return Status::Ok();
-  }
-
-  /// Reads one flushed list back (ids in append = base-row order).
-  StatusOr<std::vector<uint32_t>> ReadList(size_t list) const {
-    std::vector<uint32_t> ids(counts_[list]);
-    if (ids.empty()) return ids;
-    std::FILE* f = std::fopen(ListPath(list).c_str(), "rb");
-    if (f == nullptr) {
-      return Status::IoError("cannot open " + ListPath(list));
-    }
-    const size_t got = std::fread(ids.data(), sizeof(uint32_t), ids.size(), f);
-    std::fclose(f);
-    if (got != ids.size()) {
-      return Status::IoError("truncated posting spill " + ListPath(list));
-    }
-    return ids;
-  }
-
-  const std::vector<uint64_t>& counts() const { return counts_; }
-
-  void RemoveFiles() {
-    for (size_t list = 0; list < buffers_.size(); ++list) {
-      if (counts_[list] > buffers_[list].size()) {
-        std::remove(ListPath(list).c_str());
-      }
-    }
-  }
-
- private:
-  Status Flush(size_t list) {
-    std::vector<uint32_t>& buffer = buffers_[list];
-    std::FILE* f = std::fopen(ListPath(list).c_str(), "ab");
-    if (f == nullptr) {
-      return Status::IoError("cannot open " + ListPath(list) + " for writing");
-    }
-    const size_t put =
-        std::fwrite(buffer.data(), sizeof(uint32_t), buffer.size(), f);
-    const bool close_ok = std::fclose(f) == 0;
-    if (put != buffer.size() || !close_ok) {
-      return Status::IoError("short write to " + ListPath(list));
-    }
-    buffer.clear();
-    return Status::Ok();
-  }
-
-  std::string prefix_;
-  std::vector<std::vector<uint32_t>> buffers_;
-  std::vector<uint64_t> counts_;  ///< total ids added per list
-  size_t per_list_cap_;
-};
 
 /// The trained coarse model of an IVF build: the exact centroid payload to
 /// persist plus the scorer residency assignment runs through.
@@ -229,52 +137,6 @@ Status ForEachAssignedChunk(ChunkStream* base, const IvfModel& model,
   return Status::Ok();
 }
 
-/// Streaming min/max range fit with Sq8Index::TrainRanges' arithmetic.
-struct Sq8Ranges {
-  std::vector<float> mins, maxs, scales;
-  bool initialized = false;
-
-  void Accumulate(MatrixView chunk) {
-    const size_t d = chunk.cols();
-    size_t first = 0;
-    if (!initialized && chunk.rows() > 0) {
-      mins.assign(chunk.Row(0), chunk.Row(0) + d);
-      maxs = mins;
-      initialized = true;
-      first = 1;
-    }
-    for (size_t i = first; i < chunk.rows(); ++i) {
-      const float* row = chunk.Row(i);
-      for (size_t j = 0; j < d; ++j) {
-        mins[j] = std::min(mins[j], row[j]);
-        maxs[j] = std::max(maxs[j], row[j]);
-      }
-    }
-  }
-
-  void FinishScales() {
-    scales.resize(mins.size());
-    for (size_t j = 0; j < mins.size(); ++j) {
-      scales[j] = (maxs[j] - mins[j]) / 255.0f;
-    }
-  }
-};
-
-// Sq8Index::EncodeVector's exact arithmetic — the streamed codes must match
-// the in-memory encoder bit for bit.
-void EncodeSq8Row(const Sq8Ranges& ranges, const float* x, size_t d,
-                  uint8_t* out) {
-  for (size_t j = 0; j < d; ++j) {
-    if (ranges.scales[j] <= 0.0f) {
-      out[j] = 0;
-      continue;
-    }
-    const long code = std::lround((x[j] - ranges.mins[j]) / ranges.scales[j]);
-    out[j] =
-        static_cast<uint8_t>(std::min<long>(std::max<long>(code, 0), 255));
-  }
-}
-
 /// Relays an entire temp file into the current container section.
 Status RelayFile(const std::string& path, StreamingContainerWriter* writer) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -331,90 +193,57 @@ StatusOr<OutOfCoreBuildStats> BuildIvfFlat(ChunkStream* base,
 
   // Encode pass: base rows go straight into the container; assignments spill
   // row-ordered to one temp file (relayed into kAssignments afterwards) and
-  // id-per-list to the posting spill.
+  // are counted per list for the balance stats.
   const std::string assign_path = index_path + ".assign.tmp";
-  PostingSpill postings(index_path + ".list.tmp.", nlist);
-  {
-    std::FILE* assign_file = std::fopen(assign_path.c_str(), "wb");
-    if (assign_file == nullptr) {
-      return Status::IoError("cannot open " + assign_path + " for writing");
-    }
-    size_t chunks = 0;
-    status = ForEachAssignedChunk(
-        base, model.value(), config.chunk_rows,
-        [&](MatrixView chunk, const std::vector<uint32_t>& assignments,
-            size_t row_base) {
-          ++chunks;
-          Status st =
-              writer.Append(chunk.data(), chunk.size() * sizeof(float));
-          if (!st.ok()) return st;
-          if (std::fwrite(assignments.data(), sizeof(uint32_t),
-                          assignments.size(),
-                          assign_file) != assignments.size()) {
-            return Status::IoError("short write to " + assign_path);
-          }
-          for (size_t i = 0; i < assignments.size(); ++i) {
-            st = postings.Add(assignments[i],
-                              static_cast<uint32_t>(row_base + i));
-            if (!st.ok()) return st;
-          }
-          return Status::Ok();
-        });
-    const bool close_ok = std::fclose(assign_file) == 0;
-    if (status.ok() && !close_ok) {
-      status = Status::IoError("short write to " + assign_path);
-    }
-    if (!status.ok()) {
-      std::remove(assign_path.c_str());
-      return status;
-    }
-
-    status = RelayFile(assign_path, &writer);
-    std::remove(assign_path.c_str());
-    if (!status.ok()) return status;
-    status = writer.Finish();
-    if (!status.ok()) return status;
-    if (!out.Close()) return Status::IoError("short write to " + index_path);
-
-    OutOfCoreBuildStats stats;
-    stats.rows = n;
-    stats.dim = d;
-    stats.chunks = chunks;
-    stats.file_size = writer.file_size();
-    stats.nlist = nlist;
-    stats.epochs_run = model.value().epochs_run;
-    stats.train_inertia = model.value().train_inertia;
-
-    // List-balance stats plus an integrity probe of the spill: the largest
-    // list is read back whole (the RSS contract's "one list") and must hold
-    // exactly its count of strictly increasing base rows.
-    status = postings.FlushAll();
-    if (!status.ok()) return status;
-    const std::vector<uint64_t>& counts = postings.counts();
-    size_t largest = 0;
-    uint64_t total = 0;
-    stats.min_list = std::numeric_limits<size_t>::max();
-    for (size_t list = 0; list < counts.size(); ++list) {
-      total += counts[list];
-      if (counts[list] == 0) ++stats.empty_lists;
-      stats.min_list = std::min<size_t>(stats.min_list, counts[list]);
-      stats.max_list = std::max<size_t>(stats.max_list, counts[list]);
-      if (counts[list] > counts[largest]) largest = list;
-    }
-    if (total != n) {
-      return Status::Internal("posting spill lost rows in " + index_path);
-    }
-    StatusOr<std::vector<uint32_t>> list = postings.ReadList(largest);
-    if (!list.ok()) return list.status();
-    for (size_t i = 0; i < list.value().size(); ++i) {
-      const uint32_t id = list.value()[i];
-      if (id >= n || (i > 0 && id <= list.value()[i - 1])) {
-        return Status::Internal("posting spill corrupt for list " +
-                                std::to_string(largest) + " of " + index_path);
-      }
-    }
-    return stats;
+  std::FILE* assign_file = std::fopen(assign_path.c_str(), "wb");
+  if (assign_file == nullptr) {
+    return Status::IoError("cannot open " + assign_path + " for writing");
   }
+  std::vector<size_t> counts(nlist, 0);
+  size_t chunks = 0;
+  status = ForEachAssignedChunk(
+      base, model.value(), config.chunk_rows,
+      [&](MatrixView chunk, const std::vector<uint32_t>& assignments,
+          size_t) {
+        ++chunks;
+        Status st = writer.Append(chunk.data(), chunk.size() * sizeof(float));
+        if (!st.ok()) return st;
+        if (std::fwrite(assignments.data(), sizeof(uint32_t),
+                        assignments.size(),
+                        assign_file) != assignments.size()) {
+          return Status::IoError("short write to " + assign_path);
+        }
+        for (const uint32_t list : assignments) ++counts[list];
+        return Status::Ok();
+      });
+  const bool close_ok = std::fclose(assign_file) == 0;
+  if (status.ok() && !close_ok) {
+    status = Status::IoError("short write to " + assign_path);
+  }
+  if (!status.ok()) {
+    std::remove(assign_path.c_str());
+    return status;
+  }
+
+  status = RelayFile(assign_path, &writer);
+  std::remove(assign_path.c_str());
+  if (!status.ok()) return status;
+  status = writer.Finish();
+  if (!status.ok()) return status;
+  if (!out.Close()) return Status::IoError("short write to " + index_path);
+
+  OutOfCoreBuildStats stats;
+  stats.rows = n;
+  stats.dim = d;
+  stats.chunks = chunks;
+  stats.file_size = writer.file_size();
+  stats.nlist = nlist;
+  stats.epochs_run = model.value().epochs_run;
+  stats.train_inertia = model.value().train_inertia;
+  stats.min_list = *std::min_element(counts.begin(), counts.end());
+  stats.max_list = *std::max_element(counts.begin(), counts.end());
+  stats.empty_lists = std::count(counts.begin(), counts.end(), size_t{0});
+  return stats;
 }
 
 StatusOr<OutOfCoreBuildStats> BuildSq8(ChunkStream* base,
@@ -447,7 +276,7 @@ StatusOr<OutOfCoreBuildStats> BuildSq8(ChunkStream* base,
   // (over unit-normalized copies under cosine, like the in-memory trainer).
   status = base->Reset();
   if (!status.ok()) return status;
-  Sq8Ranges ranges;
+  Sq8RangeFit ranges;
   size_t chunks = 0;
   for (;;) {
     StatusOr<MatrixView> chunk_or = base->NextChunk(config.chunk_rows);
@@ -460,38 +289,35 @@ StatusOr<OutOfCoreBuildStats> BuildSq8(ChunkStream* base,
     if (cosine) {
       Matrix normalized = chunk.Clone();
       NormalizeRows(&normalized);
-      ranges.Accumulate(normalized);
+      ranges.Add(normalized);
     } else {
-      ranges.Accumulate(chunk);
+      ranges.Add(chunk);
     }
   }
-  if (!ranges.initialized) {
+  if (ranges.mins.empty()) {
     return Status::InvalidArgument("cannot build an SQ8 index from 0 rows");
   }
-  ranges.FinishScales();
+  const std::vector<float> scales = ranges.Scales();
   status = writer.Append(ranges.mins.data(), d * sizeof(float));
   if (!status.ok()) return status;
-  status = writer.Append(ranges.scales.data(), d * sizeof(float));
+  status = writer.Append(scales.data(), d * sizeof(float));
   if (!status.ok()) return status;
 
-  // Pass 2: re-stream and encode.
-  status = base->Reset();
+  // Pass 2: re-stream (unit-normalized under cosine) and encode.
+  NormalizingStream normalized(base);
+  ChunkStream* rows = cosine ? &normalized : base;
+  status = rows->Reset();
   if (!status.ok()) return status;
   std::vector<uint8_t> codes;
   for (;;) {
-    StatusOr<MatrixView> chunk_or = base->NextChunk(config.chunk_rows);
+    StatusOr<MatrixView> chunk_or = rows->NextChunk(config.chunk_rows);
     if (!chunk_or.ok()) return chunk_or.status();
-    MatrixView chunk = chunk_or.value();
+    const MatrixView chunk = chunk_or.value();
     if (chunk.rows() == 0) break;
-    Matrix normalized;
-    if (cosine) {
-      normalized = chunk.Clone();
-      NormalizeRows(&normalized);
-      chunk = MatrixView(normalized);
-    }
     codes.resize(chunk.size());
     for (size_t i = 0; i < chunk.rows(); ++i) {
-      EncodeSq8Row(ranges, chunk.Row(i), d, codes.data() + i * d);
+      EncodeSq8(chunk.Row(i), ranges.mins.data(), scales.data(), d,
+                codes.data() + i * d);
     }
     status = writer.Append(codes.data(), chunk.size());
     if (!status.ok()) return status;

@@ -2,13 +2,13 @@
 // streams an .fvecs base through bounded-memory passes — reservoir-sampled
 // k-means++ seeding, mini-batch k-means training (baselines/kmeans.h), a
 // chunked assignment/encode pass — and writes a sealed IVF-Flat or SQ8
-// container file section by section (StreamingContainerWriter), spilling
-// per-list postings and row assignments to temp files instead of holding
-// them. The working set stays O(chunk_rows * dim + nlist * dim + largest
-// list), never O(n * dim); the finished file opens through the ordinary
-// OpenIndex heap/mmap paths and is byte-identical to SaveIndex of the
-// equivalent in-memory build (BuildInMemory), which is how the acceptance
-// tests pin the whole pipeline (tests/out_of_core_test.cc).
+// container file section by section (StreamingContainerWriter), spilling the
+// row assignments to one temp file instead of holding them (posting lists are
+// only counted, for the list-balance stats). The working set stays
+// O(chunk_rows * dim + nlist * dim), never O(n * dim); the finished file
+// opens through the ordinary OpenIndex heap/mmap paths and is byte-identical
+// to SaveIndex of the equivalent in-memory build (BuildInMemory), which is
+// how the acceptance tests pin the whole pipeline (tests/out_of_core_test.cc).
 #ifndef USP_SERVE_OUT_OF_CORE_BUILDER_H_
 #define USP_SERVE_OUT_OF_CORE_BUILDER_H_
 
@@ -75,8 +75,8 @@ class OutOfCoreBuilder {
   explicit OutOfCoreBuilder(OutOfCoreConfig config) : config_(config) {}
 
   /// Builds `index_path` from the .fvecs file at `fvecs_path` without ever
-  /// materializing the base in RAM. Temp spill files live next to
-  /// `index_path` and are removed on exit; on error the partial output is
+  /// materializing the base in RAM. The assignment temp file lives next to
+  /// `index_path` and is removed on exit; on error the partial output is
   /// removed too.
   StatusOr<OutOfCoreBuildStats> Build(const std::string& fvecs_path,
                                       const std::string& index_path) const;

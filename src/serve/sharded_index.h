@@ -170,8 +170,9 @@ class ShardedIndex : public Index {
 
  private:
   /// placement_ entry: which shard a global id lives in and its local id
-  /// there. kUnplaced marks ids that were never assigned (holes cannot occur
-  /// in practice — ids are dense — but the loader tolerates them).
+  /// there. kUnplaced marks a slot the constructor has not filled yet; ids
+  /// are dense, and the loader rejects a container whose next_global_id
+  /// exceeds its id-map entries, so every id below next_id_ ends up placed.
   struct ShardRef {
     uint32_t shard;
     uint32_t local;

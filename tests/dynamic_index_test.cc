@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <limits>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -390,6 +392,9 @@ TEST(DynamicIndexTest, SaveOpenRoundTripIsBitIdentical) {
 
   const std::string path = TempPath("dynamic.uspx");
   ASSERT_TRUE(SaveIndex(index, path).ok());
+  std::ifstream saved_file(path, std::ios::binary);
+  const std::string saved((std::istreambuf_iterator<char>(saved_file)),
+                          std::istreambuf_iterator<char>());
 
   for (const LoadMode mode : {LoadMode::kHeap, LoadMode::kMmap}) {
     auto loaded = OpenIndex(path, mode);
@@ -403,6 +408,10 @@ TEST(DynamicIndexTest, SaveOpenRoundTripIsBitIdentical) {
     EXPECT_EQ(after.ids, before.ids);
     EXPECT_EQ(after.distances, before.distances);
     EXPECT_EQ(after.candidate_counts, before.candidate_counts);
+    // Saving the loaded index reproduces the saved bytes.
+    StatusOr<std::string> resaved = SerializeIndex(*loaded.value());
+    ASSERT_TRUE(resaved.ok()) << resaved.status().ToString();
+    EXPECT_TRUE(resaved.value() == saved);
   }
   std::remove(path.c_str());
 }

@@ -3,7 +3,9 @@
 // answer searches bit-identically through both load modes — and its working
 // set must stay bounded while the base does not fit the budget an in-memory
 // build would need.
+#include <dirent.h>
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -301,6 +303,37 @@ TEST(OutOfCoreBuilderTest, FailedBuildRemovesPartialOutput) {
   std::FILE* leftover = std::fopen(index_path.c_str(), "rb");
   EXPECT_EQ(leftover, nullptr) << "partial container left behind";
   if (leftover != nullptr) std::fclose(leftover);
+  std::remove(fvecs.c_str());
+}
+
+TEST(OutOfCoreBuilderTest, SuccessfulBuildLeavesOnlyTheContainer) {
+  // The build's temp files (.assign.tmp) live next to the container; a
+  // finished build must have removed every one of them.
+  const LabeledDataset ds = MakeGaussianMixture(2000, 8, 6, 9.0f, 1.0f, 21);
+  const std::string fvecs = TempPath("clean_dir.fvecs");
+  ASSERT_TRUE(WriteFvecs(fvecs, ds.points).ok());
+  std::string dir = TempPath("clean_dir_XXXXXX");
+  ASSERT_NE(mkdtemp(&dir[0]), nullptr);
+  OutOfCoreConfig config;
+  config.chunk_rows = 300;
+  config.nlist = 32;
+  config.sample_rows = 1000;
+  auto stats = OutOfCoreBuilder(config).Build(fvecs, dir + "/index.usp");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+
+  std::vector<std::string> entries;
+  DIR* listing = opendir(dir.c_str());
+  ASSERT_NE(listing, nullptr);
+  while (const dirent* entry = readdir(listing)) {
+    const std::string name = entry->d_name;
+    if (name != "." && name != "..") entries.push_back(name);
+  }
+  closedir(listing);
+  EXPECT_EQ(entries, std::vector<std::string>{"index.usp"});
+  for (const std::string& name : entries) {
+    std::remove((dir + "/" + name).c_str());
+  }
+  rmdir(dir.c_str());
   std::remove(fvecs.c_str());
 }
 

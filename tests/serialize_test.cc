@@ -4,11 +4,16 @@
 // with bit-identical search results under both the streaming and the
 // zero-copy mmap loader; and malformed inputs must fail with clear Status
 // codes, never crash.
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <unistd.h>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -23,6 +28,8 @@
 #include "ivf/ivf.h"
 #include "quant/scann_index.h"
 #include "quant/sq8_index.h"
+#include "serve/dynamic_index.h"
+#include "serve/sharded_index.h"
 
 namespace usp {
 namespace {
@@ -222,13 +229,20 @@ void ExpectSameResults(const Index& original, const Index& reopened,
   EXPECT_EQ(a.candidate_counts, b.candidate_counts) << label;
 }
 
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
 // Saves `index`, reopens it through both loaders, and checks searches are
-// bit-identical to the in-memory original in both modes, and that interface
-// metadata survives.
+// bit-identical to the in-memory original in both modes, that interface
+// metadata survives, and that saving either loaded index reproduces the
+// saved bytes.
 void ExpectRoundTrip(const Index& index, const Matrix& queries, size_t k,
                      size_t budget, const std::string& name) {
   const std::string path = TempPath(name + ".uspidx");
   ASSERT_TRUE(SaveIndex(index, path).ok());
+  const std::string saved = FileBytes(path);
 
   auto heap = LoadIndex(path);
   ASSERT_TRUE(heap.ok()) << heap.status().ToString();
@@ -242,6 +256,9 @@ void ExpectRoundTrip(const Index& index, const Matrix& queries, size_t k,
     EXPECT_EQ(loaded.size(), index.size());
     EXPECT_EQ(loaded.metric(), index.metric());
     EXPECT_EQ(loaded.underlying().type(), index.type());
+    StatusOr<std::string> resaved = SerializeIndex(loaded);
+    ASSERT_TRUE(resaved.ok()) << resaved.status().ToString();
+    EXPECT_TRUE(resaved.value() == saved) << name;
   }
   ExpectSameResults(index, *heap.value(), queries, k, budget, name + "/heap");
   ExpectSameResults(index, *mapped.value(), queries, k, budget,
@@ -633,12 +650,22 @@ void PatchFile64(const std::string& path, long offset, uint64_t value) {
 
 // Locates a section's payload offset through the public reader API so the
 // corruption tests don't hard-code the save-side section order.
-long SectionOffset(const std::string& path, SectionTag tag) {
+long SectionOffset(const std::string& path, SectionTag tag,
+                   uint32_t ordinal = 0) {
   auto reader = ContainerReader::OpenFile(path);
   EXPECT_TRUE(reader.ok());
-  auto entry = reader.value()->Find(tag, 0);
+  auto entry = reader.value()->Find(tag, ordinal);
   EXPECT_TRUE(entry.ok());
   return static_cast<long>(entry.value().offset);
+}
+
+template <typename T>
+T ReadField(const std::string& path, long offset) {
+  T value{};
+  std::ifstream in(path, std::ios::binary);
+  in.seekg(offset);
+  in.read(reinterpret_cast<char*>(&value), sizeof(value));
+  return value;
 }
 
 TEST(IndexContainerTest, CorruptNlistIsStatusNotBadAlloc) {
@@ -675,6 +702,154 @@ TEST(IndexContainerTest, CorruptEmbeddedModelHeaderIsStatusNotBadAlloc) {
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   }
   std::remove(path.c_str());
+}
+
+// One patched field of a saved container.
+struct Corruption {
+  const char* name;
+  std::function<void(const std::string& path)> apply;
+};
+
+// Applies each corruption to a fresh copy of the container at `saved`;
+// OpenIndex must return kInvalidArgument in both load modes.
+void ExpectCorruptionsRejected(const std::string& saved,
+                               const std::vector<Corruption>& corruptions) {
+  const std::string bytes = FileBytes(saved);
+  for (const Corruption& corruption : corruptions) {
+    const std::string path = TempPath(std::string("corrupt_") +
+                                      corruption.name + ".uspidx");
+    std::ofstream(path, std::ios::binary) << bytes;
+    corruption.apply(path);
+    for (const LoadMode mode : {LoadMode::kHeap, LoadMode::kMmap}) {
+      auto result = OpenIndex(path, mode);
+      ASSERT_FALSE(result.ok()) << corruption.name;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << corruption.name << ": " << result.status().ToString();
+    }
+    std::remove(path.c_str());
+  }
+}
+
+// Adds `delta` to the 64-bit field at `offset`.
+void BumpField64(const std::string& path, long offset, int64_t delta) {
+  PatchFile64(path, offset,
+              ReadField<uint64_t>(path, offset) + static_cast<uint64_t>(delta));
+}
+
+// Field offsets inside the nested-container records (docs/FORMAT.md):
+// DynamicConfigRecord {next_global_id, num_sealed, write_rows,
+// tombstone_count, ...}, DynamicSegmentEntry {rows, index_type, ...},
+// ShardedConfigRecord {next_global_id, num_shards} and ShardManifestEntry
+// {rows, id_entries, index_type, ...}.
+constexpr long kNumPointsOffset = offsetof(ContainerHeader, num_points);
+
+TEST(IndexContainerTest, CorruptDynamicContainerIsInvalidArgument) {
+  const Workload& w = SerializeWorkload();
+  const size_t n = w.base.rows(), d = w.base.cols();
+  DynamicIndex index(d);
+  index.AddBatch(MatrixView(w.base.Row(0), 200, d));
+  index.Seal();
+  index.AddBatch(MatrixView(w.base.Row(200), 200, d));
+  index.Seal();
+  index.AddBatch(MatrixView(w.base.Row(400), n - 400, d));
+  ASSERT_TRUE(index.Delete(5));
+  ASSERT_TRUE(index.Delete(205));
+  ASSERT_TRUE(index.Delete(450));
+  const std::string saved = TempPath("dynamic_intact.uspidx");
+  ASSERT_TRUE(SaveIndex(index, saved).ok());
+  const long config = SectionOffset(saved, SectionTag::kConfig);
+  const long manifest = SectionOffset(saved, SectionTag::kManifest);
+  const long ids0 = SectionOffset(saved, SectionTag::kIdMap, 0);
+  const long ids1 = SectionOffset(saved, SectionTag::kIdMap, 1);
+  ExpectCorruptionsRejected(
+      saved,
+      {{"num_sealed_5000",
+        [&](const std::string& p) { PatchFile64(p, config + 8, 5000); }},
+       {"tombstone_count_plus_1",
+        [&](const std::string& p) { BumpField64(p, config + 24, 1); }},
+       {"manifest_type_dynamic",
+        [&](const std::string& p) {
+          PatchFile(p, manifest + 8,
+                    static_cast<uint32_t>(IndexType::kDynamic));
+        }},
+       {"manifest_rows_plus_1",
+        [&](const std::string& p) { BumpField64(p, manifest, 1); }},
+       {"id_repeated_across_segments",
+        [&](const std::string& p) {
+          PatchFile(p, ids1, ReadField<uint32_t>(p, ids0));
+        }},
+       {"id_equal_to_next_global_id",
+        [&](const std::string& p) {
+          PatchFile(p, ids0,
+                    static_cast<uint32_t>(ReadField<uint64_t>(p, config)));
+        }},
+       {"header_num_points_plus_1",
+        [&](const std::string& p) { BumpField64(p, kNumPointsOffset, 1); }},
+       {"next_global_id_2_31",
+        [&](const std::string& p) {
+          PatchFile64(p, config, uint64_t{1} << 31);
+        }}});
+  std::remove(saved.c_str());
+}
+
+// A 400-row static sharded container over three shards.
+std::string SaveShardedContainer(const std::string& name) {
+  const Workload& w = SerializeWorkload();
+  ShardedIndexConfig config;
+  config.num_shards = 3;
+  const ShardedIndex index(MatrixView(w.base.data(), 400, w.base.cols()),
+                           config);
+  const std::string path = TempPath(name);
+  EXPECT_TRUE(SaveIndex(index, path).ok());
+  return path;
+}
+
+TEST(IndexContainerTest, CorruptShardedContainerIsInvalidArgument) {
+  const std::string saved = SaveShardedContainer("sharded_intact.uspidx");
+  const long config = SectionOffset(saved, SectionTag::kConfig);
+  const long manifest = SectionOffset(saved, SectionTag::kManifest);
+  const long ids = SectionOffset(saved, SectionTag::kIdMap, 0);
+  ASSERT_NE(ReadField<uint32_t>(saved, manifest + 16), 0u);  // shard 0 present
+  const uint32_t id0 = ReadField<uint32_t>(saved, ids);
+  const uint32_t id1 = ReadField<uint32_t>(saved, ids + 4);
+  uint32_t foreign = 0;  // an id below id1 that hashes to another shard
+  while (foreign < id1 && ShardedIndex::Place(foreign, 3) == 0) ++foreign;
+  ASSERT_LT(foreign, id1);
+  ExpectCorruptionsRejected(
+      saved,
+      {{"num_shards_0",
+        [&](const std::string& p) { PatchFile64(p, config + 8, 0); }},
+       {"manifest_type_sharded",
+        [&](const std::string& p) {
+          PatchFile(p, manifest + 16,
+                    static_cast<uint32_t>(IndexType::kSharded));
+        }},
+       {"id_entries_minus_1",
+        [&](const std::string& p) { BumpField64(p, manifest + 8, -1); }},
+       {"ids_not_ascending",
+        [&](const std::string& p) {
+          PatchFile(p, ids, id1);
+          PatchFile(p, ids + 4, id0);
+        }},
+       {"id_in_wrong_shard",
+        [&](const std::string& p) { PatchFile(p, ids, foreign); }},
+       {"header_num_points_plus_1",
+        [&](const std::string& p) { BumpField64(p, kNumPointsOffset, 1); }}});
+  std::remove(saved.c_str());
+}
+
+TEST(IndexContainerTest, ShardedNextGlobalIdBeyondIdMapsIsInvalidArgument) {
+  // next_global_id sizes the loader's id tables; it may not exceed the id-map
+  // entries the file holds (400 here: one per row).
+  const std::string saved = SaveShardedContainer("sharded_next_id.uspidx");
+  const long config = SectionOffset(saved, SectionTag::kConfig);
+  ExpectCorruptionsRejected(
+      saved, {{"next_global_id_n_plus_1",
+               [&](const std::string& p) { PatchFile64(p, config, 401); }},
+              {"next_global_id_2_24", [&](const std::string& p) {
+                 PatchFile64(p, config, uint64_t{1} << 24);
+               }}});
+  std::remove(saved.c_str());
 }
 
 TEST(IndexContainerTest, MisalignedSectionOffsetIsInvalidArgument) {

@@ -6,6 +6,8 @@
 // ties, empty shards), and SearchStats aggregation across the fan-out.
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -316,6 +318,9 @@ TEST(ShardedIndexTest, SaveOpenRoundTripIsBitIdentical) {
 
   const std::string path = TempPath("sharded_static.uspidx");
   ASSERT_TRUE(SaveIndex(index, path).ok());
+  std::ifstream saved_file(path, std::ios::binary);
+  const std::string saved((std::istreambuf_iterator<char>(saved_file)),
+                          std::istreambuf_iterator<char>());
   for (const LoadMode mode : {LoadMode::kHeap, LoadMode::kMmap}) {
     StatusOr<std::unique_ptr<Index>> loaded = OpenIndex(path, mode);
     ASSERT_TRUE(loaded.ok()) << loaded.status().message();
@@ -328,6 +333,10 @@ TEST(ShardedIndexTest, SaveOpenRoundTripIsBitIdentical) {
     EXPECT_EQ(got.ids, want.ids);
     EXPECT_EQ(got.distances, want.distances);
     EXPECT_EQ(got.candidate_counts, want.candidate_counts);
+    // Saving the loaded index reproduces the saved bytes.
+    StatusOr<std::string> resaved = SerializeIndex(reopened);
+    ASSERT_TRUE(resaved.ok()) << resaved.status().message();
+    EXPECT_TRUE(resaved.value() == saved);
   }
 }
 
