@@ -27,7 +27,9 @@
 #include "dist/distance_kernels.h"
 #include "dist/quant_kernels.h"
 #include "ivf/ivf.h"
+#include "knn/top_k.h"
 #include "quant/fastscan.h"
+#include "quant/pq.h"
 #include "quant/sq8_index.h"
 #include "util/env.h"
 #include "util/timer.h"
@@ -263,6 +265,141 @@ int Run(const char* out_path) {
              isink += qsums[rows / 2];
            }),
            adc_float);
+  }
+
+  // --- The ADC stage around the kernel: shortlist select, LUT build --------
+  // One scann-mixed query's shapes (m = 32, k = 16, rerank budget 200): the
+  // select of a probed bucket's 1,368 pq4 sums and of 411 float ADC scores
+  // (a 30%-filtered bucket) down to 200, in ns per candidate against a
+  // TopK(200) heap over the same pairs; and the per-query LUT, one-pass float
+  // table plus its uint8 quantization, in ns per query (`rows` = queries).
+  {
+    constexpr size_t kM = 32, kCodebook = 16, kKeep = 200;
+    constexpr size_t kSelects = 2000;
+    std::mt19937 gen(5);
+    std::uniform_int_distribution<uint32_t> code_dist(0, kCodebook - 1);
+    std::uniform_real_distribution<float> val_dist(0.0f, 4.0f);
+    std::vector<float> table(kM * kCodebook);
+    for (auto& v : table) v = val_dist(gen);
+    const QuantizedLut qlut = QuantizeAdcTable(table.data(), kM, kCodebook);
+    const size_t quantized = 1368, floats = 411;
+    std::vector<uint8_t> codes(quantized * kM);
+    for (auto& c : codes) c = static_cast<uint8_t>(code_dist(gen));
+    const PackedCodes packed = PackCodes4(codes.data(), quantized, kM);
+    std::vector<uint16_t> sums(packed.num_blocks() * kPq4BlockSize);
+    quant.pq4_scan(packed.data.data(), qlut.lut.data(), kM,
+                   packed.num_blocks(), sums.data());
+    std::vector<uint32_t> ids(quantized);
+    std::iota(ids.begin(), ids.end(), 0u);
+    std::vector<float> adc(floats);
+    for (size_t i = 0; i < floats; ++i) {
+      float sum = 0.0f;
+      for (size_t s = 0; s < kM; ++s) {
+        sum += table[s * kCodebook + codes[i * kM + s]];
+      }
+      adc[i] = sum;
+    }
+    const auto score = [&qlut](uint16_t sum) { return qlut.Score(sum); };
+    Shortlist shortlist;
+    const auto heap_select = [&](size_t n, const auto& distance_at) {
+      return BestOfReps(reps, [&] {
+        for (size_t r = 0; r < kSelects; ++r) {
+          TopK heap(kKeep);
+          for (size_t i = 0; i < n; ++i) heap.Push(distance_at(i), ids[i]);
+          isink += heap.TakeSorted().back().id;
+        }
+      });
+    };
+    const double sums_heap =
+        heap_select(quantized, [&](size_t i) { return qlut.Score(sums[i]); });
+    record("select_pq4_sums", "topk_heap", kKeep, quantized * kSelects,
+           static_cast<double>(quantized * kSelects) * sizeof(uint16_t),
+           sums_heap, 0.0);
+    record("select_pq4_sums", "shortlist", kKeep, quantized * kSelects,
+           static_cast<double>(quantized * kSelects) * sizeof(uint16_t),
+           BestOfReps(reps, [&] {
+             for (size_t r = 0; r < kSelects; ++r) {
+               shortlist.Reset(kKeep);
+               shortlist.Push(sums.data(), score, ids.data(), quantized);
+               isink += shortlist.Take().back().id;
+             }
+           }),
+           sums_heap);
+    const double floats_heap =
+        heap_select(floats, [&](size_t i) { return adc[i]; });
+    record("select_adc_floats", "topk_heap", kKeep, floats * kSelects,
+           static_cast<double>(floats * kSelects) * sizeof(float),
+           floats_heap, 0.0);
+    record("select_adc_floats", "shortlist", kKeep, floats * kSelects,
+           static_cast<double>(floats * kSelects) * sizeof(float),
+           BestOfReps(reps, [&] {
+             for (size_t r = 0; r < kSelects; ++r) {
+               shortlist.Reset(kKeep);
+               shortlist.Push(adc.data(), ids.data(), floats);
+               isink += shortlist.Take().back().id;
+             }
+           }),
+           floats_heap);
+
+    // A trained quantizer of the same shape (d = 128, four dims per
+    // subspace) for the table build.
+    const size_t d = 128, train_rows = 2000;
+    Matrix train(train_rows, d);
+    std::normal_distribution<float> normal(0.0f, 1.0f);
+    for (size_t i = 0; i < train_rows; ++i) {
+      for (size_t j = 0; j < d; ++j) train.Row(i)[j] = normal(gen);
+    }
+    PqConfig pq_config;
+    pq_config.num_subspaces = kM;
+    pq_config.codebook_size = kCodebook;
+    pq_config.kmeans_iterations = 4;
+    ProductQuantizer pq(pq_config);
+    pq.Train(train);
+    std::vector<float> query(d), lut_table(kM * kCodebook);
+    for (auto& v : query) v = normal(gen);
+    QuantizedLut lut;
+    constexpr size_t kQueries = 20000;
+    const double table_bytes =
+        static_cast<double>(kQueries) * kM * kCodebook * sizeof(float);
+    // Baseline: one score_block_l2 call per subspace, the loop the one-pass
+    // table replaced.
+    const double per_subspace = BestOfReps(reps, [&] {
+      for (size_t r = 0; r < kQueries; ++r) {
+        query[r % d] += 1e-3f;
+        for (size_t s = 0; s < kM; ++s) {
+          const Matrix& cb = pq.codebook(s);
+          const size_t off = pq.subspace_offsets()[s];
+          dispatched.score_block_l2(query.data() + off, cb.data(), cb.rows(),
+                                    cb.cols(), lut_table.data() + s * kCodebook);
+        }
+        sink += lut_table[r % lut_table.size()];
+      }
+    });
+    record("adc_table_build", "per_subspace", kM, kQueries, table_bytes,
+           per_subspace, 0.0);
+    record("adc_table_build", dispatched.name, kM, kQueries, table_bytes,
+           BestOfReps(reps, [&] {
+             for (size_t r = 0; r < kQueries; ++r) {
+               query[r % d] += 1e-3f;
+               pq.BuildTable(query.data(), AdcTableKind::kSquaredL2,
+                             lut_table.data());
+               sink += lut_table[r % lut_table.size()];
+             }
+           }),
+           per_subspace);
+    for (const QuantKernels* set : {&quant_scalar, &quant}) {
+      record("adc_lut_quantize", set->name, kM, kQueries, table_bytes,
+             BestOfReps(reps, [&] {
+               for (size_t r = 0; r < kQueries; ++r) {
+                 lut_table[r % lut_table.size()] += 1e-3f;
+                 lut.lut.resize(kM * 16);
+                 set->quantize_lut(lut_table.data(), kM, kCodebook,
+                                   lut.lut.data(), &lut.bias, &lut.delta);
+                 isink += lut.lut[r % lut.lut.size()];
+               }
+             }),
+             0.0);
+    }
   }
 
   // --- SQ8 int8 scans vs the scalar fp32 loop ------------------------------

@@ -146,6 +146,10 @@ StatusOr<MiniBatchKMeansResult> RunMiniBatchKMeans(
   if (config.epochs == 0) {
     return Status::InvalidArgument("MiniBatchKMeansConfig::epochs must be > 0");
   }
+  if (config.num_clusters == 0) {
+    return Status::InvalidArgument(
+        "MiniBatchKMeansConfig::num_clusters must be > 0");
+  }
   if (seeding_sample.rows() == 0 || seeding_sample.cols() != d) {
     return Status::InvalidArgument(
         "seeding sample must be non-empty and match the stream dimension");

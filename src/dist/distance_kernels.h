@@ -24,6 +24,16 @@
 // this for both kernel pairs across dims covering every SIMD tail and row
 // counts covering every remainder of the four-row loop.
 //
+// `adc_table` builds a product quantizer's whole per-query lookup table in
+// one call. It runs every subspace's codewords eight at a time, one codeword
+// per SIMD lane, from the dim-major layout of AdcCodebooks: eight
+// accumulators stand for the eight lanes of the 1-vs-1 kernels (the
+// subvector's element i feeds accumulator i % 8), and the same tree reduces
+// them, lane-wise across codewords. Every entry therefore equals its
+// subspace's score_block_l2 or score_block_dot row bit for bit, in both sets,
+// with no horizontal reduction per codeword; the negation of an IP/cosine
+// table is a sign flip on the way out.
+//
 // `gemm` computes whole output rows. Each element starts at +0 and takes the
 // products for p = 0, 1, ..., k-1 in order, one step each: the sequence of the
 // memset-plus-axpy loop (c_i += a_ip * b_p, one call per p) that the entry
@@ -46,6 +56,28 @@
 #include <cstdint>
 
 namespace usp {
+
+/// Which per-query ADC lookup table DistanceKernels::adc_table builds.
+enum class AdcTableKind : uint8_t {
+  kSquaredL2,   ///< squared distances of subvector and codeword
+  kDot,         ///< their inner products
+  kNegatedDot,  ///< the inner products negated (IP/cosine ADC ranking)
+};
+
+/// A product quantizer's codebooks laid out for DistanceKernels::adc_table.
+/// Subspace s covers the query dims [offsets[s], offsets[s + 1]) and has
+/// rows[s] <= k codewords. The layout is dim-major: the value of codeword c
+/// at query dim j (a dim of subspace s) is codewords[j * stride + c], where
+/// stride is k rounded up to a multiple of 8 and the slots from rows[s] on
+/// hold 0.
+struct AdcCodebooks {
+  const float* codewords = nullptr;
+  const size_t* offsets = nullptr;  ///< m + 1 subspace boundaries
+  const size_t* rows = nullptr;     ///< m codeword counts
+  size_t m = 0;
+  size_t k = 0;       ///< table row length (the codebook size)
+  size_t stride = 0;  ///< k rounded up to a multiple of 8
+};
 
 /// Function table for one kernel implementation set. All pointers are
 /// non-null. `d` is the vector dimensionality; rows are dense row-major.
@@ -76,6 +108,14 @@ struct DistanceKernels {
   /// to dot per row.
   void (*score_ids_dot)(const float* query, const float* base, size_t d,
                         const uint32_t* ids, size_t count, float* out);
+
+  /// The (m x k) ADC lookup table of one query: for every subspace s and
+  /// codeword c < rows[s], out[s * k + c] is score_block_l2 (kSquaredL2) or
+  /// score_block_dot (kDot) of the query's subvector s against codeword c,
+  /// bit for bit; the rest of each row is +0. kNegatedDot flips the sign of
+  /// every kDot entry, the padding included (it becomes -0).
+  void (*adc_table)(const float* query, const AdcCodebooks& books,
+                    AdcTableKind kind, float* out);
 
   /// n rows of a matrix product: c[i*m + j] = sum over p < k of
   /// a[i*a_row + p*a_col] * b[p*m + j], for i < n and j < m; `b` is a dense

@@ -149,6 +149,92 @@ __attribute__((target("avx2,fma"))) void ScoreIds(const float* query,
   for (; i < count; ++i) out[i] = OneRow<kL2>(query, row(i), d);
 }
 
+// One element of a subspace against eight codewords: the query's value at
+// `q` broadcast, the codewords' values at `x`.
+template <bool kL2>
+__attribute__((target("avx2,fma"))) inline __m256 AdcStep(const float* q,
+                                                          const float* x,
+                                                          __m256 acc) {
+  return Step<kL2>(_mm256_broadcast_ss(q), _mm256_loadu_ps(x), acc);
+}
+
+// One subspace row of the ADC table, eight codewords (SIMD lanes) at a time:
+// a[j] holds lane j of the 1-vs-1 arithmetic for every codeword in flight,
+// fed by the subvector's elements i with i % 8 == j in order, and the
+// reduction tree of Reduce8 runs across the eight accumulators. Slots from
+// `rows` on are zeroed, then `sign` flips the sign bits. Inlined into
+// AdcTableAvx2: a call per subspace costs as much as the row.
+template <bool kL2>
+__attribute__((target("avx2,fma"), always_inline)) inline void AdcRow(
+    const float* query, const float* cols, size_t sd, size_t stride,
+    size_t rows, size_t k, __m256 sign, float* out) {
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  for (size_t c = 0; c < k; c += 8) {
+    __m256 a[8];
+#pragma GCC unroll 8
+    for (int j = 0; j < 8; ++j) a[j] = _mm256_setzero_ps();
+    const float* x = cols + c;
+    size_t i = 0;
+    for (; i + 8 <= sd; i += 8) {
+#pragma GCC unroll 8
+      for (int j = 0; j < 8; ++j) {
+        a[j] = AdcStep<kL2>(query + i + j, x + (i + j) * stride, a[j]);
+      }
+    }
+    switch (sd - i) {  // the last sd % 8 elements, one lane each
+      case 7: a[6] = AdcStep<kL2>(query + i + 6, x + (i + 6) * stride, a[6]);
+        [[fallthrough]];
+      case 6: a[5] = AdcStep<kL2>(query + i + 5, x + (i + 5) * stride, a[5]);
+        [[fallthrough]];
+      case 5: a[4] = AdcStep<kL2>(query + i + 4, x + (i + 4) * stride, a[4]);
+        [[fallthrough]];
+      case 4: a[3] = AdcStep<kL2>(query + i + 3, x + (i + 3) * stride, a[3]);
+        [[fallthrough]];
+      case 3: a[2] = AdcStep<kL2>(query + i + 2, x + (i + 2) * stride, a[2]);
+        [[fallthrough]];
+      case 2: a[1] = AdcStep<kL2>(query + i + 1, x + (i + 1) * stride, a[1]);
+        [[fallthrough]];
+      case 1: a[0] = AdcStep<kL2>(query + i, x + i * stride, a[0]);
+        [[fallthrough]];
+      default: break;
+    }
+    const __m256 even = _mm256_add_ps(_mm256_add_ps(a[0], a[4]),
+                                      _mm256_add_ps(a[2], a[6]));
+    const __m256 odd = _mm256_add_ps(_mm256_add_ps(a[1], a[5]),
+                                     _mm256_add_ps(a[3], a[7]));
+    const __m256i live = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(rows - std::min(rows, c))), lane);
+    const __m256 v = _mm256_xor_ps(
+        _mm256_and_ps(_mm256_add_ps(even, odd), _mm256_castsi256_ps(live)),
+        sign);
+    if (c + 8 <= k) {
+      _mm256_storeu_ps(out + c, v);
+    } else {
+      _mm256_maskstore_ps(out + c, TailMask(k - c), v);
+    }
+  }
+}
+
+__attribute__((target("avx2,fma"))) void AdcTableAvx2(
+    const float* query, const AdcCodebooks& books, AdcTableKind kind,
+    float* out) {
+  const __m256 sign = _mm256_set1_ps(kind == AdcTableKind::kNegatedDot ? -0.0f
+                                                                       : 0.0f);
+  for (size_t s = 0; s < books.m; ++s) {
+    const size_t off = books.offsets[s];
+    const size_t sd = books.offsets[s + 1] - off;
+    const float* cols = books.codewords + off * books.stride;
+    float* row = out + s * books.k;
+    if (kind == AdcTableKind::kSquaredL2) {
+      AdcRow<true>(query + off, cols, sd, books.stride, books.rows[s], books.k,
+                   sign, row);
+    } else {
+      AdcRow<false>(query + off, cols, sd, books.stride, books.rows[s],
+                    books.k, sign, row);
+    }
+  }
+}
+
 // One register tile of the GEMM entry: rows [0, R) of `a` against columns
 // [0, 8 * V) of `b` (the last vector masked to `tail` when kTail), with one
 // accumulator per row and vector held across the whole k loop. Every
@@ -253,7 +339,7 @@ const DistanceKernels* Avx2KernelsOrNull() {
   static const DistanceKernels kernels = {
       "avx2",           OneRow<true>,     OneRow<false>,
       ScoreBlock<true>, ScoreBlock<false>, ScoreIds<true>,
-      ScoreIds<false>,  GemmAvx2,
+      ScoreIds<false>,  AdcTableAvx2,     GemmAvx2,
   };
   static const bool supported = CpuHasAvx2Fma();
   return supported ? &kernels : nullptr;

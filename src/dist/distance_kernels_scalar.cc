@@ -87,6 +87,35 @@ void ScoreIdsDotScalar(const float* query, const float* base, size_t d,
   }
 }
 
+// The 1-vs-1 arithmetic per codeword, reading its values from the dim-major
+// layout.
+void AdcTableScalar(const float* query, const AdcCodebooks& books,
+                    AdcTableKind kind, float* out) {
+  const bool l2 = kind == AdcTableKind::kSquaredL2;
+  const bool negate = kind == AdcTableKind::kNegatedDot;
+  for (size_t s = 0; s < books.m; ++s) {
+    const size_t off = books.offsets[s];
+    const size_t sd = books.offsets[s + 1] - off;
+    const float* q = query + off;
+    const float* cols = books.codewords + off * books.stride;
+    float* row = out + s * books.k;
+    for (size_t c = 0; c < books.k; ++c) {
+      float value = 0.0f;
+      if (c < books.rows[s]) {
+        float acc[kLanes] = {0.0f};
+        for (size_t i = 0; i < sd; ++i) {
+          const float x = cols[i * books.stride + c];
+          const float diff = q[i] - x;
+          acc[i % kLanes] = l2 ? std::fmaf(diff, diff, acc[i % kLanes])
+                               : std::fmaf(q[i], x, acc[i % kLanes]);
+        }
+        value = ReduceLanes(acc);
+      }
+      row[c] = negate ? -value : value;
+    }
+  }
+}
+
 // Each output row is zeroed, then takes one axpy per p in order.
 void GemmScalar(const float* a, size_t a_row, size_t a_col, const float* b,
                 size_t n, size_t k, size_t m, float* c) {
@@ -107,7 +136,7 @@ const DistanceKernels& ScalarKernels() {
   static const DistanceKernels kernels = {
       "scalar",         SquaredL2Scalar,  DotScalar,
       ScoreBlockL2Scalar, ScoreBlockDotScalar, ScoreIdsL2Scalar,
-      ScoreIdsDotScalar, GemmScalar,
+      ScoreIdsDotScalar, AdcTableScalar, GemmScalar,
   };
   return kernels;
 }

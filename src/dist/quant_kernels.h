@@ -7,6 +7,10 @@
 //     AVX2 kernel scores 32 codes per subspace pass with one
 //     _mm256_shuffle_epi8 table lookup — the register-resident LUT idiom that
 //     makes PQ scanning compute-bound instead of memory-bound.
+//     The LUT itself comes from `quantize_lut`, which maps the float table
+//     to bytes with exactly rounded IEEE operations only (subtract, divide,
+//     float -> double, add 0.5, truncate), so the AVX2 set, which runs a
+//     subspace's 16 entries at once, writes the scalar set's bytes.
 //   - sq8:  int8 scalar-quantized vectors (quant/sq8_index.h). L2 runs on
 //     byte absolute differences widened to 16 bits and pair-summed with
 //     madd_epi16 (the maddubs-family widening-multiply idiom); dot widens
@@ -16,12 +20,13 @@
 // at process startup by runtime CPU detection, and USP_FORCE_SCALAR=1 pins
 // the scalar set.
 //
-// Bit-compatibility contract: every kernel here computes an exact integer
-// quantity (uint16 sums with wraparound for pq4, uint32 sums for sq8), so
-// the scalar mirrors are bitwise identical to the AVX2 kernels by
-// construction — no floating-point lane structure to replicate.
-// tests/fastscan_test.cc enforces this across code counts covering every
-// SIMD tail.
+// Bit-compatibility contract: every scan kernel here computes an exact
+// integer quantity (uint16 sums with wraparound for pq4, uint32 sums for
+// sq8), so the scalar mirrors are bitwise identical to the AVX2 kernels by
+// construction — no floating-point lane structure to replicate; and
+// quantize_lut uses only exactly rounded operations, applied per entry in
+// both sets. tests/fastscan_test.cc enforces this across code counts
+// covering every SIMD tail and against an std::lround reference of the LUT.
 #ifndef USP_DIST_QUANT_KERNELS_H_
 #define USP_DIST_QUANT_KERNELS_H_
 
@@ -49,6 +54,15 @@ struct QuantKernels {
   /// LUT quantizer in quant/fastscan.h bounds sums below 2^16 for m <= 257).
   void (*pq4_scan)(const uint8_t* blocks, const uint8_t* luts, size_t m,
                    size_t num_blocks, uint16_t* out);
+
+  /// Quantizes an (m x k) float ADC table (layout table[s * k + c],
+  /// 1 <= k <= 16) into the pq4 LUT: *bias = the sum over s, in order from
+  /// +0, of row s's minimum; *delta = the widest row range / 255 (0 when
+  /// every row is constant); lut[s * 16 + c] = min(floor(double((T[s][c] -
+  /// min_s) / delta) + 0.5), 255) for c < k and 0 for the rest of the m * 16
+  /// bytes (all 0 when *delta is 0).
+  void (*quantize_lut)(const float* table, size_t m, size_t k, uint8_t* lut,
+                       float* bias, float* delta);
 
   /// Sum over d of (x[i] - y[i])^2 on uint8 codes (exact uint32).
   uint32_t (*sq8_l2)(const uint8_t* x, const uint8_t* y, size_t d);

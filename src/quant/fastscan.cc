@@ -66,45 +66,17 @@ void UnpackCode4(const uint8_t* packed, size_t num_subspaces, size_t i,
   }
 }
 
-QuantizedLut QuantizeAdcTable(const float* table, size_t m, size_t k) {
+void QuantizeAdcTable(const float* table, size_t m, size_t k,
+                      QuantizedLut* out) {
   USP_CHECK(k >= 1 && k <= 16);
+  out->lut.resize(m * 16);
+  GetQuantKernels().quantize_lut(table, m, k, out->lut.data(), &out->bias,
+                                 &out->delta);
+}
+
+QuantizedLut QuantizeAdcTable(const float* table, size_t m, size_t k) {
   QuantizedLut q;
-  q.lut.assign(m * 16, 0);
-  // Pass 1: per-subspace minima (folded into the bias) and the widest range
-  // (one shared step keeps the kernel's uint16 sum a plain addition).
-  std::vector<float> lows(m);
-  float max_range = 0.0f;
-  for (size_t s = 0; s < m; ++s) {
-    const float* row = table + s * k;
-    float lo = row[0], hi = row[0];
-    for (size_t c = 1; c < k; ++c) {
-      lo = std::min(lo, row[c]);
-      hi = std::max(hi, row[c]);
-    }
-    lows[s] = lo;
-    q.bias += lo;
-    max_range = std::max(max_range, hi - lo);
-  }
-  q.delta = max_range / 255.0f;
-  if (q.delta <= 0.0f) {
-    q.delta = 0.0f;  // constant table: every entry quantizes to 0
-    return q;
-  }
-  // Pass 2: quantize entries against their subspace minimum. The scaled
-  // entries are non-negative, and for those floor(double(x) + 0.5) equals
-  // std::lround(x): the sum is exact in double unless x < 2^-30, where both
-  // give 0, and halves round up in both. Truncating the non-negative sum to
-  // an integer is its floor.
-  for (size_t s = 0; s < m; ++s) {
-    const float* row = table + s * k;
-    for (size_t c = 0; c < k; ++c) {
-      const float scaled = (row[c] - lows[s]) / q.delta;
-      const int64_t rounded =
-          static_cast<int64_t>(static_cast<double>(scaled) + 0.5);
-      q.lut[s * 16 + c] =
-          static_cast<uint8_t>(std::min<int64_t>(rounded, 255));
-    }
-  }
+  QuantizeAdcTable(table, m, k, &q);
   return q;
 }
 

@@ -77,7 +77,11 @@ struct QuantizedLut {
   }
 };
 
-/// Quantizes an (m x k) float ADC table (layout table[s * k + c], k <= 16).
+/// Quantizes an (m x k) float ADC table (layout table[s * k + c], k <= 16)
+/// through the dispatched QuantKernels::quantize_lut (same bytes in both
+/// kernel sets). The first form reuses `out`'s storage.
+void QuantizeAdcTable(const float* table, size_t m, size_t k,
+                      QuantizedLut* out);
 QuantizedLut QuantizeAdcTable(const float* table, size_t m, size_t k);
 
 /// Scores every vector of `packed` against the quantized LUT through the

@@ -33,6 +33,25 @@ ProductQuantizer::ProductQuantizer(PqConfig config, size_t dims,
   for (size_t s = 0; s < codebooks_.size(); ++s) {
     USP_CHECK(codebooks_[s].cols() == SubspaceDim(s));
   }
+  LayOutCodebooks();
+}
+
+void ProductQuantizer::LayOutCodebooks() {
+  const size_t k = config_.codebook_size;
+  adc_stride_ = (k + 7) / 8 * 8;
+  adc_codewords_.assign(dims_ * adc_stride_, 0.0f);
+  adc_rows_.resize(codebooks_.size());
+  for (size_t s = 0; s < codebooks_.size(); ++s) {
+    const Matrix& cb = codebooks_[s];
+    USP_CHECK(cb.rows() <= k);
+    adc_rows_[s] = cb.rows();
+    float* cols = adc_codewords_.data() + SubspaceBegin(s) * adc_stride_;
+    for (size_t c = 0; c < cb.rows(); ++c) {
+      for (size_t i = 0; i < cb.cols(); ++i) {
+        cols[i * adc_stride_ + c] = cb.Row(c)[i];
+      }
+    }
+  }
 }
 
 void ProductQuantizer::Train(const Matrix& data) {
@@ -117,6 +136,7 @@ void ProductQuantizer::Train(const Matrix& data) {
     }
     codebooks_.push_back(std::move(km.centroids));
   }
+  LayOutCodebooks();
 }
 
 std::vector<uint8_t> ProductQuantizer::Encode(const Matrix& points) const {
@@ -148,29 +168,27 @@ std::vector<uint8_t> ProductQuantizer::Encode(const Matrix& points) const {
 }
 
 std::vector<float> ProductQuantizer::BuildAdcTable(const float* query) const {
-  const size_t m = config_.num_subspaces, k = config_.codebook_size;
-  std::vector<float> table(m * k, 0.0f);
-  const DistanceKernels& kd = GetDistanceKernels();
-  for (size_t s = 0; s < m; ++s) {
-    const size_t sd = SubspaceDim(s), off = SubspaceBegin(s);
-    const Matrix& cb = codebooks_[s];
-    // One batched 1-vs-many scan fills the subspace's table row.
-    kd.score_block_l2(query + off, cb.data(), cb.rows(), sd, table.data() + s * k);
-  }
+  std::vector<float> table(config_.num_subspaces * config_.codebook_size);
+  BuildTable(query, AdcTableKind::kSquaredL2, table.data());
   return table;
 }
 
 std::vector<float> ProductQuantizer::BuildDotTable(const float* query) const {
-  const size_t m = config_.num_subspaces, k = config_.codebook_size;
-  std::vector<float> table(m * k, 0.0f);
-  const DistanceKernels& kd = GetDistanceKernels();
-  for (size_t s = 0; s < m; ++s) {
-    const size_t sd = SubspaceDim(s), off = SubspaceBegin(s);
-    const Matrix& cb = codebooks_[s];
-    kd.score_block_dot(query + off, cb.data(), cb.rows(), sd,
-                       table.data() + s * k);
-  }
+  std::vector<float> table(config_.num_subspaces * config_.codebook_size);
+  BuildTable(query, AdcTableKind::kDot, table.data());
   return table;
+}
+
+void ProductQuantizer::BuildTable(const float* query, AdcTableKind kind,
+                                  float* out) const {
+  AdcCodebooks books;
+  books.codewords = adc_codewords_.data();
+  books.offsets = subspace_offsets_.data();
+  books.rows = adc_rows_.data();
+  books.m = config_.num_subspaces;
+  books.k = config_.codebook_size;
+  books.stride = adc_stride_;
+  GetDistanceKernels().adc_table(query, books, kind, out);
 }
 
 float ProductQuantizer::AdcDistance(const std::vector<float>& table,

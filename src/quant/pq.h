@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "dist/distance_kernels.h"
 #include "tensor/matrix.h"
 
 namespace usp {
@@ -52,10 +53,18 @@ class ProductQuantizer {
 
   /// Builds the dot-product table for one query: entry (s, c) is the inner
   /// product of the query's subvector s with codeword c, so the per-code sum
-  /// reconstructs <query, decoded point>. Feeds the IP/cosine ADC ranking of
-  /// ScannIndex/IvfPqIndex (negated at the call site; dist/metric.h minimizes
+  /// reconstructs <query, decoded point>. The IP/cosine ADC ranking of
+  /// ScannIndex/IvfPqIndex uses it negated (dist/metric.h minimizes
   /// everything).
   std::vector<float> BuildDotTable(const float* query) const;
+
+  /// The table of `kind` for one query into out[0, M * codebook_size):
+  /// BuildAdcTable's entries (kSquaredL2), BuildDotTable's (kDot) or those
+  /// negated (kNegatedDot). Both build through it: one call of the
+  /// dispatched DistanceKernels::adc_table covers every subspace, and each
+  /// entry keeps the bits of its subspace's score_block_l2/score_block_dot
+  /// row; entries past a subspace's trained codewords are 0 (-0 negated).
+  void BuildTable(const float* query, AdcTableKind kind, float* out) const;
 
   /// Approximate squared distance of an encoded point via table lookups.
   float AdcDistance(const std::vector<float>& table,
@@ -91,6 +100,8 @@ class ProductQuantizer {
   size_t SubspaceDim(size_t s) const {
     return subspace_offsets_[s + 1] - subspace_offsets_[s];
   }
+  /// Lays the codebooks out dim-major for BuildTable (AdcCodebooks).
+  void LayOutCodebooks();
 
   PqConfig config_;
   size_t dims_ = 0;
@@ -98,6 +109,11 @@ class ProductQuantizer {
   /// Codebooks: per subspace, (K x subspace_dim) row-major floats,
   /// concatenated.
   std::vector<Matrix> codebooks_;
+  /// The codebooks in AdcCodebooks' dim-major layout (dims x adc_stride_),
+  /// and each subspace's codeword count.
+  std::vector<float> adc_codewords_;
+  std::vector<size_t> adc_rows_;
+  size_t adc_stride_ = 0;
 };
 
 }  // namespace usp

@@ -138,16 +138,16 @@ size_t ScannIndex::EstimateCandidates(size_t budget) const {
   return (size() * probes + buckets_.size() - 1) / buckets_.size();
 }
 
-std::vector<float> ScannIndex::BuildMetricTable(
-    const float* prepared_query) const {
-  if (metric_ == Metric::kSquaredL2) {
-    return quantizer_.BuildAdcTable(prepared_query);
-  }
+void ScannIndex::BuildMetricTable(const float* prepared_query,
+                                  std::vector<float>* table) const {
   // IP/cosine minimize the negated dot-product sum; the exact rerank restores
   // the metric's true distances on the shortlist.
-  std::vector<float> table = quantizer_.BuildDotTable(prepared_query);
-  for (float& v : table) v = -v;
-  return table;
+  table->resize(quantizer_.num_subspaces() * quantizer_.codebook_size());
+  quantizer_.BuildTable(prepared_query,
+                        metric_ == Metric::kSquaredL2
+                            ? AdcTableKind::kSquaredL2
+                            : AdcTableKind::kNegatedDot,
+                        table->data());
 }
 
 BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
@@ -176,12 +176,16 @@ BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
 
   ParallelFor(nq, 4, options.num_threads, [&](size_t begin, size_t end,
                                               size_t) {
+    // Per-worker scratch: no query allocates in the ADC stage.
     std::vector<uint32_t> candidates;
     std::vector<uint32_t> shortlist;
     std::vector<uint32_t> order;
     std::vector<uint16_t> sums;
     std::vector<float> adc;
+    std::vector<float> table;
     std::vector<float> query_scratch;
+    QuantizedLut qlut;
+    Shortlist approx;
     for (size_t q = begin; q < end; ++q) {
       const float* query = queries.Row(q);
       const float* prepared = dist_.PrepareQuery(query, &query_scratch);
@@ -193,25 +197,24 @@ BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
         RankBins(scores.Row(q), buckets_.size(), probes, &order);
       }
 
-      Shortlist approx(std::max(k, config_.rerank_budget));
+      approx.Reset(std::max(k, config_.rerank_budget));
       size_t scored = 0, dropped = 0;
 
+      BuildMetricTable(prepared, &table);
       if (fast_scan) {
         // Quantize the per-query float table once, then score whole packed
-        // buckets through the pq4 shuffle kernel.
-        const std::vector<float> table = BuildMetricTable(prepared);
-        const QuantizedLut qlut = QuantizeAdcTable(table.data(), m_sub,
-                                                   quantizer_.codebook_size());
+        // buckets through the pq4 shuffle kernel; each bucket's sums go to
+        // the shortlist as one block, selected on the sums themselves.
+        QuantizeAdcTable(table.data(), m_sub, quantizer_.codebook_size(),
+                         &qlut);
+        const auto score = [&qlut](uint16_t sum) { return qlut.Score(sum); };
         const auto scan_group = [&](size_t first_block, const uint32_t* ids,
                                     size_t count) {
           const size_t blocks = (count + kPq4BlockSize - 1) / kPq4BlockSize;
           sums.resize(blocks * kPq4BlockSize);
           kq.pq4_scan(packed_ + first_block * m_sub * 16, qlut.lut.data(),
                       m_sub, blocks, sums.data());
-          for (size_t t = 0; t < count; ++t) {
-            approx.Push(qlut.Score(sums[t]),
-                        ids != nullptr ? ids[t] : static_cast<uint32_t>(t));
-          }
+          approx.Push(sums.data(), score, ids, count);
           scored += count;
         };
         if (partitioner_ == nullptr) {
@@ -244,13 +247,10 @@ BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
         }
         scored = candidates.size();
 
-        const std::vector<float> table = BuildMetricTable(prepared);
         adc.resize(candidates.size());
         quantizer_.AdcDistances(table, codes_, candidates.data(),
                                 candidates.size(), adc.data());
-        for (size_t i = 0; i < candidates.size(); ++i) {
-          approx.Push(adc[i], candidates[i]);
-        }
+        approx.Push(adc.data(), candidates.data(), candidates.size());
       }
       QueryCounters counters;
       counters.scored = static_cast<uint32_t>(scored);

@@ -72,17 +72,21 @@ class ScannIndex : public Index {
 
   /// k-NN search: probe the `options.budget` best bins, ADC-score their
   /// points, then exact-rerank the shortlist: the max(k, rerank_budget)
-  /// smallest (ADC score, id) pairs. A Shortlist (knn/top_k.h) picks them
-  /// without per-candidate heap work or branches; it keeps exactly the set a
-  /// TopK heap would, in arrival order, so one probed bucket's shortlist
-  /// arrives sorted by id and the rerank skips its sort. An options.filter
-  /// is pushed down (KeepMembers) before the ADC stage, so disallowed rows
-  /// cost no table lookups and never occupy shortlist slots — with all bins
-  /// probed and
-  /// rerank_budget >= the allowed count, the result is exact brute force
-  /// over the allowed subset. `options.num_threads` caps the per-query search
-  /// sharding (0 = thread-pool default, 1 = serial; partition scoring still
-  /// uses the pool's GEMM); results are identical at every setting.
+  /// smallest (ADC score, id) pairs. The per-query table is built in one
+  /// pass (ProductQuantizer::BuildTable) and, for fast-scan, quantized once.
+  /// A Shortlist (knn/top_k.h) picks the pairs with one select per scored
+  /// block: each probed bucket's pq4 sums (selected on the sums, so only the
+  /// kept pairs are scored as floats), or the float path's whole candidate
+  /// list. It keeps exactly the set a TopK heap would, in arrival order, so
+  /// one probed bucket's shortlist arrives sorted by id and the rerank skips
+  /// its sort. Every table, LUT and select buffer is per-worker scratch. An
+  /// options.filter is pushed down (KeepMembers) before the ADC stage, so
+  /// disallowed rows cost no table lookups and never occupy shortlist slots
+  /// — with all bins probed and rerank_budget >= the allowed count, the
+  /// result is exact brute force over the allowed subset.
+  /// `options.num_threads` caps the per-query search sharding (0 =
+  /// thread-pool default, 1 = serial; partition scoring still uses the pool's
+  /// GEMM); results are identical at every setting.
   using Index::SearchBatch;
   BatchSearchResult SearchBatch(const SearchRequest& request) const override;
 
@@ -133,9 +137,11 @@ class ScannIndex : public Index {
   void BuildBuckets(const std::vector<uint32_t>& assignments);
   void SetUpFastScan(const uint8_t* packed);
   /// Float ADC table whose per-code sum ranks candidates under the index
-  /// metric: squared-L2 subdistances for L2, negated dot products for
-  /// IP/cosine. `prepared_query` must come from dist_.PrepareQuery.
-  std::vector<float> BuildMetricTable(const float* prepared_query) const;
+  /// metric, written to `table`: squared-L2 subdistances for L2, negated dot
+  /// products for IP/cosine, built in one pass (ProductQuantizer::BuildTable).
+  /// `prepared_query` must come from dist_.PrepareQuery.
+  void BuildMetricTable(const float* prepared_query,
+                        std::vector<float>* table) const;
 
   MatrixView base_;
   const BinScorer* partitioner_;

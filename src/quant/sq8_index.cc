@@ -132,49 +132,51 @@ BatchSearchResult Sq8Index::SearchBatch(const SearchRequest& request) const {
     std::vector<float> query_scratch;
     std::vector<uint8_t> qcode(d);
     std::vector<uint32_t> proxy_scores(kScanChunk);
+    std::vector<float> proxies(kScanChunk);
+    std::vector<uint32_t> chunk_ids(kScanChunk);
     std::vector<uint32_t> shortlist;
+    Shortlist approx;
     for (size_t q = begin; q < end; ++q) {
       const float* query = queries.Row(q);
       const float* prepared = dist_.PrepareQuery(query, &query_scratch);
       EncodeVector(prepared, qcode.data());
 
-      Shortlist approx(std::max(k, config_.rerank_budget));
-      size_t scored = 0, dropped = 0;
-      if (options.filter == nullptr) {
-        // Chunked exhaustive scan through the block kernels.
-        for (size_t first = 0; first < n; first += kScanChunk) {
-          const size_t count = std::min(kScanChunk, n - first);
+      // The scan runs in chunks of kScanChunk rows (all rows, or the allowed
+      // ones), each pushed to the shortlist as one block of proxies: the
+      // code-space L2, or the negated code dot product.
+      approx.Reset(std::max(k, config_.rerank_budget));
+      const size_t rows = options.filter == nullptr ? n : allowed.size();
+      for (size_t first = 0; first < rows; first += kScanChunk) {
+        const size_t count = std::min(kScanChunk, rows - first);
+        const uint32_t* ids;
+        if (options.filter == nullptr) {
           if (use_l2) {
             kq.sq8_scan_l2(qcode.data(), codes_ + first * d, count, d,
                            proxy_scores.data());
-            for (size_t r = 0; r < count; ++r) {
-              approx.Push(static_cast<float>(proxy_scores[r]),
-                          static_cast<uint32_t>(first + r));
-            }
           } else {
             kq.sq8_scan_dot(qcode.data(), codes_ + first * d, count, d,
                             proxy_scores.data());
-            for (size_t r = 0; r < count; ++r) {
-              approx.Push(-static_cast<float>(proxy_scores[r]),
-                          static_cast<uint32_t>(first + r));
-            }
+          }
+          std::iota(chunk_ids.begin(), chunk_ids.begin() + count,
+                    static_cast<uint32_t>(first));
+          ids = chunk_ids.data();
+        } else {
+          ids = allowed.data() + first;
+          for (size_t r = 0; r < count; ++r) {
+            const uint8_t* row = codes_ + size_t{ids[r]} * d;
+            proxy_scores[r] = use_l2 ? kq.sq8_l2(qcode.data(), row, d)
+                                     : kq.sq8_dot(qcode.data(), row, d);
           }
         }
-        scored = n;
-      } else {
-        for (const uint32_t id : allowed) {
-          const uint8_t* row = codes_ + size_t{id} * d;
-          const float proxy =
-              use_l2 ? static_cast<float>(kq.sq8_l2(qcode.data(), row, d))
-                     : -static_cast<float>(kq.sq8_dot(qcode.data(), row, d));
-          approx.Push(proxy, id);
+        for (size_t r = 0; r < count; ++r) {
+          const float proxy = static_cast<float>(proxy_scores[r]);
+          proxies[r] = use_l2 ? proxy : -proxy;
         }
-        scored = allowed.size();
-        dropped = n - allowed.size();
+        approx.Push(proxies.data(), ids, count);
       }
       QueryCounters counters;
-      counters.scored = static_cast<uint32_t>(scored);
-      counters.filtered_out = static_cast<uint32_t>(dropped);
+      counters.scored = static_cast<uint32_t>(rows);
+      counters.filtered_out = static_cast<uint32_t>(n - rows);
       SetCounters(q, counters, &result);
 
       shortlist.clear();

@@ -8,11 +8,11 @@
 // ranks every row (L2: sum of squared code differences; IP/cosine: negated
 // code dot product), the best max(k, rerank_budget) (proxy, id) pairs form a
 // shortlist, and exact fp32 re-rank under the index metric produces the
-// final neighbors. A Shortlist (knn/top_k.h) selects them: the set a TopK
-// heap would keep, in O(rerank_budget) memory however many rows the scan
-// streams past it, and in arrival order, so the shortlist of the id-ordered
-// scan arrives sorted and the rerank skips its sort. The code-space proxy
-// equals the true metric up to
+// final neighbors. A Shortlist (knn/top_k.h) selects them, one block per
+// scanned chunk of rows: the set a TopK heap would keep, in O(rerank_budget)
+// memory however many rows the scan streams past it, and in arrival order,
+// so the shortlist of the id-ordered scan arrives sorted and the rerank
+// skips its sort. The code-space proxy equals the true metric up to
 // per-dimension scale weighting, so with rerank_budget >= size() the result
 // is exact brute force regardless of quantization; tests/sq8_test.cc pins
 // that and the recall floor at practical budgets.

@@ -199,6 +199,74 @@ TEST(KernelParityTest, GemmMatchesWithinTolerance) {
   }
 }
 
+// The one-pass ADC table against one score_block row per subspace, in both
+// kernel sets: every subspace width 1..9 and a width of 17 (past one
+// eight-lane chunk), so d is not divisible by m; codebook sizes of 16, 9 and
+// 24 (row lengths that are and are not multiples of 8); and subspaces with
+// fewer trained codewords than the codebook size, whose row tails must read
+// +0 (-0 in the negated table). All three table kinds.
+TEST(KernelParityTest, AdcTableMatchesScoreBlockRowsBitExact) {
+  Rng rng(17);
+  std::vector<const DistanceKernels*> sets = {&ScalarKernels()};
+  if (const DistanceKernels* avx2 = Avx2KernelsOrNull()) sets.push_back(avx2);
+  const std::vector<size_t> widths = {1, 2, 3, 4, 5, 6, 7, 8, 9, 17};
+  std::vector<size_t> offsets = {0};
+  for (const size_t w : widths) offsets.push_back(offsets.back() + w);
+  const size_t m = widths.size(), d = offsets.back();
+  const auto query = RandomVec(d, &rng, 2.0f);
+  for (const size_t k : {16u, 9u, 24u}) {
+    const size_t stride = (k + 7) / 8 * 8;
+    std::vector<size_t> rows(m);
+    // Row-major codebooks (what score_block reads) and the dim-major layout.
+    std::vector<std::vector<float>> books(m);
+    std::vector<float> codewords(d * stride, 0.0f);
+    for (size_t s = 0; s < m; ++s) {
+      rows[s] = s % 3 == 1 ? k - 1 - s % k / 2 : k;
+      books[s] = RandomVec(rows[s] * widths[s], &rng, 2.0f);
+      for (size_t c = 0; c < rows[s]; ++c) {
+        for (size_t i = 0; i < widths[s]; ++i) {
+          codewords[(offsets[s] + i) * stride + c] = books[s][c * widths[s] + i];
+        }
+      }
+    }
+    AdcCodebooks layout;
+    layout.codewords = codewords.data();
+    layout.offsets = offsets.data();
+    layout.rows = rows.data();
+    layout.m = m;
+    layout.k = k;
+    layout.stride = stride;
+    for (const DistanceKernels* kd : sets) {
+      for (const AdcTableKind kind :
+           {AdcTableKind::kSquaredL2, AdcTableKind::kDot,
+            AdcTableKind::kNegatedDot}) {
+        SCOPED_TRACE(testing::Message() << kd->name << " k=" << k << " kind="
+                                        << static_cast<int>(kind));
+        std::vector<float> table(m * k + 1, 7.0f);
+        kd->adc_table(query.data(), layout, kind, table.data());
+        EXPECT_EQ(table[m * k], 7.0f) << "wrote past the table";
+        for (size_t s = 0; s < m; ++s) {
+          std::vector<float> want(k, 0.0f);
+          if (kind == AdcTableKind::kSquaredL2) {
+            kd->score_block_l2(query.data() + offsets[s], books[s].data(),
+                               rows[s], widths[s], want.data());
+          } else {
+            kd->score_block_dot(query.data() + offsets[s], books[s].data(),
+                                rows[s], widths[s], want.data());
+          }
+          if (kind == AdcTableKind::kNegatedDot) {
+            for (float& v : want) v = -v;
+          }
+          for (size_t c = 0; c < k; ++c) {
+            ASSERT_EQ(Bits(table[s * k + c]), Bits(want[c]))
+                << "subspace " << s << " codeword " << c;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelDispatchTest, SelectionPolicy) {
   // Forcing scalar always yields the scalar set (USP_FORCE_SCALAR=1 routes
   // through the same SelectKernels(true) branch).

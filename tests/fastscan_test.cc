@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <random>
 #include <vector>
 
@@ -198,7 +199,9 @@ TEST(FastScanTest, LutQuantizationErrorIsBounded) {
 // subspace range / 255. In the first table subspace 0 spans exactly 255, so
 // delta is 1 and every other entry sits exactly on a half step above its
 // subspace minimum (also below zero), where rounding must go up as lround's
-// does; random tables cover k < 16 and many subspaces.
+// does; random tables cover k < 16 and many subspaces. Both kernel sets'
+// quantize_lut (the AVX2 one runs a subspace's 16 entries at once) must write
+// the reference bytes, zeros past k, and the same bias and delta bits.
 TEST(FastScanTest, LutBytesMatchLroundReference) {
   const auto reference = [](const std::vector<float>& table, size_t m,
                             size_t k) {
@@ -238,10 +241,23 @@ TEST(FastScanTest, LutBytesMatchLroundReference) {
       cases.push_back(std::move(c));
     }
   }
+  std::vector<const QuantKernels*> sets = {&ScalarQuantKernels()};
+  if (const QuantKernels* avx2 = Avx2QuantKernelsOrNull()) {
+    sets.push_back(avx2);
+  }
   for (const Case& c : cases) {
     const QuantizedLut lut = QuantizeAdcTable(c.table.data(), c.m, c.k);
     EXPECT_EQ(lut.lut, reference(c.table, c.m, c.k))
         << "m=" << c.m << " k=" << c.k;
+    for (const QuantKernels* kq : sets) {
+      std::vector<uint8_t> bytes(c.m * 16, 0xAB);
+      float bias = -1.0f, delta = -1.0f;
+      kq->quantize_lut(c.table.data(), c.m, c.k, bytes.data(), &bias, &delta);
+      EXPECT_EQ(bytes, lut.lut) << kq->name << " m=" << c.m << " k=" << c.k;
+      EXPECT_EQ(std::memcmp(&bias, &lut.bias, sizeof(float)), 0) << kq->name;
+      EXPECT_EQ(std::memcmp(&delta, &lut.delta, sizeof(float)), 0)
+          << kq->name;
+    }
   }
   // The half-step table's entries land on n + 0.5 exactly.
   const QuantizedLut half = QuantizeAdcTable(cases[0].table.data(), 3, 6);

@@ -3,6 +3,7 @@
 // candidate re-ranking, and subset filtering.
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <set>
 #include <vector>
@@ -51,22 +52,55 @@ TEST(TopKTest, FewerCandidatesThanK) {
   EXPECT_EQ(sorted[0].id, 0u);
 }
 
+// Checks one shortlist against the TopK(keep) of the same stream: the same
+// set, and the kept pairs in arrival order with each pair's distance bits
+// (-0 stays -0). `ids` are distinct.
+void ExpectShortlistMatchesTopK(const std::vector<Neighbor>& stream,
+                                size_t keep, const std::vector<Neighbor>& got) {
+  TopK heap(keep);
+  for (const Neighbor& n : stream) heap.Push(n.distance, n.id);
+  const std::vector<Neighbor> want = heap.TakeSorted();
+  std::vector<Neighbor> sorted = got;
+  std::sort(sorted.begin(), sorted.end());
+  ASSERT_EQ(sorted.size(), want.size());
+  std::set<uint32_t> kept;
+  for (size_t j = 0; j < want.size(); ++j) {
+    ASSERT_EQ(sorted[j].id, want[j].id) << "slot " << j;
+    ASSERT_EQ(sorted[j].distance, want[j].distance) << "slot " << j;
+    kept.insert(want[j].id);
+  }
+  size_t j = 0;
+  for (const Neighbor& n : stream) {
+    if (kept.count(n.id) == 0) continue;
+    ASSERT_LT(j, got.size());
+    ASSERT_EQ(got[j].id, n.id) << "position " << j;
+    ASSERT_EQ(std::memcmp(&got[j].distance, &n.distance, sizeof(float)), 0)
+        << "position " << j;
+    ++j;
+  }
+  ASSERT_EQ(j, got.size());
+}
+
 // The ADC shortlist keeps exactly the set a TopK(keep) keeps, and returns it
 // in arrival order. Scores come from a handful of values, so most
 // comparisons fall through to the id tie-break; ids are distinct, as in
-// every index. The second value set holds negative scores (negated IP and
-// cosine ADC scores) below a majority of -0.0f and +0.0f (SQ8's dot proxy
-// -static_cast<float>(0) is -0; the two compare equal, so their ties break
-// by id), and keep = 4500 and 11000 cut inside those zeros. Streams of 20000
-// pairs come shuffled, ascending and descending: in descending (distance,
-// id) order every pair beats the kept worst, so the buffer (4 * keep slots,
-// at least 64) is cut each time it refills, even at keep = 4500;
-// keep >= n - 1 never fills it and leaves the work to the final cut.
+// every index, and neither ascending within a block nor across blocks. The
+// second value set holds negative scores (negated IP and cosine ADC scores)
+// below a majority of -0.0f and +0.0f (SQ8's dot proxy -static_cast<float>(0)
+// is -0; the two compare equal, so their ties break by id), and keep = 4500
+// and 11000 cut inside those zeros. Streams of 20000 pairs come shuffled,
+// ascending and descending, in blocks of one size from a single pair to the
+// whole stream, so blocks are both smaller and larger than keep: in
+// descending (distance, id) order every block beats the kept worst, so the
+// buffer (4 * keep slots, at least 64) keeps filling and is cut, even at
+// keep = 4500; keep >= n - 1 leaves the work to Take. One Shortlist serves
+// every case of a stream through Reset, as in a search worker.
 TEST(ShortlistTest, KeepsTheSetTopKKeeps) {
   constexpr size_t kN = 20000;
   const std::vector<std::vector<float>> value_sets = {
       {0.0f, 0.5f, 1.0f, 2.5f, 4.0f},
       {-2.0f, -0.5f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f, 0.0f, 1.5f, 3.0f}};
+  Shortlist shortlist;
   for (size_t v = 0; v < value_sets.size(); ++v) {
     const std::vector<float>& values = value_sets[v];
     Rng rng(41);
@@ -82,40 +116,27 @@ TEST(ShortlistTest, KeepsTheSetTopKKeeps) {
     std::sort(orders[1].begin(), orders[1].end());
     std::sort(orders[2].rbegin(), orders[2].rend());
     for (size_t o = 0; o < orders.size(); ++o) {
+      std::vector<float> distances;
+      std::vector<uint32_t> ids;
+      for (const Neighbor& n : orders[o]) {
+        distances.push_back(n.distance);
+        ids.push_back(n.id);
+      }
       for (const size_t keep :
            {size_t{0}, size_t{1}, size_t{10}, size_t{2500}, size_t{4500},
             size_t{11000}, kN - 1, kN, kN + 5}) {
-        SCOPED_TRACE(testing::Message()
-                     << "values " << v << " order " << o << " keep " << keep);
-        Shortlist shortlist(keep);
-        TopK heap(keep);
-        for (const Neighbor& n : orders[o]) {
-          shortlist.Push(n.distance, n.id);
-          heap.Push(n.distance, n.id);
+        for (const size_t block :
+             {size_t{1}, size_t{7}, size_t{200}, size_t{4096}, kN}) {
+          SCOPED_TRACE(testing::Message() << "values " << v << " order " << o
+                                          << " keep " << keep << " block "
+                                          << block);
+          shortlist.Reset(keep);
+          for (size_t first = 0; first < kN; first += block) {
+            shortlist.Push(distances.data() + first, ids.data() + first,
+                           std::min(block, kN - first));
+          }
+          ExpectShortlistMatchesTopK(orders[o], keep, shortlist.Take());
         }
-        const std::vector<Neighbor> got = shortlist.Take();
-        std::vector<Neighbor> sorted = got;
-        std::sort(sorted.begin(), sorted.end());
-        const std::vector<Neighbor> want = heap.TakeSorted();
-        ASSERT_EQ(sorted.size(), want.size());
-        std::vector<bool> kept(3 * kN + 7, false);
-        for (size_t j = 0; j < want.size(); ++j) {
-          ASSERT_EQ(sorted[j].id, want[j].id) << "slot " << j;
-          ASSERT_EQ(sorted[j].distance, want[j].distance) << "slot " << j;
-          kept[want[j].id] = true;
-        }
-        // Arrival order, with each pair's distance bits (-0 stays -0).
-        size_t j = 0;
-        for (const Neighbor& n : orders[o]) {
-          if (!kept[n.id]) continue;
-          ASSERT_LT(j, got.size());
-          ASSERT_EQ(got[j].id, n.id) << "position " << j;
-          ASSERT_EQ(std::memcmp(&got[j].distance, &n.distance, sizeof(float)),
-                    0)
-              << "position " << j;
-          ++j;
-        }
-        ASSERT_EQ(j, got.size());
       }
     }
     if (v != 0) continue;
@@ -124,13 +145,81 @@ TEST(ShortlistTest, KeepsTheSetTopKKeeps) {
     std::sort(stream.begin(), stream.end());
     for (const size_t keep : {std::numeric_limits<size_t>::max() / 4 + 1,
                               std::numeric_limits<size_t>::max()}) {
-      Shortlist shortlist(keep);
-      for (const Neighbor& n : orders[0]) shortlist.Push(n.distance, n.id);
-      std::vector<Neighbor> got = shortlist.Take();
+      Shortlist all(keep);
+      for (const Neighbor& n : orders[0]) all.Push(&n.distance, &n.id, 1);
+      std::vector<Neighbor> got = all.Take();
       std::sort(got.begin(), got.end());
       ASSERT_EQ(got.size(), kN) << "keep " << keep;
       for (size_t j = 0; j < kN; ++j) ASSERT_EQ(got[j].id, stream[j].id);
     }
+  }
+  // A null id array numbers the block's pairs from 0.
+  const std::vector<float> distances = {3.0f, 1.0f, 2.0f, 1.0f, 0.5f};
+  std::vector<Neighbor> stream;
+  for (size_t i = 0; i < distances.size(); ++i) {
+    stream.push_back({distances[i], static_cast<uint32_t>(i)});
+  }
+  shortlist.Reset(3);
+  shortlist.Push(distances.data(), nullptr, distances.size());
+  ExpectShortlistMatchesTopK(stream, 3, shortlist.Take());
+}
+
+// The sum entry, as the pq4 fast-scan path feeds it: per probed bucket, the
+// kernel's uint16 sums (runs of equal sums are common) and the bucket's ids,
+// ascending inside a bucket but not across buckets, scored by a
+// non-decreasing map. Against a TopK over (score(sum), id): a QuantizedLut
+// style bias + delta * sum with a negative bias, a constant score (a flat
+// table's delta of 0), and a coarse map that gives runs of neighbouring sums
+// one score, -0.0f and +0.0f among them, so the id tie-break spans several
+// sums and the block is scored in full. Keeps run below, at and above the
+// bucket sizes, and a null id array numbers one block from 0.
+TEST(ShortlistTest, SumBlocksKeepTheSetTopKKeeps) {
+  const std::vector<std::function<float(uint16_t)>> scores = {
+      [](uint16_t sum) { return -3.5f + 0.0625f * static_cast<float>(sum); },
+      [](uint16_t) { return 2.0f; },
+      [](uint16_t sum) {
+        return sum < 96 ? (sum % 2 == 0 ? -0.0f : 0.0f)
+                        : static_cast<float>(sum / 32);
+      }};
+  Rng rng(43);
+  constexpr size_t kBuckets = 6, kBucketRows = 1368;
+  std::vector<std::vector<uint16_t>> sums(kBuckets);
+  std::vector<std::vector<uint32_t>> ids(kBuckets);
+  for (size_t b = 0; b < kBuckets; ++b) {
+    for (size_t i = 0; i < kBucketRows - 97 * b; ++i) {
+      sums[b].push_back(static_cast<uint16_t>(40 + rng.UniformInt(300)));
+      // Bucket b holds the ids i * kBuckets + (kBuckets - 1 - b).
+      ids[b].push_back(static_cast<uint32_t>(i * kBuckets + kBuckets - 1 - b));
+    }
+  }
+  Shortlist shortlist;
+  for (size_t f = 0; f < scores.size(); ++f) {
+    const auto& score = scores[f];
+    for (const size_t buckets : {size_t{1}, size_t{3}, kBuckets}) {
+      std::vector<Neighbor> stream;
+      for (size_t b = 0; b < buckets; ++b) {
+        for (size_t i = 0; i < sums[b].size(); ++i) {
+          stream.push_back({score(sums[b][i]), ids[b][i]});
+        }
+      }
+      for (const size_t keep : {size_t{0}, size_t{1}, size_t{10}, size_t{200},
+                                size_t{1000}, kBucketRows, size_t{9000}}) {
+        SCOPED_TRACE(testing::Message() << "score " << f << " buckets "
+                                        << buckets << " keep " << keep);
+        shortlist.Reset(keep);
+        for (size_t b = 0; b < buckets; ++b) {
+          shortlist.Push(sums[b].data(), score, ids[b].data(), sums[b].size());
+        }
+        ExpectShortlistMatchesTopK(stream, keep, shortlist.Take());
+      }
+    }
+    std::vector<Neighbor> stream;
+    for (size_t i = 0; i < sums[0].size(); ++i) {
+      stream.push_back({score(sums[0][i]), static_cast<uint32_t>(i)});
+    }
+    shortlist.Reset(200);
+    shortlist.Push(sums[0].data(), score, nullptr, sums[0].size());
+    ExpectShortlistMatchesTopK(stream, 200, shortlist.Take());
   }
 }
 

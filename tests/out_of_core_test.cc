@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/kmeans.h"
 #include "dataset/fvecs_stream.h"
 #include "dataset/io.h"
 #include "dataset/synthetic.h"
@@ -272,6 +273,32 @@ TEST(OutOfCoreBuilderTest, ZeroChunkRowsIsRejected) {
       &stream, TempPath("zero_chunk.usp"));
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+}
+
+// nlist = 0 asks the mini-batch k-means for no clusters: every entry point
+// that trains the coarse quantizer returns kInvalidArgument instead of
+// aborting the process.
+TEST(OutOfCoreBuilderTest, ZeroNlistIsRejected) {
+  Rng rng(3);
+  const Matrix base = Matrix::RandomGaussian(50, 4, &rng);
+  OutOfCoreConfig config;
+  config.nlist = 0;
+  MatrixStream stream(base);
+  auto stats = OutOfCoreBuilder(config).BuildFromStream(
+      &stream, TempPath("zero_nlist.usp"));
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+
+  auto index = OutOfCoreBuilder(config).BuildInMemory(base);
+  ASSERT_FALSE(index.ok());
+  EXPECT_EQ(index.status().code(), StatusCode::kInvalidArgument);
+
+  MiniBatchKMeansConfig mc;
+  mc.num_clusters = 0;
+  MatrixStream kmeans_stream(base);
+  auto trained = RunMiniBatchKMeans(&kmeans_stream, base, mc);
+  ASSERT_FALSE(trained.ok());
+  EXPECT_EQ(trained.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(OutOfCoreBuilderTest, FailedBuildRemovesPartialOutput) {

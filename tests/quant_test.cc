@@ -299,9 +299,12 @@ void ExpectRowMatchesHeapReference(const BatchSearchResult& got, size_t q,
   }
 }
 
-// The float ADC path (the one filtered requests take) with a rerank budget
-// below the probed candidate count, so the shortlist is partial: every row
-// must equal, bit for bit, a reference that shortlists the same candidates
+// The float ADC path (the one filtered requests take) at budgets 1 and 3,
+// with a rerank budget below the probed candidate count (a partial
+// shortlist: for every query at budget 3, for most at budget 1, where a 30%
+// bitmap over one bucket can leave fewer) and one above every count (the
+// whole candidate set): every row must
+// equal, bit for bit, a reference that shortlists the same candidates
 // through a TopK heap and reranks them with RerankCandidatesScored. It runs
 // unfiltered and under a 30% bitmap, whose pushdown must drop exactly the
 // rejected ids before the ADC stage.
@@ -311,107 +314,126 @@ TEST(ScannIndexTest, PartialFloatAdcShortlistMatchesHeapReference) {
   kc.num_clusters = 8;
   kc.seed = 5;
   KMeansPartitioner partitioner(w.base, kc);
-  PqConfig pq_config;
-  pq_config.num_subspaces = 8;
-  pq_config.codebook_size = 16;
-  ProductQuantizer pq(pq_config);
-  pq.Train(w.base);
-  ScannIndexConfig config;
-  config.rerank_budget = 30;
-  config.adc = AdcMode::kFloat;
-  ScannIndex index(&w.base, &partitioner, std::move(pq), config);
-  ASSERT_FALSE(index.has_fast_scan());
-
   Rng rng(17);
   std::vector<uint32_t> allowed;
   for (uint32_t id = 0; id < w.base.rows(); ++id) {
     if (rng.Uniform() < 0.3) allowed.push_back(id);
   }
   const IdSelectorBitmap bitmap(w.base.rows(), allowed);
-
-  constexpr size_t kK = 10, kProbes = 3;
   const Matrix scores = partitioner.ScoreBins(w.queries);
-  const ProductQuantizer& quantizer = index.quantizer();
-  const size_t m = quantizer.num_subspaces();
-  for (const IdSelector* filter : {static_cast<const IdSelector*>(nullptr),
-                                   static_cast<const IdSelector*>(&bitmap)}) {
-    SCOPED_TRACE(filter == nullptr ? "unfiltered" : "30% bitmap");
-    SearchRequest request;
-    request.queries = w.queries;
-    request.options.k = kK;
-    request.options.budget = kProbes;
-    request.options.filter = filter;
-    request.options.plan = PlanMode::kForcePushdown;
-    request.options.stats = true;
-    const BatchSearchResult got = index.SearchBatch(request);
-    for (size_t q = 0; q < w.queries.rows(); ++q) {
-      SCOPED_TRACE(testing::Message() << "query " << q);
-      const float* query = w.queries.Row(q);
-      const std::vector<float> table = quantizer.BuildAdcTable(query);
-      std::vector<Neighbor> scored;
-      uint32_t dropped = 0;
-      for (const uint32_t id : ProbedIds(index, scores.Row(q), kProbes)) {
-        if (filter != nullptr && !filter->is_member(id)) {
-          ++dropped;
-          continue;
+  constexpr size_t kK = 10;
+  for (const size_t rerank : {size_t{30}, size_t{2000}}) {
+    PqConfig pq_config;
+    pq_config.num_subspaces = 8;
+    pq_config.codebook_size = 16;
+    ProductQuantizer pq(pq_config);
+    pq.Train(w.base);
+    ScannIndexConfig config;
+    config.rerank_budget = rerank;
+    config.adc = AdcMode::kFloat;
+    ScannIndex index(&w.base, &partitioner, std::move(pq), config);
+    ASSERT_FALSE(index.has_fast_scan());
+    const ProductQuantizer& quantizer = index.quantizer();
+    const size_t m = quantizer.num_subspaces();
+    for (const size_t probes : {size_t{1}, size_t{3}}) {
+      for (const IdSelector* filter :
+           {static_cast<const IdSelector*>(nullptr),
+            static_cast<const IdSelector*>(&bitmap)}) {
+        SCOPED_TRACE(testing::Message()
+                     << "rerank " << rerank << " probes " << probes
+                     << (filter == nullptr ? " unfiltered" : " 30% bitmap"));
+        SearchRequest request;
+        request.queries = w.queries;
+        request.options.k = kK;
+        request.options.budget = probes;
+        request.options.filter = filter;
+        request.options.plan = PlanMode::kForcePushdown;
+        request.options.stats = true;
+        const BatchSearchResult got = index.SearchBatch(request);
+        size_t partial = 0;
+        for (size_t q = 0; q < w.queries.rows(); ++q) {
+          SCOPED_TRACE(testing::Message() << "query " << q);
+          const float* query = w.queries.Row(q);
+          const std::vector<float> table = quantizer.BuildAdcTable(query);
+          std::vector<Neighbor> scored;
+          uint32_t dropped = 0;
+          for (const uint32_t id : ProbedIds(index, scores.Row(q), probes)) {
+            if (filter != nullptr && !filter->is_member(id)) {
+              ++dropped;
+              continue;
+            }
+            scored.push_back(
+                {quantizer.AdcDistance(table, index.codes() + id * m), id});
+          }
+          if (rerank == 30 && probes == 3) {
+            ASSERT_GT(scored.size(), rerank);
+          }
+          partial += scored.size() > rerank;
+          EXPECT_EQ(got.stats->filtered_out[q], dropped);
+          ExpectRowMatchesHeapReference(got, q, query, scored, rerank);
         }
-        scored.push_back(
-            {quantizer.AdcDistance(table, index.codes() + id * m), id});
+        if (rerank == 30) {
+          EXPECT_GT(partial, w.queries.rows() / 2);
+        } else {
+          EXPECT_EQ(partial, 0u);
+        }
       }
-      ASSERT_GT(scored.size(), config.rerank_budget);
-      EXPECT_EQ(got.stats->filtered_out[q], dropped);
-      ExpectRowMatchesHeapReference(got, q, query, scored,
-                                    config.rerank_budget);
     }
   }
 }
 
-// The fast-scan path at budgets 1 and 3 with a rerank budget below the
-// probed candidate count: the shortlist of pq4 scores (the LUT's uint16 sum
-// per code, mapped back through QuantizedLut::Score) must keep the set a
-// TopK heap keeps, and every row must match the heap reference bit for bit.
+// The fast-scan path at budgets 1 and 3, with a rerank budget below the
+// probed candidate count and one above it: the shortlist of pq4 scores (the
+// LUT's uint16 sum per code, mapped back through QuantizedLut::Score) must
+// keep the set a TopK heap keeps, and every row must match the heap
+// reference bit for bit.
 TEST(ScannIndexTest, PartialFastScanShortlistMatchesHeapReference) {
   const Workload& w = QuantWorkload();
   KMeansConfig kc;
   kc.num_clusters = 8;
   kc.seed = 5;
   KMeansPartitioner partitioner(w.base, kc);
-  PqConfig pq_config;
-  pq_config.num_subspaces = 8;
-  pq_config.codebook_size = 16;
-  ProductQuantizer pq(pq_config);
-  pq.Train(w.base);
-  ScannIndexConfig config;
-  config.rerank_budget = 30;
-  config.adc = AdcMode::kFastScan;
-  ScannIndex index(&w.base, &partitioner, std::move(pq), config);
-  ASSERT_TRUE(index.has_fast_scan());
-
-  constexpr size_t kK = 10;
   const Matrix scores = partitioner.ScoreBins(w.queries);
-  const ProductQuantizer& quantizer = index.quantizer();
-  const size_t m = quantizer.num_subspaces();
-  for (const size_t probes : {size_t{1}, size_t{3}}) {
-    SCOPED_TRACE(testing::Message() << "probes " << probes);
-    const BatchSearchResult got = index.SearchBatch(w.queries, kK, probes);
-    for (size_t q = 0; q < w.queries.rows(); ++q) {
-      SCOPED_TRACE(testing::Message() << "query " << q);
-      const float* query = w.queries.Row(q);
-      const std::vector<float> table = quantizer.BuildAdcTable(query);
-      const QuantizedLut lut =
-          QuantizeAdcTable(table.data(), m, quantizer.codebook_size());
-      std::vector<Neighbor> scored;
-      for (const uint32_t id : ProbedIds(index, scores.Row(q), probes)) {
-        uint16_t sum = 0;
-        for (size_t s = 0; s < m; ++s) {
-          sum = static_cast<uint16_t>(sum +
-                                      lut.lut[s * 16 + index.codes()[id * m + s]]);
+  constexpr size_t kK = 10;
+  for (const size_t rerank : {size_t{30}, size_t{2000}}) {
+    PqConfig pq_config;
+    pq_config.num_subspaces = 8;
+    pq_config.codebook_size = 16;
+    ProductQuantizer pq(pq_config);
+    pq.Train(w.base);
+    ScannIndexConfig config;
+    config.rerank_budget = rerank;
+    config.adc = AdcMode::kFastScan;
+    ScannIndex index(&w.base, &partitioner, std::move(pq), config);
+    ASSERT_TRUE(index.has_fast_scan());
+    const ProductQuantizer& quantizer = index.quantizer();
+    const size_t m = quantizer.num_subspaces();
+    for (const size_t probes : {size_t{1}, size_t{3}}) {
+      SCOPED_TRACE(testing::Message()
+                   << "rerank " << rerank << " probes " << probes);
+      const BatchSearchResult got = index.SearchBatch(w.queries, kK, probes);
+      for (size_t q = 0; q < w.queries.rows(); ++q) {
+        SCOPED_TRACE(testing::Message() << "query " << q);
+        const float* query = w.queries.Row(q);
+        const std::vector<float> table = quantizer.BuildAdcTable(query);
+        const QuantizedLut lut =
+            QuantizeAdcTable(table.data(), m, quantizer.codebook_size());
+        std::vector<Neighbor> scored;
+        for (const uint32_t id : ProbedIds(index, scores.Row(q), probes)) {
+          uint16_t sum = 0;
+          for (size_t s = 0; s < m; ++s) {
+            sum = static_cast<uint16_t>(
+                sum + lut.lut[s * 16 + index.codes()[id * m + s]]);
+          }
+          scored.push_back({lut.Score(sum), id});
         }
-        scored.push_back({lut.Score(sum), id});
+        if (rerank == 30) {
+          ASSERT_GT(scored.size(), rerank);
+        } else {
+          ASSERT_LE(scored.size(), rerank);
+        }
+        ExpectRowMatchesHeapReference(got, q, query, scored, rerank);
       }
-      ASSERT_GT(scored.size(), config.rerank_budget);
-      ExpectRowMatchesHeapReference(got, q, query, scored,
-                                    config.rerank_budget);
     }
   }
 }
