@@ -90,6 +90,8 @@ class PartitionIndex : public Index {
   MatrixView base_view() const override { return base_; }
   MatrixView base() const { return base_; }
   const BinScorer* scorer() const { return scorer_; }
+  /// The exact-distance computer of the rerank stages (index metric).
+  const DistanceComputer& dist() const { return dist_; }
   const std::vector<std::vector<uint32_t>>& buckets() const { return buckets_; }
   const std::vector<uint32_t>& assignments() const { return assignments_; }
 

@@ -4,9 +4,6 @@
 #include <limits>
 #include <numeric>
 
-#include "knn/brute_force.h"
-#include "util/status.h"
-
 namespace usp {
 
 void SearchStats::Allocate(size_t num_queries) {
@@ -72,16 +69,6 @@ const char* IndexTypeName(IndexType type) {
       return "sharded";
   }
   return "unknown";
-}
-
-RadiusResult Index::RadiusSearchBatch(const RadiusRequest& request) const {
-  // Fallback for implementations without a native range traversal: exact scan
-  // of the stored base. Types that do not expose their vectors contiguously
-  // must override instead.
-  const MatrixView base = base_view();
-  USP_CHECK(base.data() != nullptr && base.rows() == size());
-  return BruteForceRadius(base, request.queries, request.radius, metric(),
-                          request.options.filter, request.options.num_threads);
 }
 
 std::vector<uint32_t> Index::Search(const float* query, size_t k,

@@ -298,15 +298,17 @@ class Index {
 
   /// Batched radius (range) search: for every query, all indexed points with
   /// minimized-form distance <= request.radius (inclusive), as a CSR
-  /// RadiusResult with rows sorted by ascending (distance, id). At full budget (the RadiusOptions default) the result
-  /// is bit-identical — offsets, ids, distances — to BruteForceRadius over
-  /// base_view() restricted to the filter, including through Dynamic/Sharded
-  /// fan-out with tombstones (tests/radius_search_test.cc); lower budgets
-  /// trade recall for probing cost exactly as in k-NN search. The base
-  /// implementation brute-forces base_view() and requires a non-empty view.
-  /// Sq8Index, whose scan is exhaustive anyway, uses it; every other shipped
-  /// index type overrides it with its native traversal.
-  virtual RadiusResult RadiusSearchBatch(const RadiusRequest& request) const;
+  /// RadiusResult with rows sorted by ascending (distance, id). At full
+  /// budget (the RadiusOptions default) the result is bit-identical —
+  /// offsets, ids, distances — to BruteForceRadius over base_view()
+  /// restricted to the filter, including through Dynamic/Sharded fan-out
+  /// with tombstones (tests/radius_search_test.cc); lower budgets trade
+  /// recall for probing cost exactly as in k-NN search. Every type answers
+  /// through its own traversal or one of the shared stages of
+  /// knn/brute_force.h, with candidate_counts and, under options.stats, the
+  /// stats block of that traversal.
+  virtual RadiusResult RadiusSearchBatch(
+      const RadiusRequest& request) const = 0;
 
   /// Positional convenience shim over the request form, mirroring
   /// SearchBatch's shim.

@@ -316,8 +316,7 @@ Status SaveIvfPq(const IvfPqIndex& index, Writer* out,
   writer.AddSection(SectionTag::kCentroids, 0, centroids.data(),
                     centroids.size() * sizeof(float));
   AppendBaseSection(index.base(), &writer);
-  const std::vector<uint32_t> assignments = index.Assignments();
-  AppendAssignments(assignments, 0, &writer);
+  AppendAssignments(index.partition()->assignments(), 0, &writer);
   const PqSections pq = AppendPqSections(index.quantizer(), &writer);
   writer.AddSection(SectionTag::kPqCodes, 0, index.codes(),
                     index.size() * index.quantizer().num_subspaces());
@@ -332,14 +331,12 @@ Status SaveScann(const ScannIndex& index, Writer* out,
   ScannConfigRecord config{};
   config.rerank_budget = index.config().rerank_budget;
   config.scorer_kind = kScorerNone;
-  std::vector<uint32_t> assignments;
-  if (index.has_partition()) {
+  if (index.partition() != nullptr) {
     Status status = AppendScorerSections(index.partitioner(), 0, &writer,
                                          &config.scorer_kind,
                                          &config.scorer_metric);
     if (!status.ok()) return status;
-    assignments = index.Assignments();
-    AppendAssignments(assignments, 0, &writer);
+    AppendAssignments(index.partition()->assignments(), 0, &writer);
   }
   writer.AddSection(SectionTag::kConfig, 0, &config, sizeof(config));
   AppendBaseSection(index.base(), &writer);

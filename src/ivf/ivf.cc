@@ -36,7 +36,6 @@ const IvfConfig& CheckedPqConfig(const IvfConfig& config) {
 ScannIndexConfig ScannConfig(const IvfConfig& config) {
   ScannIndexConfig sc;
   sc.rerank_budget = config.rerank_budget;
-  sc.adc = config.adc;
   return sc;
 }
 

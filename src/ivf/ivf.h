@@ -12,7 +12,6 @@
 #include "core/partition_index.h"
 #include "dist/metric.h"
 #include "index/index.h"
-#include "quant/fastscan.h"
 #include "quant/pq.h"
 #include "quant/scann_index.h"
 
@@ -35,9 +34,6 @@ struct IvfConfig {
   // IVF-PQ only:
   PqConfig pq;
   size_t rerank_budget = 100;
-  /// ADC execution mode (quant/fastscan.h): kAuto fast-scans 4-bit
-  /// codebooks on unfiltered queries. Runtime knob, not persisted.
-  AdcMode adc = AdcMode::kAuto;
 };
 
 /// A coarse quantizer and each base row's list (ivf/ivf.cc).

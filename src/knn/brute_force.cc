@@ -159,9 +159,10 @@ KnnResult KnnImplMetric(MatrixView base, MatrixView queries, size_t k,
 // The front half of RerankCandidatesScored and RangeFilterCandidates: sorts
 // and dedupes `ids` in place (overlapping probes can repeat ids; no point is
 // scored or reported twice), drops the ids `filter` rejects, and scores the
-// survivors, in id order, into `scores`.
-RerankCounts ScoreCandidates(const DistanceComputer& dist, const float* query,
-                             std::vector<uint32_t>* ids,
+// survivors, in id order, into `scores` against `prepared` (from
+// dist.PrepareQuery).
+RerankCounts ScoreCandidates(const DistanceComputer& dist,
+                             const float* prepared, std::vector<uint32_t>* ids,
                              const IdSelector* filter,
                              std::vector<float>* scores) {
   SortUniqueIds(ids);
@@ -170,24 +171,30 @@ RerankCounts ScoreCandidates(const DistanceComputer& dist, const float* query,
     counts.filtered_out = static_cast<uint32_t>(KeepMembers(*filter, ids));
   }
   counts.scored = static_cast<uint32_t>(ids->size());
-
-  std::vector<float> scratch;
-  const float* prepared = dist.PrepareQuery(query, &scratch);
   scores->resize(ids->size());
   dist.ScoreIds(prepared, ids->data(), ids->size(), scores->data());
   return counts;
 }
 
-// RerankCandidatesScored over `ids`, which it sorts, dedupes and filters in
-// place.
-std::vector<Neighbor> RerankIds(const DistanceComputer& dist,
-                                const float* query, std::vector<uint32_t>* ids,
-                                size_t k, const IdSelector* filter,
-                                RerankCounts* counts) {
+// The buffers of an exact rerank: the candidate ids, their scores and the
+// prepared query. The stages keep one per worker.
+struct RerankScratch {
+  std::vector<uint32_t> ids;
   std::vector<float> scores;
-  *counts = ScoreCandidates(dist, query, ids, filter, &scores);
-  TopK heap(std::min(k, ids->size()));
-  for (size_t i = 0; i < ids->size(); ++i) heap.Push(scores[i], (*ids)[i]);
+  std::vector<float> query;
+};
+
+// RerankCandidatesScored over scratch->ids, which it sorts, dedupes and
+// filters in place.
+std::vector<Neighbor> RerankIds(const DistanceComputer& dist,
+                                const float* prepared, size_t k,
+                                const IdSelector* filter,
+                                RerankScratch* scratch, RerankCounts* counts) {
+  const std::vector<uint32_t>& ids = scratch->ids;
+  *counts = ScoreCandidates(dist, prepared, &scratch->ids, filter,
+                            &scratch->scores);
+  TopK heap(std::min(k, ids.size()));
+  for (size_t i = 0; i < ids.size(); ++i) heap.Push(scratch->scores[i], ids[i]);
   return heap.TakeSorted();
 }
 }  // namespace
@@ -291,17 +298,46 @@ BatchSearchResult GatherKnn(const DistanceComputer& dist,
   result.Prepare(queries.rows(), options);
   ParallelFor(queries.rows(), 8, options.num_threads,
               [&](size_t q_begin, size_t q_end, size_t) {
-    std::vector<uint32_t> ids;
+    RerankScratch scratch;
     for (size_t q = q_begin; q < q_end; ++q) {
-      ids.clear();
+      scratch.ids.clear();
       QueryCounters counters;
-      counters.bins_probed = source(q, &ids);
+      counters.bins_probed = source(q, &scratch.ids);
+      const float* prepared = dist.PrepareQuery(queries.Row(q), &scratch.query);
       RerankCounts counts;
-      result.SetRow(q, RerankIds(dist, queries.Row(q), &ids, options.k,
-                                 options.filter, &counts));
+      result.SetRow(q, RerankIds(dist, prepared, options.k, options.filter,
+                                 &scratch, &counts));
       counters.scored = counts.scored;
       counters.filtered_out = counts.filtered_out;
       SetCounters(q, counters, &result);
+    }
+  });
+  return result;
+}
+
+BatchSearchResult ShortlistKnn(
+    const DistanceComputer& dist, const SearchRequest& request,
+    size_t rerank_budget, const std::function<ShortlistScorer()>& make_scorer) {
+  const MatrixView queries = request.queries;
+  const SearchOptions& options = request.options;
+  BatchSearchResult result;
+  result.Prepare(queries.rows(), options);
+  ParallelFor(queries.rows(), 4, options.num_threads,
+              [&](size_t q_begin, size_t q_end, size_t) {
+    const ShortlistScorer score = make_scorer();
+    RerankScratch scratch;
+    Shortlist shortlist;
+    for (size_t q = q_begin; q < q_end; ++q) {
+      const float* prepared = dist.PrepareQuery(queries.Row(q), &scratch.query);
+      shortlist.Reset(std::max(options.k, rerank_budget));
+      SetCounters(q, score(q, prepared, &shortlist), &result);
+      scratch.ids.clear();
+      for (const Neighbor& pair : shortlist.Take()) {
+        scratch.ids.push_back(pair.id);
+      }
+      RerankCounts counts;
+      result.SetRow(q, RerankIds(dist, prepared, options.k, /*filter=*/nullptr,
+                                 &scratch, &counts));
     }
   });
   return result;
@@ -378,10 +414,12 @@ std::vector<Neighbor> RerankCandidatesScored(
     const DistanceComputer& dist, const float* query,
     const std::vector<uint32_t>& candidates, size_t k,
     const IdSelector* filter, RerankCounts* counts) {
-  std::vector<uint32_t> ids(candidates);
+  RerankScratch scratch;
+  scratch.ids = candidates;
+  const float* prepared = dist.PrepareQuery(query, &scratch.query);
   RerankCounts tallies;
-  std::vector<Neighbor> top = RerankIds(dist, query, &ids, k, filter,
-                                        &tallies);
+  std::vector<Neighbor> top =
+      RerankIds(dist, prepared, k, filter, &scratch, &tallies);
   if (counts != nullptr) *counts = tallies;
   return top;
 }
@@ -392,9 +430,10 @@ std::vector<Neighbor> RangeFilterCandidates(const DistanceComputer& dist,
                                             float radius,
                                             const IdSelector* filter,
                                             RerankCounts* counts) {
-  std::vector<float> scores;
+  std::vector<float> scratch, scores;
+  const float* prepared = dist.PrepareQuery(query, &scratch);
   const RerankCounts tallies =
-      ScoreCandidates(dist, query, candidates, filter, &scores);
+      ScoreCandidates(dist, prepared, candidates, filter, &scores);
   if (counts != nullptr) *counts = tallies;
   const std::vector<uint32_t>& ids = *candidates;
   std::vector<Neighbor> hits;

@@ -93,8 +93,9 @@ using CandidateSource =
     std::function<uint32_t(size_t q, std::vector<uint32_t>* ids)>;
 
 /// The gather stage of a partial-budget k-NN request, whatever picked the
-/// candidates: per query, `source` fills C(q) and RerankCandidatesScored
-/// returns its k best under request.options.filter (pushdown). Rows,
+/// candidates: per query, `source` fills C(q) and RerankCandidatesScored's
+/// body returns its k best under request.options.filter (pushdown), over
+/// per-worker id, score and prepared-query buffers. Rows,
 /// candidate_counts and stats (scored and filtered_out post-dedupe,
 /// bins_probed from the source) are written per query, sharded over
 /// ParallelFor chunks of 8 queries under options.num_threads. Rows are
@@ -110,6 +111,31 @@ BatchSearchResult GatherKnn(const DistanceComputer& dist,
 RadiusResult GatherRadius(const DistanceComputer& dist,
                           const RadiusRequest& request,
                           const CandidateSource& source);
+
+/// The approximate scoring of a code-scoring index (ADC over PQ codes, SQ8's
+/// code-space scan): pushes the scores of query q's candidates into
+/// `shortlist`, one block per scored group (a probed bucket, a chunk of a
+/// scan), and returns q's counters: the candidates it scored, the bins it
+/// probed and the ids the filter dropped before scoring. `prepared` is q's
+/// vector from DistanceComputer::PrepareQuery. One scorer serves one worker's
+/// queries in turn, so its tables and buffers are that worker's scratch.
+using ShortlistScorer = std::function<QueryCounters(
+    size_t q, const float* prepared, Shortlist* shortlist)>;
+
+/// The shortlist-then-rerank stage of the code-scoring indexes (ScaNN and
+/// IVF-PQ, SQ8), whatever scores the codes: per query, a Shortlist of
+/// max(k, rerank_budget) pairs takes what the scorer pushes, and its ids are
+/// reranked by exact distance under `dist`, in arrival order, so the ids of
+/// one probed bucket or one id-ordered scan arrive ascending and skip the
+/// rerank's sort. Each query is prepared once, for the scorer and the
+/// rerank. `make_scorer` runs once per ParallelFor chunk of 4 queries
+/// (under options.num_threads). The rerank is unfiltered: the scorer pushes
+/// options.filter down before it scores. Rows are written per query and the
+/// counters are the scorer's; options.budget and options.plan are not
+/// consulted (callers plan first and hand the budget to their scorer).
+BatchSearchResult ShortlistKnn(
+    const DistanceComputer& dist, const SearchRequest& request,
+    size_t rerank_budget, const std::function<ShortlistScorer()>& make_scorer);
 
 /// Exact radius (range) search: for every query, all base rows whose
 /// minimized-form distance is <= radius (inclusive), as a CSR RadiusResult
@@ -151,9 +177,10 @@ struct RerankCounts {
 /// pushdown: disallowed rows cost no distance work and can never displace
 /// allowed ones); `counts`, when non-null, receives the scored/filtered
 /// tallies. Scoring goes through the batched gather-by-id kernels
-/// (prefetched, four rows in flight). GatherKnn runs it for every
-/// partition-based index; the scores feed cross-segment merging in the
-/// serving layer.
+/// (prefetched, four rows in flight). GatherKnn and ShortlistKnn run its
+/// body, without the copy of `candidates` and over per-worker buffers, for
+/// every partition-based and code-scoring index; the scores feed
+/// cross-segment merging in the serving layer.
 std::vector<Neighbor> RerankCandidatesScored(
     const DistanceComputer& dist, const float* query,
     const std::vector<uint32_t>& candidates, size_t k,

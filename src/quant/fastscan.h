@@ -25,20 +25,6 @@
 
 namespace usp {
 
-/// How ScannIndex (and through it IvfPqIndex) scores the ADC stage.
-enum class AdcMode : uint32_t {
-  /// Fast-scan whenever it applies (codebook_size <= 16 and the request is
-  /// unfiltered); float per-code table walk otherwise. The default.
-  kAuto = 0,
-  /// Always the float per-code table walk (the historical path; bit-identical
-  /// to pre-fast-scan behavior).
-  kFloat = 1,
-  /// Always fast-scan for unfiltered requests; aborts at construction when
-  /// codebook_size > 16. Filtered requests still use the float path (the
-  /// selector prunes candidates below block granularity).
-  kFastScan = 2,
-};
-
 /// Codes of one group of vectors packed for pq4_scan. `data` holds
 /// num_blocks() blocks of 16 * num_subspaces bytes each.
 struct PackedCodes {

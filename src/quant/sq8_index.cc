@@ -108,14 +108,8 @@ BatchSearchResult Sq8Index::SearchBatch(const SearchRequest& request) const {
   // Planner hook: a sparse selector is cheaper by exact brute force over the
   // allowed rows than by a full quantized scan plus rerank.
   if (auto planned = MaybeReroute(*this, request)) return std::move(*planned);
-  const MatrixView queries = request.queries;
   const SearchOptions& options = request.options;
-  const size_t k = options.k;
-  const size_t nq = queries.rows();
   const size_t n = base_.rows(), d = base_.cols();
-  BatchSearchResult result;
-  result.Prepare(nq, options);
-
   const QuantKernels& kq = GetQuantKernels();
   const bool use_l2 = config_.metric == Metric::kSquaredL2;
   // Selector pushdown, once per request: the allowed rows in id order.
@@ -126,26 +120,22 @@ BatchSearchResult Sq8Index::SearchBatch(const SearchRequest& request) const {
     std::iota(allowed.begin(), allowed.end(), 0u);
     KeepMembers(*options.filter, &allowed);
   }
+  const size_t rows = options.filter == nullptr ? n : allowed.size();
+  QueryCounters counters;
+  counters.scored = static_cast<uint32_t>(rows);
+  counters.filtered_out = static_cast<uint32_t>(n - rows);
 
-  ParallelFor(nq, 4, options.num_threads, [&](size_t begin, size_t end,
-                                              size_t) {
-    std::vector<float> query_scratch;
-    std::vector<uint8_t> qcode(d);
-    std::vector<uint32_t> proxy_scores(kScanChunk);
-    std::vector<float> proxies(kScanChunk);
-    std::vector<uint32_t> chunk_ids(kScanChunk);
-    std::vector<uint32_t> shortlist;
-    Shortlist approx;
-    for (size_t q = begin; q < end; ++q) {
-      const float* query = queries.Row(q);
-      const float* prepared = dist_.PrepareQuery(query, &query_scratch);
+  // One worker's scan, over its own query code and score buffers.
+  const auto make_scorer = [&]() -> ShortlistScorer {
+    return [&, qcode = std::vector<uint8_t>(d),
+            proxy_scores = std::vector<uint32_t>(kScanChunk),
+            proxies = std::vector<float>(kScanChunk),
+            chunk_ids = std::vector<uint32_t>(kScanChunk)](
+               size_t, const float* prepared, Shortlist* shortlist) mutable {
       EncodeVector(prepared, qcode.data());
-
       // The scan runs in chunks of kScanChunk rows (all rows, or the allowed
       // ones), each pushed to the shortlist as one block of proxies: the
       // code-space L2, or the negated code dot product.
-      approx.Reset(std::max(k, config_.rerank_budget));
-      const size_t rows = options.filter == nullptr ? n : allowed.size();
       for (size_t first = 0; first < rows; first += kScanChunk) {
         const size_t count = std::min(kScanChunk, rows - first);
         const uint32_t* ids;
@@ -172,23 +162,16 @@ BatchSearchResult Sq8Index::SearchBatch(const SearchRequest& request) const {
           const float proxy = static_cast<float>(proxy_scores[r]);
           proxies[r] = use_l2 ? proxy : -proxy;
         }
-        approx.Push(proxies.data(), ids, count);
+        shortlist->Push(proxies.data(), ids, count);
       }
-      QueryCounters counters;
-      counters.scored = static_cast<uint32_t>(rows);
-      counters.filtered_out = static_cast<uint32_t>(n - rows);
-      SetCounters(q, counters, &result);
+      return counters;
+    };
+  };
+  return ShortlistKnn(dist_, request, config_.rerank_budget, make_scorer);
+}
 
-      shortlist.clear();
-      for (const Neighbor& cand : approx.Take()) shortlist.push_back(cand.id);
-
-      // Exact fp32 re-rank of the shortlist (already filtered above). The
-      // scan runs in id order and the shortlist keeps arrival order, so the
-      // ids arrive ascending and the rerank skips its sort.
-      result.SetRow(q, RerankCandidatesScored(dist_, query, shortlist, k));
-    }
-  });
-  return result;
+RadiusResult Sq8Index::RadiusSearchBatch(const RadiusRequest& request) const {
+  return FlatScanRadius(dist_, request, /*bins_probed=*/0);
 }
 
 }  // namespace usp

@@ -8,14 +8,17 @@
 // ranks every row (L2: sum of squared code differences; IP/cosine: negated
 // code dot product), the best max(k, rerank_budget) (proxy, id) pairs form a
 // shortlist, and exact fp32 re-rank under the index metric produces the
-// final neighbors. A Shortlist (knn/top_k.h) selects them, one block per
-// scanned chunk of rows: the set a TopK heap would keep, in O(rerank_budget)
-// memory however many rows the scan streams past it, and in arrival order,
-// so the shortlist of the id-ordered scan arrives sorted and the rerank
-// skips its sort. The code-space proxy equals the true metric up to
-// per-dimension scale weighting, so with rerank_budget >= size() the result
-// is exact brute force regardless of quantization; tests/sq8_test.cc pins
-// that and the recall floor at practical budgets.
+// final neighbors. The scan is this index's scorer for the shortlist stage
+// (ShortlistKnn, knn/brute_force.h), which ScaNN and IVF-PQ share: a
+// Shortlist (knn/top_k.h) takes one block per scanned chunk of rows, keeps
+// the set a TopK heap would in O(rerank_budget) memory however many rows the
+// scan streams past it, and keeps arrival order, so the shortlist of the
+// id-ordered scan arrives sorted and the rerank skips its sort. The
+// code-space proxy equals the true metric up to per-dimension scale
+// weighting, so with rerank_budget >= size() the result is exact brute force
+// regardless of quantization; tests/sq8_test.cc pins that and the recall
+// floor at practical budgets. Radius search is exact: a flat scan of the
+// fp32 base (FlatScanRadius), since a range cut needs true distances.
 //
 // Under kCosine the codes quantize the unit-normalized base (queries are
 // normalized by DistanceComputer::PrepareQuery before encoding), matching
@@ -82,6 +85,12 @@ class Sq8Index : public Index {
   /// results are identical at every setting.
   using Index::SearchBatch;
   BatchSearchResult SearchBatch(const SearchRequest& request) const override;
+
+  /// Radius search: FlatScanRadius (knn/brute_force.h) over the fp32 base
+  /// under the index metric, so every row equals BruteForceRadius's and the
+  /// counters, stats included, are the scan's. options.budget is irrelevant,
+  /// as for k-NN.
+  RadiusResult RadiusSearchBatch(const RadiusRequest& request) const override;
 
   size_t dim() const override { return base_.cols(); }
   size_t size() const override { return base_.rows(); }

@@ -67,6 +67,9 @@ class GatedIndex final : public Index {
     }
     return inner_->SearchBatch(request);
   }
+  RadiusResult RadiusSearchBatch(const RadiusRequest& request) const override {
+    return inner_->RadiusSearchBatch(request);
+  }
   size_t dim() const override { return inner_->dim(); }
   size_t size() const override { return inner_->size(); }
   Metric metric() const override { return inner_->metric(); }

@@ -6,7 +6,11 @@
 // result is hashed (64-bit FNV-1a) against a constant; a change to any saved
 // byte fails here. The other tests reopen every container in heap and mmap
 // mode: saving the loaded index reproduces the same bytes, and a patched
-// header or embedded model is rejected with a Status.
+// header or embedded model is rejected with a Status. The search outputs of
+// the code-scoring and partition layouts under L2 and inner product are
+// hashed the same way; the inputs are multiples of 1/8, so their arithmetic
+// is exact and the hashes hold in every build too.
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -14,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +29,7 @@
 #include "core/partitioner.h"
 #include "hnsw/hnsw.h"
 #include "index/container.h"
+#include "index/id_selector.h"
 #include "index/serialize.h"
 #include "ivf/ivf.h"
 #include "quant/scann_index.h"
@@ -442,6 +448,116 @@ TEST(ContainerGoldenTest, SavedBytesMatchRecordedHashes) {
         << golden.name << " hashes to 0x" << std::hex
         << Fnv1a(bytes.value()) << " over " << std::dec
         << bytes.value().size() << " bytes";
+  }
+}
+
+/// Search inputs on the same grid as the base (multiples of 1/8), so every
+/// product and sum of the distance and bin-scoring arithmetic is exact and
+/// the outputs are the same in both kernel sets.
+Matrix GoldenQueries() {
+  std::vector<float> data(10 * kDim);
+  for (size_t i = 0; i < 10; ++i) {
+    for (size_t j = 0; j < kDim; ++j) {
+      const int v = static_cast<int>((i * 23 + j * 13 + 7) % 31) - 15;
+      data[i * kDim + j] = static_cast<float>(v) * 0.125f;
+    }
+  }
+  return Matrix(10, kDim, std::move(data));
+}
+
+template <typename T>
+void AppendBytes(const std::vector<T>& values, std::string* out) {
+  out->append(reinterpret_cast<const char*>(values.data()),
+              values.size() * sizeof(T));
+}
+
+/// FNV-1a of every search output of `index` over GoldenQueries(): k-NN ids,
+/// distance bits, candidate_counts and stats at budgets 1, 2 and full,
+/// unfiltered and under a fixed bitmap with the planner's choice and with
+/// pushdown forced; radius offsets, ids, distance bits and candidate_counts
+/// at budget 1 and full, unfiltered and filtered.
+uint64_t SearchHash(const Index& index) {
+  const Matrix queries = GoldenQueries();
+  IdSelectorBitmap bitmap(kRows);
+  for (uint32_t id = 0; id < kRows; ++id) {
+    if (id % 3 != 1) bitmap.Set(id);
+  }
+  const float radius = index.metric() == Metric::kSquaredL2 ? 9.0f : -1.0f;
+  constexpr size_t kFull = size_t{1} << 20;
+  std::string bytes;
+  for (const size_t budget : {size_t{1}, size_t{2}, kFull}) {
+    for (const IdSelector* filter :
+         {static_cast<const IdSelector*>(nullptr),
+          static_cast<const IdSelector*>(&bitmap)}) {
+      for (const PlanMode plan : {PlanMode::kAuto, PlanMode::kForcePushdown}) {
+        if (filter == nullptr && plan != PlanMode::kAuto) continue;
+        SearchRequest request;
+        request.queries = queries;
+        request.options.k = 5;
+        request.options.budget = budget;
+        request.options.filter = filter;
+        request.options.plan = plan;
+        request.options.stats = true;
+        const BatchSearchResult r = index.SearchBatch(request);
+        AppendBytes(r.ids, &bytes);
+        AppendBytes(r.distances, &bytes);
+        AppendBytes(r.candidate_counts, &bytes);
+        AppendBytes(r.stats->candidates_scored, &bytes);
+        AppendBytes(r.stats->bins_probed, &bytes);
+        AppendBytes(r.stats->filtered_out, &bytes);
+        AppendBytes(r.stats->nodes_visited, &bytes);
+      }
+    }
+  }
+  for (const size_t budget : {size_t{1}, kFull}) {
+    for (const IdSelector* filter :
+         {static_cast<const IdSelector*>(nullptr),
+          static_cast<const IdSelector*>(&bitmap)}) {
+      RadiusOptions options;
+      options.budget = budget;
+      options.filter = filter;
+      const RadiusResult r = index.RadiusSearch(queries, radius, options);
+      const std::vector<uint64_t> offsets(r.offsets.begin(), r.offsets.end());
+      AppendBytes(offsets, &bytes);
+      AppendBytes(r.ids, &bytes);
+      AppendBytes(r.distances, &bytes);
+      AppendBytes(r.candidate_counts, &bytes);
+    }
+  }
+  return Fnv1a(bytes);
+}
+
+// The search outputs of the layouts whose k-NN or radius path runs the
+// shortlist stage (ScaNN, IVF-PQ, SQ8) or the partition's gather and radius
+// stages (partition, IVF-Flat), against constants recorded before those
+// paths were shared. The cosine layouts are left out: normalizing rounds,
+// and a build that may fuse multiply-adds (-march=native) rounds it
+// differently, so their distance bits are not the same in every build.
+TEST(ContainerGoldenTest, SearchOutputsMatchRecordedHashes) {
+  const std::vector<std::pair<const char*, uint64_t>> expected = {
+      {"partition_kmeans", 0x4b5f54459ce99d89ull},
+      {"ivf_flat_l2", 0x84dac23bcba3ba62ull},
+      {"ivf_flat_ip", 0x426427850aced6a3ull},
+      {"ivf_pq_4bit", 0xd3173bffb3b904e8ull},
+      {"ivf_pq_8bit", 0xfe07b01b232f06c8ull},
+      {"scann_flat", 0xb997b0ec3de47583ull},
+      {"scann_kmeans", 0x27f1ff8acfb9a41bull},
+      {"scann_usp", 0xef55f5798d5b0bb8ull},
+      {"sq8_l2", 0xf949d2e647ca8cc1ull},
+      {"sq8_ip", 0xdc0f580f794e61fbull},
+  };
+  const Matrix base = Grid(kRows, kDim, 0);
+  const std::vector<GoldenCase> cases = GoldenCases();
+  for (const auto& [name, hash] : expected) {
+    const auto golden =
+        std::find_if(cases.begin(), cases.end(), [&](const GoldenCase& c) {
+          return std::string(c.name) == name;
+        });
+    ASSERT_NE(golden, cases.end()) << name;
+    Built built;
+    golden->build(base, &built);
+    const uint64_t got = SearchHash(*built.index);
+    EXPECT_EQ(got, hash) << name << " hashes to 0x" << std::hex << got;
   }
 }
 

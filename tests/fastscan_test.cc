@@ -298,7 +298,8 @@ TEST(FastScanTest, ScorePackedMatchesPerCodeTableWalk) {
 // End-to-end: the fast-scan ADC stage feeds the same exact rerank as the
 // float table walk, so at a healthy rerank budget the two pipelines land
 // within a hair of each other on recall — and fast-scan must actually be
-// engaged.
+// engaged. Both run on one index: unfiltered requests fast-scan, and an
+// all-pass selector pushed down takes the float walk over the same rows.
 TEST(FastScanTest, FastScanRecallMatchesFloatAdc) {
   const Workload& w = FastScanWorkload();
   for (const Metric metric :
@@ -310,17 +311,21 @@ TEST(FastScanTest, FastScanRecallMatchesFloatAdc) {
     config.pq.num_subspaces = 8;
     config.pq.codebook_size = 16;
     config.rerank_budget = 80;
-
-    config.adc = AdcMode::kFastScan;
-    IvfPqIndex fast(&w.base, config);
-    ASSERT_TRUE(fast.has_fast_scan());
-    config.adc = AdcMode::kFloat;
-    IvfPqIndex slow(&w.base, config);
-    ASSERT_FALSE(slow.has_fast_scan());
+    IvfPqIndex index(&w.base, config);
+    ASSERT_TRUE(index.has_fast_scan());
 
     const KnnResult truth = BruteForceKnn(w.base, w.queries, 10, metric);
-    const auto rf = fast.SearchBatch(w.queries, 10, 4);
-    const auto rs = slow.SearchBatch(w.queries, 10, 4);
+    const auto rf = index.SearchBatch(w.queries, 10, 4);
+    const IdSelectorAll all_pass;
+    SearchRequest float_walk;
+    float_walk.queries = w.queries;
+    float_walk.options.k = 10;
+    float_walk.options.budget = 4;
+    float_walk.options.filter = &all_pass;
+    float_walk.options.plan = PlanMode::kForcePushdown;
+    const auto rs = index.SearchBatch(float_walk);
+    // Both paths score the codes of the same probed lists.
+    EXPECT_EQ(rf.candidate_counts, rs.candidate_counts) << MetricName(metric);
     const double recall_fast = KnnAccuracy(rf, truth.indices, truth.k);
     const double recall_slow = KnnAccuracy(rs, truth.indices, truth.k);
     EXPECT_GE(recall_fast, recall_slow - 0.02)

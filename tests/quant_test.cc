@@ -260,14 +260,16 @@ TEST(ScannIndexTest, BiggerRerankBudgetHelps) {
 // bins by descending partitioner score, ties by bin id.
 std::vector<uint32_t> ProbedIds(const ScannIndex& index, const float* scores,
                                 size_t probes) {
-  std::vector<uint32_t> bins(index.buckets().size());
+  const std::vector<std::vector<uint32_t>>& buckets =
+      index.partition()->buckets();
+  std::vector<uint32_t> bins(buckets.size());
   std::iota(bins.begin(), bins.end(), 0u);
   std::stable_sort(bins.begin(), bins.end(), [&](uint32_t a, uint32_t b) {
     return scores[a] > scores[b];
   });
   std::vector<uint32_t> ids;
   for (size_t p = 0; p < probes; ++p) {
-    const std::vector<uint32_t>& bucket = index.buckets()[bins[p]];
+    const std::vector<uint32_t>& bucket = buckets[bins[p]];
     ids.insert(ids.end(), bucket.begin(), bucket.end());
   }
   return ids;
@@ -299,14 +301,17 @@ void ExpectRowMatchesHeapReference(const BatchSearchResult& got, size_t q,
   }
 }
 
-// The float ADC path (the one filtered requests take) at budgets 1 and 3,
-// with a rerank budget below the probed candidate count (a partial
+// The float ADC path at budgets 1 and 3, reached both ways the index takes
+// it: a filtered request on a 16-codeword index, whose unfiltered requests
+// fast-scan, and any request on a 32-codeword index, which has no fast-scan
+// blocks. With a rerank budget below the probed candidate count (a partial
 // shortlist: for every query at budget 3, for most at budget 1, where a 30%
 // bitmap over one bucket can leave fewer) and one above every count (the
-// whole candidate set): every row must
-// equal, bit for bit, a reference that shortlists the same candidates
-// through a TopK heap and reranks them with RerankCandidatesScored. It runs
-// unfiltered and under a 30% bitmap, whose pushdown must drop exactly the
+// whole candidate set), every row must equal, bit for bit, a reference that
+// shortlists the same candidates through a TopK heap and reranks them with
+// RerankCandidatesScored. The 16-codeword index runs under an all-pass
+// selector and a 30% bitmap, both pushed down; the 32-codeword one
+// unfiltered and under the bitmap. The pushdown must drop exactly the
 // rejected ids before the ADC stage.
 TEST(ScannIndexTest, PartialFloatAdcShortlistMatchesHeapReference) {
   const Workload& w = QuantWorkload();
@@ -320,62 +325,70 @@ TEST(ScannIndexTest, PartialFloatAdcShortlistMatchesHeapReference) {
     if (rng.Uniform() < 0.3) allowed.push_back(id);
   }
   const IdSelectorBitmap bitmap(w.base.rows(), allowed);
+  const IdSelectorAll all_pass;
   const Matrix scores = partitioner.ScoreBins(w.queries);
   constexpr size_t kK = 10;
-  for (const size_t rerank : {size_t{30}, size_t{2000}}) {
-    PqConfig pq_config;
-    pq_config.num_subspaces = 8;
-    pq_config.codebook_size = 16;
-    ProductQuantizer pq(pq_config);
-    pq.Train(w.base);
-    ScannIndexConfig config;
-    config.rerank_budget = rerank;
-    config.adc = AdcMode::kFloat;
-    ScannIndex index(&w.base, &partitioner, std::move(pq), config);
-    ASSERT_FALSE(index.has_fast_scan());
-    const ProductQuantizer& quantizer = index.quantizer();
-    const size_t m = quantizer.num_subspaces();
-    for (const size_t probes : {size_t{1}, size_t{3}}) {
-      for (const IdSelector* filter :
-           {static_cast<const IdSelector*>(nullptr),
-            static_cast<const IdSelector*>(&bitmap)}) {
-        SCOPED_TRACE(testing::Message()
-                     << "rerank " << rerank << " probes " << probes
-                     << (filter == nullptr ? " unfiltered" : " 30% bitmap"));
-        SearchRequest request;
-        request.queries = w.queries;
-        request.options.k = kK;
-        request.options.budget = probes;
-        request.options.filter = filter;
-        request.options.plan = PlanMode::kForcePushdown;
-        request.options.stats = true;
-        const BatchSearchResult got = index.SearchBatch(request);
-        size_t partial = 0;
-        for (size_t q = 0; q < w.queries.rows(); ++q) {
-          SCOPED_TRACE(testing::Message() << "query " << q);
-          const float* query = w.queries.Row(q);
-          const std::vector<float> table = quantizer.BuildAdcTable(query);
-          std::vector<Neighbor> scored;
-          uint32_t dropped = 0;
-          for (const uint32_t id : ProbedIds(index, scores.Row(q), probes)) {
-            if (filter != nullptr && !filter->is_member(id)) {
-              ++dropped;
-              continue;
+  for (const size_t codebook : {size_t{16}, size_t{32}}) {
+    for (const size_t rerank : {size_t{30}, size_t{2000}}) {
+      PqConfig pq_config;
+      pq_config.num_subspaces = 8;
+      pq_config.codebook_size = codebook;
+      ProductQuantizer pq(pq_config);
+      pq.Train(w.base);
+      ScannIndexConfig config;
+      config.rerank_budget = rerank;
+      ScannIndex index(&w.base, &partitioner, std::move(pq), config);
+      ASSERT_EQ(index.has_fast_scan(), codebook <= 16);
+      // The request that admits every row: unfiltered on the 32-codeword
+      // index, under the all-pass selector on the 16-codeword one, which
+      // fast-scans an unfiltered request.
+      const IdSelector* every_row = codebook <= 16 ? &all_pass : nullptr;
+      const ProductQuantizer& quantizer = index.quantizer();
+      const size_t m = quantizer.num_subspaces();
+      for (const size_t probes : {size_t{1}, size_t{3}}) {
+        for (const IdSelector* filter :
+             {every_row, static_cast<const IdSelector*>(&bitmap)}) {
+          SCOPED_TRACE(testing::Message()
+                       << "codebook " << codebook << " rerank " << rerank
+                       << " probes " << probes
+                       << (filter == nullptr      ? " unfiltered"
+                           : filter == &all_pass ? " all-pass selector"
+                                                  : " 30% bitmap"));
+          SearchRequest request;
+          request.queries = w.queries;
+          request.options.k = kK;
+          request.options.budget = probes;
+          request.options.filter = filter;
+          request.options.plan = PlanMode::kForcePushdown;
+          request.options.stats = true;
+          const BatchSearchResult got = index.SearchBatch(request);
+          size_t partial = 0;
+          for (size_t q = 0; q < w.queries.rows(); ++q) {
+            SCOPED_TRACE(testing::Message() << "query " << q);
+            const float* query = w.queries.Row(q);
+            const std::vector<float> table = quantizer.BuildAdcTable(query);
+            std::vector<Neighbor> scored;
+            uint32_t dropped = 0;
+            for (const uint32_t id : ProbedIds(index, scores.Row(q), probes)) {
+              if (filter != nullptr && !filter->is_member(id)) {
+                ++dropped;
+                continue;
+              }
+              scored.push_back(
+                  {quantizer.AdcDistance(table, index.codes() + id * m), id});
             }
-            scored.push_back(
-                {quantizer.AdcDistance(table, index.codes() + id * m), id});
+            if (rerank == 30 && probes == 3) {
+              ASSERT_GT(scored.size(), rerank);
+            }
+            partial += scored.size() > rerank;
+            EXPECT_EQ(got.stats->filtered_out[q], dropped);
+            ExpectRowMatchesHeapReference(got, q, query, scored, rerank);
           }
-          if (rerank == 30 && probes == 3) {
-            ASSERT_GT(scored.size(), rerank);
+          if (rerank == 30) {
+            EXPECT_GT(partial, w.queries.rows() / 2);
+          } else {
+            EXPECT_EQ(partial, 0u);
           }
-          partial += scored.size() > rerank;
-          EXPECT_EQ(got.stats->filtered_out[q], dropped);
-          ExpectRowMatchesHeapReference(got, q, query, scored, rerank);
-        }
-        if (rerank == 30) {
-          EXPECT_GT(partial, w.queries.rows() / 2);
-        } else {
-          EXPECT_EQ(partial, 0u);
         }
       }
     }
@@ -403,7 +416,6 @@ TEST(ScannIndexTest, PartialFastScanShortlistMatchesHeapReference) {
     pq.Train(w.base);
     ScannIndexConfig config;
     config.rerank_budget = rerank;
-    config.adc = AdcMode::kFastScan;
     ScannIndex index(&w.base, &partitioner, std::move(pq), config);
     ASSERT_TRUE(index.has_fast_scan());
     const ProductQuantizer& quantizer = index.quantizer();

@@ -399,29 +399,50 @@ TEST(RadiusSearchTest, PartialBudgetReturnsSubsetOfFullRows) {
   EXPECT_GT(total_partial, 0u);
 }
 
+// Every index type reports its radius work: an engaged stats block whose
+// candidates_scored matches candidate_counts, and, at full budget, where
+// every type but HNSW scans every row, scored + filtered_out equal to the
+// unfiltered count. HNSW's count also holds its greedy descent, so only the
+// first check applies to it. A DynamicIndex over SQ8 segments covers the
+// SQ8 scan inside the serving layer's fan-out.
 TEST(RadiusSearchTest, StatsReportScoredAndFiltered) {
   const AllIndexes& all = Indexes();
   const Radii radii = FixtureRadii();
   const size_t n = all.w.base.rows();
   const IdSelectorBitmap filter = RandomSubset(n, 0.5, /*seed=*/42);
-  RadiusOptions options;
-  options.budget = kFullBudget;
-  options.stats = true;
-  const RadiusResult unfiltered =
-      all.partition.RadiusSearch(all.w.queries, radii.many, options);
-  options.filter = &filter;
-  const RadiusResult filtered =
-      all.partition.RadiusSearch(all.w.queries, radii.many, options);
-  ASSERT_TRUE(unfiltered.stats.has_value());
-  ASSERT_TRUE(filtered.stats.has_value());
-  for (size_t q = 0; q < all.w.queries.rows(); ++q) {
-    EXPECT_EQ(filtered.candidate_counts[q],
-              filtered.stats->candidates_scored[q]);
-    // Scored + dropped recovers the unfiltered candidate set (full budget
-    // probes every bin, so the pre-filter candidate sets agree).
-    EXPECT_EQ(filtered.candidate_counts[q] + filtered.stats->filtered_out[q],
-              unfiltered.candidate_counts[q]);
-    EXPECT_EQ(filtered.stats->bins_probed[q], 16u);
+  DynamicIndexConfig sq8_segments;
+  sq8_segments.segment_builder = Sq8SegmentBuilder();
+  DynamicIndex dynamic_sq8(all.w.base.cols(), sq8_segments);
+  dynamic_sq8.AddBatch(all.w.base);
+  dynamic_sq8.Seal();
+  std::vector<std::pair<const char*, const Index*>> indexes = all.All();
+  indexes.emplace_back("dynamic_sq8", &dynamic_sq8);
+  for (const auto& [name, index] : indexes) {
+    SCOPED_TRACE(name);
+    RadiusOptions options;
+    options.budget = kFullBudget;
+    options.stats = true;
+    const RadiusResult unfiltered =
+        index->RadiusSearch(all.w.queries, radii.many, options);
+    options.filter = &filter;
+    const RadiusResult filtered =
+        index->RadiusSearch(all.w.queries, radii.many, options);
+    ASSERT_TRUE(unfiltered.stats.has_value());
+    ASSERT_TRUE(filtered.stats.has_value());
+    for (size_t q = 0; q < all.w.queries.rows(); ++q) {
+      EXPECT_EQ(unfiltered.candidate_counts[q],
+                unfiltered.stats->candidates_scored[q]);
+      EXPECT_EQ(filtered.candidate_counts[q],
+                filtered.stats->candidates_scored[q]);
+      if (index == &all.hnsw) continue;
+      // Scored + dropped recovers the unfiltered candidate set (full budget
+      // probes every bin, so the pre-filter candidate sets agree).
+      EXPECT_EQ(filtered.candidate_counts[q] + filtered.stats->filtered_out[q],
+                unfiltered.candidate_counts[q]);
+      if (index == &all.partition) {
+        EXPECT_EQ(filtered.stats->bins_probed[q], 16u);
+      }
+    }
   }
 }
 
