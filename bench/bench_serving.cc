@@ -2,7 +2,7 @@
 // what micro-batching buys when single-query traffic hits the index. The
 // index is a mutable ShardedIndex whose DynamicIndex shards serve un-sealed
 // rows by blocked exact scan — the regime where coalescing pays even on one
-// core, because the write segment's flat scan (FlatScanKnn) scores each
+// core, because the write segment's flat scan (FlatScan) scores each
 // 32 KiB block of rows for a whole chunk of queries while it is cache-hot: a
 // width-32 batch streams each shard once per chunk where 32 serial calls
 // stream it 32 times. Recall@10 is 1.0 in every mode (exact search), so

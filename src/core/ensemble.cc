@@ -137,19 +137,19 @@ BatchSearchResult UspEnsemble::SearchBatch(const SearchRequest& request) const {
   // in favor of an allowed-set scan (index/query_planner.h).
   if (auto planned = MaybeReroute(*this, request)) return std::move(*planned);
   if (const auto bins = FullScanBins(request.options.budget)) {
-    return FlatScanKnn(*dist_, request, *bins);
+    return FlatScan(*dist_, request, *bins);
   }
-  return GatherKnn(*dist_, request,
-                   Candidates(request.queries, request.options.budget));
+  return Gather(*dist_, request,
+                Candidates(request.queries, request.options.budget));
 }
 
 RadiusResult UspEnsemble::RadiusSearchBatch(const RadiusRequest& request) const {
   USP_CHECK(!base_.empty() && !models_.empty());
   if (const auto bins = FullScanBins(request.options.budget)) {
-    return FlatScanRadius(*dist_, request, *bins);
+    return FlatScan(*dist_, request, *bins);
   }
-  return GatherRadius(*dist_, request,
-                      Candidates(request.queries, request.options.budget));
+  return Gather(*dist_, request,
+                Candidates(request.queries, request.options.budget));
 }
 
 size_t UspEnsemble::ParameterCount() const {

@@ -58,17 +58,17 @@ class UspEnsemble : public Index {
   /// caps the per-query search sharding (0 = pool default, 1 = serial; model
   /// scoring still uses the pool's GEMM); results are identical at every
   /// setting. A budget that covers every bin of every model makes the
-  /// candidate set the whole base, so the request runs FlatScanKnn
+  /// candidate set the whole base, so the request runs FlatScan
   /// (knn/brute_force.h) instead, bit-identical and without model scoring.
   using Index::SearchBatch;
   BatchSearchResult SearchBatch(const SearchRequest& request) const override;
 
   /// Radius search: collect candidates exactly as SearchBatch does (the most
   /// confident model's probed bins, or the all-model union), then
-  /// range-filter by exact distance (GatherRadius). At full budget every
-  /// model probes every bin, so the candidate set covers the base: the
-  /// request runs FlatScanRadius and the result is bit-identical to
-  /// BruteForceRadius.
+  /// range-filter by exact distance: the same Gather stage, through
+  /// RadiusCollector. At full budget every model probes every bin, so the
+  /// candidate set covers the base: the request runs FlatScan and the
+  /// result is bit-identical to BruteForceRadius.
   RadiusResult RadiusSearchBatch(const RadiusRequest& request) const override;
 
   size_t dim() const override { return base_.cols(); }
@@ -100,7 +100,7 @@ class UspEnsemble : public Index {
   std::optional<uint32_t> FullScanBins(size_t budget) const;
 
   /// The candidate source of SearchBatch and RadiusSearchBatch at a partial
-  /// `budget` (GatherKnn/GatherRadius, knn/brute_force.h): every model
+  /// `budget` (Gather, knn/brute_force.h): every model
   /// scores `queries` once, then query q probes the `budget` best bins of
   /// the most confident model (Alg. 4) or, under kUnion, of every model.
   CandidateSource Candidates(MatrixView queries, size_t budget) const;

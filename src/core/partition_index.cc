@@ -70,7 +70,7 @@ BatchSearchResult PartitionIndex::SearchBatch(
   // Probes that cover every bin score every row: a flat scan in id order
   // needs no bin scores and gives the gather path's rows bit for bit.
   if (request.options.budget >= buckets_.size()) {
-    return FlatScanKnn(dist_, request, static_cast<uint32_t>(num_bins()));
+    return FlatScan(dist_, request, static_cast<uint32_t>(num_bins()));
   }
   return SearchBatchWithScores(request.queries, ScoreQueries(request.queries),
                                request.options);
@@ -80,14 +80,13 @@ RadiusResult PartitionIndex::RadiusSearchBatch(
     const RadiusRequest& request) const {
   const size_t probes = std::min(request.options.budget, buckets_.size());
   if (probes == buckets_.size()) {
-    return FlatScanRadius(dist_, request, static_cast<uint32_t>(probes));
+    return FlatScan(dist_, request, static_cast<uint32_t>(probes));
   }
   const Matrix scores = ScoreQueries(request.queries);
-  return GatherRadius(dist_, request,
-                      [&](size_t q, std::vector<uint32_t>* ids) {
-                        CollectCandidates(scores.Row(q), probes, ids);
-                        return static_cast<uint32_t>(probes);
-                      });
+  return Gather(dist_, request, [&](size_t q, std::vector<uint32_t>* ids) {
+    CollectCandidates(scores.Row(q), probes, ids);
+    return static_cast<uint32_t>(probes);
+  });
 }
 
 size_t PartitionIndex::EstimateCandidates(size_t budget) const {
@@ -104,9 +103,9 @@ BatchSearchResult PartitionIndex::SearchBatchWithScores(
   const size_t probes = std::min(options.budget, buckets_.size());
   const SearchRequest request{queries, options};
   if (probes == buckets_.size()) {
-    return FlatScanKnn(dist_, request, static_cast<uint32_t>(probes));
+    return FlatScan(dist_, request, static_cast<uint32_t>(probes));
   }
-  return GatherKnn(dist_, request, [&](size_t q, std::vector<uint32_t>* ids) {
+  return Gather(dist_, request, [&](size_t q, std::vector<uint32_t>* ids) {
     CollectCandidates(scores.Row(q), probes, ids);
     return static_cast<uint32_t>(probes);
   });

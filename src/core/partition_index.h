@@ -54,21 +54,21 @@ class PartitionIndex : public Index {
   /// GEMM regardless of the cap. Results are bit-identical at every thread
   /// count: each query's work is independent and writes only its own output
   /// rows. A budget that covers every bin skips bin scoring and the per-query
-  /// gather for FlatScanKnn (knn/brute_force.h), which scores the rows in id
+  /// gather for FlatScan (knn/brute_force.h), which scores the rows in id
   /// order and returns the gather path's rows bit for bit.
   using Index::SearchBatch;
   BatchSearchResult SearchBatch(const SearchRequest& request) const override;
 
   /// Radius search: gather candidates from the `options.budget` best bins,
-  /// then range-filter them by exact distance (GatherRadius,
-  /// knn/brute_force.h). At full budget every bin is probed, so the request
-  /// runs FlatScanRadius and the result is bit-identical to BruteForceRadius
-  /// over the allowed base.
+  /// then range-filter them by exact distance (Gather, knn/brute_force.h,
+  /// which keeps them through RadiusCollector). At full budget every bin is
+  /// probed, so the request runs FlatScan and the result is bit-identical to
+  /// BruteForceRadius over the allowed base.
   RadiusResult RadiusSearchBatch(const RadiusRequest& request) const override;
 
   /// Same but with externally computed scores (one scoring, many sweeps).
   /// This is the raw pushdown path: no planning. A partial budget runs
-  /// GatherKnn (knn/brute_force.h) over CollectCandidates.
+  /// Gather (knn/brute_force.h) over CollectCandidates.
   BatchSearchResult SearchBatchWithScores(MatrixView queries,
                                           const Matrix& scores,
                                           const SearchOptions& options) const;

@@ -9,7 +9,6 @@
 #include "index/query_planner.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
-#include "workload/radius.h"
 
 namespace usp {
 
@@ -116,7 +115,7 @@ uint32_t HnswIndex::Descend(const float* query, int floor,
 std::vector<Neighbor> HnswIndex::SearchLayer(
     const float* query, uint32_t entry, size_t ef, int level, float radius,
     const IdSelector* filter, LayerStats* stats,
-    std::vector<Neighbor>* hits) const {
+    RadiusCollector::Keeper* hits) const {
   const size_t d = base_.cols();
   const DistanceKernels& kd = GetDistanceKernels();
   std::vector<uint8_t> visited(base_.rows(), 0);
@@ -137,9 +136,7 @@ std::vector<Neighbor> HnswIndex::SearchLayer(
   frontier.push({entry_dist, entry});
   if (filter == nullptr || filter->is_member(entry)) {
     best.push({entry_dist, entry});
-    if (hits != nullptr && entry_dist <= radius) {
-      hits->push_back(Neighbor{entry_dist, entry});
-    }
+    if (hits != nullptr) hits->Push(entry_dist, entry);
   } else if (stats != nullptr) {
     ++stats->filtered_out;
   }
@@ -172,9 +169,7 @@ std::vector<Neighbor> HnswIndex::SearchLayer(
           nb_dist < best.top().first) {
         frontier.push({nb_dist, nb});
         if (allowed) {
-          if (hits != nullptr && nb_dist <= radius) {
-            hits->push_back(Neighbor{nb_dist, nb});
-          }
+          if (hits != nullptr) hits->Push(nb_dist, nb);
           best.push({nb_dist, nb});
           if (best.size() > ef) best.pop();
         }
@@ -192,19 +187,43 @@ std::vector<Neighbor> HnswIndex::SearchLayer(
 }
 
 std::vector<Neighbor> HnswIndex::SearchBase(const float* query, size_t ef,
-                                            float radius,
+                                            std::optional<float> radius,
                                             const IdSelector* filter,
-                                            std::vector<Neighbor>* hits,
                                             QueryCounters* counters) const {
   size_t descent_evals = 0;
   const uint32_t entry = Descend(query, 0, &descent_evals);
   LayerStats layer;
-  std::vector<Neighbor> nearest =
-      SearchLayer(query, entry, ef, 0, radius, filter, &layer, hits);
+  std::optional<RadiusCollector::Keeper> hits;
+  if (radius) hits.emplace(*radius);
+  std::vector<Neighbor> beam =
+      SearchLayer(query, entry, ef, 0, radius.value_or(kNoRadius), filter,
+                  &layer, hits ? &*hits : nullptr);
+  // Every visited node is distance-scored (navigation requires it), so the
+  // scored count is descent evals + base-layer evals even under a filter —
+  // see the SearchBatch contract in hnsw.h.
   counters->scored = static_cast<uint32_t>(descent_evals + layer.evaluations);
   counters->filtered_out = static_cast<uint32_t>(layer.filtered_out);
   counters->nodes_visited = static_cast<uint32_t>(layer.visited);
-  return nearest;
+  return hits ? hits->TakeSorted() : beam;
+}
+
+template <typename Collector>
+typename Collector::Result HnswIndex::Walk(
+    const typename Collector::Request& request, size_t ef,
+    std::optional<float> radius) const {
+  USP_CHECK(!base_.empty() && max_level_ >= 0);
+  const MatrixView queries = request.queries;
+  Collector out(request);
+  ParallelFor(queries.rows(), 4, request.options.num_threads,
+              [&](size_t begin, size_t end, size_t) {
+    for (size_t q = begin; q < end; ++q) {
+      QueryCounters counters;
+      std::vector<Neighbor> row = SearchBase(queries.Row(q), ef, radius,
+                                             request.options.filter, &counters);
+      out.Set(q, std::move(row), counters);
+    }
+  });
+  return out.Take();
 }
 
 void HnswIndex::Build(const Matrix& base) {
@@ -279,47 +298,19 @@ void HnswIndex::Build(const Matrix& base) {
 }
 
 BatchSearchResult HnswIndex::SearchBatch(const SearchRequest& request) const {
-  USP_CHECK(!base_.empty() && max_level_ >= 0);
   // Planner hook (index/query_planner.h): this is the fix for the
   // low-selectivity cliff documented above — when the selector admits fewer
   // nodes than the beam, the planner reroutes to brute force over the
   // allowed set instead of paying the O(n) degraded traversal.
   if (auto planned = MaybeReroute(*this, request)) return std::move(*planned);
-  const MatrixView queries = request.queries;
   const SearchOptions& options = request.options;
-  const size_t ef = std::max(options.k, options.budget);
-  BatchSearchResult result;
-  result.Prepare(queries.rows(), options);
-  ParallelFor(queries.rows(), 4, options.num_threads,
-              [&](size_t begin, size_t end, size_t) {
-    for (size_t q = begin; q < end; ++q) {
-      // Every visited node is distance-scored (navigation requires it), so
-      // the scored count is descent evals + base-layer evals even under a
-      // filter — see the SearchBatch contract in hnsw.h.
-      QueryCounters counters;
-      result.SetRow(q, SearchBase(queries.Row(q), ef, kNoRadius,
-                                  options.filter, /*hits=*/nullptr,
-                                  &counters));
-      SetCounters(q, counters, &result);
-    }
-  });
-  return result;
+  return Walk<TopKCollector>(
+      request, std::max({options.k, options.budget, size_t{1}}), std::nullopt);
 }
 
 RadiusResult HnswIndex::RadiusSearchBatch(const RadiusRequest& request) const {
-  USP_CHECK(!base_.empty() && max_level_ >= 0);
-  const MatrixView queries = request.queries;
-  const size_t ef = std::max<size_t>(request.options.budget, 1);
-  return CollectRadiusRows(
-      queries.rows(), request.options, [&](size_t q, RadiusResult* result) {
-        std::vector<Neighbor> hits;
-        QueryCounters counters;
-        SearchBase(queries.Row(q), ef, request.radius, request.options.filter,
-                   &hits, &counters);
-        std::sort(hits.begin(), hits.end());
-        SetCounters(q, counters, result);
-        return hits;
-      });
+  return Walk<RadiusCollector>(
+      request, std::max<size_t>(request.options.budget, 1), request.radius);
 }
 
 }  // namespace usp

@@ -5,10 +5,12 @@
 #define USP_HNSW_HNSW_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/partition_index.h"
 #include "index/index.h"
+#include "knn/brute_force.h"
 #include "tensor/matrix.h"
 
 namespace usp {
@@ -35,8 +37,10 @@ class HnswIndex : public Index {
   /// Inserts all base points (sequentially; deterministic given the seed).
   void Build(const Matrix& base);
 
-  /// Batch search with beam width max(k, `options.budget`) (= ef_search);
-  /// the graph must be built or loaded.
+  /// Batch search with beam width max(k, `options.budget`, 1)
+  /// (= ef_search); the graph must be built or loaded. Each row is the
+  /// walk's beam, ascending by distance, written through TopKCollector
+  /// (knn/brute_force.h).
   /// `candidate_counts` reports the number of distance evaluations per query,
   /// the analogue of the candidate-set size |C| used to compare against
   /// partition-based methods; HNSW scores every node it visits (navigation
@@ -68,7 +72,10 @@ class HnswIndex : public Index {
   /// budget the whole connected component is traversed, making the result
   /// bit-identical to BruteForceRadius (the traversal scores with the same
   /// squared-L2 kernel as ScoreRange). Filter semantics are
-  /// visit-but-don't-return, exactly as in SearchBatch.
+  /// visit-but-don't-return, exactly as in SearchBatch. The walk offers the
+  /// in-radius nodes to RadiusCollector (knn/brute_force.h), which keeps
+  /// those with distance <= radius and sorts them by (distance, id); one
+  /// per-query loop (Walk) serves both query shapes.
   RadiusResult RadiusSearchBatch(const RadiusRequest& request) const override;
 
   size_t dim() const override { return base_.cols(); }
@@ -114,23 +121,33 @@ class HnswIndex : public Index {
   // semantics above: disallowed nodes still steer the frontier. Nodes within
   // `radius` always enter the frontier and keep the walk going however
   // small ef is, so a full-budget radius walk traverses the connected
-  // component; when `hits` is set, every allowed node within `radius` is
-  // appended to it (unsorted) and nothing is returned. Otherwise returns the
-  // beam ascending by distance. k-NN passes radius = -inf: no distance, NaN
-  // included, is <= -inf, so every comparison is the classic ef-bounded
-  // one. `stats` (optional) accumulates traversal counters.
+  // component; when `hits` is set, every allowed node the walk admits is
+  // offered to it, it keeps those within its radius, and nothing is
+  // returned. Otherwise returns the beam ascending by distance. k-NN passes
+  // radius = -inf: no distance, NaN included, is <= -inf, so every
+  // comparison is the classic ef-bounded one. `stats` (optional) accumulates
+  // traversal counters.
   std::vector<Neighbor> SearchLayer(const float* query, uint32_t entry,
                                     size_t ef, int level, float radius,
                                     const IdSelector* filter,
                                     LayerStats* stats,
-                                    std::vector<Neighbor>* hits) const;
-  // One query: Descend to the base layer, then SearchLayer there. Fills the
-  // query's counters: every distance computed (descent and walk) as scored,
-  // plus the walk's visited and filtered-out nodes.
+                                    RadiusCollector::Keeper* hits) const;
+  // One query: Descend to the base layer, then SearchLayer there. Returns
+  // the beam (k-NN, no radius) or the allowed nodes within `radius`, sorted
+  // by (distance, id). Fills the query's counters: every distance computed
+  // (descent and walk) as scored, plus the walk's visited and filtered-out
+  // nodes.
   std::vector<Neighbor> SearchBase(const float* query, size_t ef,
-                                   float radius, const IdSelector* filter,
-                                   std::vector<Neighbor>* hits,
+                                   std::optional<float> radius,
+                                   const IdSelector* filter,
                                    QueryCounters* counters) const;
+  // Both query shapes: SearchBase for every query of `request`, over
+  // ParallelFor chunks of 4 queries, each row and its counters written
+  // through the Collector (knn/brute_force.h).
+  template <typename Collector>
+  typename Collector::Result Walk(const typename Collector::Request& request,
+                                  size_t ef,
+                                  std::optional<float> radius) const;
   std::vector<uint32_t>& LinksAt(uint32_t node, int level) {
     return links_[node][level];
   }

@@ -179,7 +179,7 @@ struct BatchSearchResult {
   void AllocatePadded(size_t num_queries);
 
   /// AllocatePadded + sets k from `options` and engages the stats block when
-  /// options.stats. The standard first step of every SearchBatch impl.
+  /// options.stats: how TopKCollector (knn/brute_force.h) starts a result.
   void Prepare(size_t num_queries, const SearchOptions& options);
 
   /// Writes the first min(k, sorted.size()) neighbors into row q (ids and

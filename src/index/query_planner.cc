@@ -169,40 +169,14 @@ std::optional<BatchSearchResult> MaybeReroute(const Index& index,
 
 BatchSearchResult AllowedScanSearch(const Index& index,
                                     const SearchRequest& request) {
-  const SearchOptions& options = request.options;
-  USP_CHECK(options.filter != nullptr);
+  USP_CHECK(request.options.filter != nullptr);
   const MatrixView base = index.base_view();
   USP_CHECK(base.data() != nullptr);
-  const size_t n = index.size();
-  const size_t nq = request.queries.rows();
-
-  // The reference path itself: gather-scored brute force over the allowed
-  // subset, so the result is bit-identical to the acceptance suite's ground
-  // truth at *any* budget.
-  KnnResult exact = BruteForceKnn(base, request.queries, options.k,
-                                  index.metric(), options.filter,
-                                  options.num_threads);
-
-  BatchSearchResult result;
-  result.Prepare(nq, options);
-  result.ids = std::move(exact.indices);
-  result.distances = std::move(exact.distances);
-
-  // The scan tested every row, so the exact allowed count is free relative
-  // to the work just done (O(1) for counting selectors anyway).
-  size_t allowed = options.filter->count(n);
-  if (allowed == kUnknownCount) allowed = CountUpTo(*options.filter, n, n);
-  const auto scored = static_cast<uint32_t>(allowed);
-  std::fill(result.candidate_counts.begin(), result.candidate_counts.end(),
-            scored);
-  if (result.stats) {
-    std::fill(result.stats->candidates_scored.begin(),
-              result.stats->candidates_scored.end(), scored);
-    std::fill(result.stats->filtered_out.begin(),
-              result.stats->filtered_out.end(),
-              static_cast<uint32_t>(n - allowed));
-  }
-  return result;
+  // The reference path itself: the scan filtered brute force runs, so the
+  // result is bit-identical to the acceptance suite's ground truth at *any*
+  // budget. It scores every allowed row and counts the rest as filtered out.
+  return FlatScan(DistanceComputer(base, index.metric()), request,
+                  /*bins_probed=*/0);
 }
 
 BatchSearchResult PostFilterSearch(const Index& index,

@@ -109,11 +109,13 @@ PlanDecision PlanFilteredSearch(const Index& index,
 std::optional<BatchSearchResult> MaybeReroute(const Index& index,
                                               const SearchRequest& request);
 
-/// Executes the allowed-scan strategy: filtered BruteForceKnn over
-/// base_view(), exact at any budget. candidate_counts / candidates_scored
-/// report the allowed count (the rows actually scored), bins_probed is 0 and
-/// filtered_out is n - allowed. Requires a non-empty base_view (callers
-/// check; PlanFilteredSearch never picks this strategy without one).
+/// Executes the allowed-scan strategy: the flat scan of filtered
+/// BruteForceKnn (FlatScan, knn/brute_force.h) over base_view(), exact at
+/// any budget, with zero-width rows at k = 0. candidate_counts /
+/// candidates_scored report the allowed count (the rows actually scored),
+/// bins_probed is 0 and filtered_out is n - allowed. Requires a non-empty
+/// base_view (callers check; PlanFilteredSearch never picks this strategy
+/// without one).
 BatchSearchResult AllowedScanSearch(const Index& index,
                                     const SearchRequest& request);
 

@@ -8,7 +8,6 @@
 #include "knn/top_k.h"
 #include "tensor/ops.h"
 #include "util/thread_pool.h"
-#include "workload/radius.h"
 
 namespace usp {
 
@@ -133,7 +132,7 @@ void ScanTile(const DistanceComputer& dist, MatrixView queries,
   }
 }
 
-// Generic-metric brute force: FlatScanKnn over a computer built for this
+// Generic-metric brute force: FlatScan over a computer built for this
 // call. Padding (fewer allowed rows than k) is only reachable with a filter:
 // unfiltered callers check k <= rows.
 KnnResult KnnImplMetric(MatrixView base, MatrixView queries, size_t k,
@@ -148,7 +147,7 @@ KnnResult KnnImplMetric(MatrixView base, MatrixView queries, size_t k,
   request.options.num_threads = num_threads;
   request.options.filter = filter;
   BatchSearchResult scan =
-      FlatScanKnn(DistanceComputer(base, metric), request, /*bins_probed=*/0);
+      FlatScan(DistanceComputer(base, metric), request, /*bins_probed=*/0);
   KnnResult result;
   result.k = k;
   result.indices = std::move(scan.ids);
@@ -160,13 +159,14 @@ KnnResult KnnImplMetric(MatrixView base, MatrixView queries, size_t k,
 // and dedupes `ids` in place (overlapping probes can repeat ids; no point is
 // scored or reported twice), drops the ids `filter` rejects, and scores the
 // survivors, in id order, into `scores` against `prepared` (from
-// dist.PrepareQuery).
-RerankCounts ScoreCandidates(const DistanceComputer& dist,
-                             const float* prepared, std::vector<uint32_t>* ids,
-                             const IdSelector* filter,
-                             std::vector<float>* scores) {
+// dist.PrepareQuery). Returns the scored and filtered-out counts.
+QueryCounters ScoreCandidates(const DistanceComputer& dist,
+                              const float* prepared,
+                              std::vector<uint32_t>* ids,
+                              const IdSelector* filter,
+                              std::vector<float>* scores) {
   SortUniqueIds(ids);
-  RerankCounts counts;
+  QueryCounters counts;
   if (filter != nullptr) {
     counts.filtered_out = static_cast<uint32_t>(KeepMembers(*filter, ids));
   }
@@ -174,6 +174,14 @@ RerankCounts ScoreCandidates(const DistanceComputer& dist,
   scores->resize(ids->size());
   dist.ScoreIds(prepared, ids->data(), ids->size(), scores->data());
   return counts;
+}
+
+// Offers the scored ids to `keep`, in id order, and returns what it keeps.
+template <typename Keeper>
+std::vector<Neighbor> KeepScored(Keeper keep, const std::vector<uint32_t>& ids,
+                                 const std::vector<float>& scores) {
+  for (size_t i = 0; i < ids.size(); ++i) keep.Push(scores[i], ids[i]);
+  return keep.TakeSorted();
 }
 
 // The buffers of an exact rerank: the candidate ids, their scores and the
@@ -184,18 +192,64 @@ struct RerankScratch {
   std::vector<float> query;
 };
 
-// RerankCandidatesScored over scratch->ids, which it sorts, dedupes and
-// filters in place.
-std::vector<Neighbor> RerankIds(const DistanceComputer& dist,
-                                const float* prepared, size_t k,
-                                const IdSelector* filter,
-                                RerankScratch* scratch, RerankCounts* counts) {
-  const std::vector<uint32_t>& ids = scratch->ids;
-  *counts = ScoreCandidates(dist, prepared, &scratch->ids, filter,
-                            &scratch->scores);
-  TopK heap(std::min(k, ids.size()));
-  for (size_t i = 0; i < ids.size(); ++i) heap.Push(scratch->scores[i], ids[i]);
-  return heap.TakeSorted();
+// FlatScan (knn/brute_force.h) through a collector of either shape.
+template <typename Collector>
+typename Collector::Result ScanAll(const DistanceComputer& dist,
+                                   const typename Collector::Request& request,
+                                   uint32_t bins_probed) {
+  const MatrixView queries = request.queries;
+  const ScanRows rows(dist.base().rows(), request.options.filter);
+  const QueryCounters counters = rows.Counters(bins_probed);
+  Collector out(request);
+  ParallelFor(queries.rows(), 8, request.options.num_threads,
+              [&](size_t q_begin, size_t q_end, size_t) {
+    std::vector<typename Collector::Keeper> keepers;
+    keepers.reserve(q_end - q_begin);
+    for (size_t q = q_begin; q < q_end; ++q) {
+      keepers.push_back(out.Keep(rows.count));
+    }
+    ScanTile(dist, queries, q_begin, q_end, rows,
+             [&](size_t i, const uint32_t* ids, size_t first,
+                 const float* scores, size_t count) {
+               typename Collector::Keeper& keep = keepers[i];
+               for (size_t j = 0; j < count; ++j) {
+                 keep.Push(scores[j], ids != nullptr
+                                          ? ids[j]
+                                          : static_cast<uint32_t>(first + j));
+               }
+             });
+    for (size_t q = q_begin; q < q_end; ++q) {
+      out.Set(q, keepers[q - q_begin].TakeSorted(), counters);
+    }
+  });
+  return out.Take();
+}
+
+// Gather (knn/brute_force.h) through a collector of either shape.
+template <typename Collector>
+typename Collector::Result GatherAll(const DistanceComputer& dist,
+                                     const typename Collector::Request& request,
+                                     const CandidateSource& source) {
+  const MatrixView queries = request.queries;
+  Collector out(request);
+  ParallelFor(queries.rows(), 8, request.options.num_threads,
+              [&](size_t q_begin, size_t q_end, size_t) {
+    RerankScratch scratch;
+    for (size_t q = q_begin; q < q_end; ++q) {
+      scratch.ids.clear();
+      const uint32_t bins = source(q, &scratch.ids);
+      const float* prepared = dist.PrepareQuery(queries.Row(q), &scratch.query);
+      QueryCounters counters =
+          ScoreCandidates(dist, prepared, &scratch.ids, request.options.filter,
+                          &scratch.scores);
+      counters.bins_probed = bins;
+      out.Set(q,
+              KeepScored(out.Keep(scratch.ids.size()), scratch.ids,
+                         scratch.scores),
+              counters);
+    }
+  });
+  return out.Take();
 }
 }  // namespace
 
@@ -224,95 +278,56 @@ KnnResult BruteForceKnn(MatrixView base, MatrixView queries, size_t k,
   return KnnImplMetric(base, queries, k, metric, filter, num_threads);
 }
 
-BatchSearchResult FlatScanKnn(const DistanceComputer& dist,
-                              const SearchRequest& request,
-                              uint32_t bins_probed) {
-  const MatrixView queries = request.queries;
-  const SearchOptions& options = request.options;
-  const ScanRows rows(dist.base().rows(), options.filter);
-  // The gather stage keeps min(k, scored) neighbors; so does this scan.
-  const size_t keep = std::min(options.k, rows.count);
-  BatchSearchResult result;
-  result.Prepare(queries.rows(), options);
-
-  ParallelFor(queries.rows(), 8, options.num_threads,
-              [&](size_t q_begin, size_t q_end, size_t) {
-    std::vector<TopK> heaps;
-    heaps.reserve(q_end - q_begin);
-    for (size_t q = q_begin; q < q_end; ++q) heaps.emplace_back(keep);
-    ScanTile(dist, queries, q_begin, q_end, rows,
-             [&](size_t i, const uint32_t* ids, size_t first,
-                 const float* scores, size_t count) {
-               TopK& heap = heaps[i];
-               for (size_t j = 0; j < count; ++j) {
-                 heap.Push(scores[j], ids != nullptr
-                                          ? ids[j]
-                                          : static_cast<uint32_t>(first + j));
-               }
-             });
-    for (size_t q = q_begin; q < q_end; ++q) {
-      result.SetRow(q, heaps[q - q_begin].TakeSorted());
-      SetCounters(q, rows.Counters(bins_probed), &result);
-    }
-  });
-  return result;
+RadiusCollector::RadiusCollector(const RadiusRequest& request)
+    : radius_(request.radius), rows_(request.queries.rows()) {
+  const size_t num_queries = request.queries.rows();
+  result_.offsets.assign(num_queries + 1, 0);
+  result_.candidate_counts.assign(num_queries, 0);
+  if (request.options.stats) {
+    result_.stats.emplace();
+    result_.stats->Allocate(num_queries);
+  }
 }
 
-RadiusResult FlatScanRadius(const DistanceComputer& dist,
-                            const RadiusRequest& request,
-                            uint32_t bins_probed) {
-  const MatrixView queries = request.queries;
-  const float radius = request.radius;
-  const ScanRows rows(dist.base().rows(), request.options.filter);
-  return CollectRadiusChunks(
-      queries.rows(), request.options,
-      [&](size_t q_begin, size_t q_end,
-          std::vector<std::vector<Neighbor>>* hits, RadiusResult* result) {
-        ScanTile(dist, queries, q_begin, q_end, rows,
-                 [&](size_t i, const uint32_t* ids, size_t first,
-                     const float* scores, size_t count) {
-                   std::vector<Neighbor>& row = (*hits)[q_begin + i];
-                   for (size_t j = 0; j < count; ++j) {
-                     if (scores[j] > radius) continue;
-                     row.push_back(Neighbor{
-                         scores[j], ids != nullptr
-                                        ? ids[j]
-                                        : static_cast<uint32_t>(first + j)});
-                   }
-                 });
-        for (size_t q = q_begin; q < q_end; ++q) {
-          // Rows arrive in id order; every radius row is sorted by
-          // (distance, id).
-          std::sort((*hits)[q].begin(), (*hits)[q].end());
-          SetCounters(q, rows.Counters(bins_probed), result);
-        }
-      });
+RadiusResult RadiusCollector::Take() {
+  size_t total = 0;
+  for (size_t q = 0; q < rows_.size(); ++q) {
+    result_.offsets[q] = total;
+    total += rows_[q].size();
+  }
+  result_.offsets[rows_.size()] = total;
+  result_.ids.reserve(total);
+  result_.distances.reserve(total);
+  for (const std::vector<Neighbor>& row : rows_) {
+    for (const Neighbor& n : row) {
+      result_.ids.push_back(n.id);
+      result_.distances.push_back(n.distance);
+    }
+  }
+  return std::move(result_);
 }
 
-BatchSearchResult GatherKnn(const DistanceComputer& dist,
-                            const SearchRequest& request,
-                            const CandidateSource& source) {
-  const MatrixView queries = request.queries;
-  const SearchOptions& options = request.options;
-  BatchSearchResult result;
-  result.Prepare(queries.rows(), options);
-  ParallelFor(queries.rows(), 8, options.num_threads,
-              [&](size_t q_begin, size_t q_end, size_t) {
-    RerankScratch scratch;
-    for (size_t q = q_begin; q < q_end; ++q) {
-      scratch.ids.clear();
-      QueryCounters counters;
-      counters.bins_probed = source(q, &scratch.ids);
-      const float* prepared = dist.PrepareQuery(queries.Row(q), &scratch.query);
-      RerankCounts counts;
-      result.SetRow(q, RerankIds(dist, prepared, options.k, options.filter,
-                                 &scratch, &counts));
-      counters.scored = counts.scored;
-      counters.filtered_out = counts.filtered_out;
-      SetCounters(q, counters, &result);
-    }
-  });
-  return result;
+BatchSearchResult FlatScan(const DistanceComputer& dist,
+                           const SearchRequest& request,
+                           uint32_t bins_probed) {
+  return ScanAll<TopKCollector>(dist, request, bins_probed);
+}
+
+RadiusResult FlatScan(const DistanceComputer& dist,
+                      const RadiusRequest& request, uint32_t bins_probed) {
+  return ScanAll<RadiusCollector>(dist, request, bins_probed);
+}
+
+BatchSearchResult Gather(const DistanceComputer& dist,
+                         const SearchRequest& request,
+                         const CandidateSource& source) {
+  return GatherAll<TopKCollector>(dist, request, source);
+}
+
+RadiusResult Gather(const DistanceComputer& dist,
+                    const RadiusRequest& request,
+                    const CandidateSource& source) {
+  return GatherAll<RadiusCollector>(dist, request, source);
 }
 
 BatchSearchResult ShortlistKnn(
@@ -320,8 +335,7 @@ BatchSearchResult ShortlistKnn(
     size_t rerank_budget, const std::function<ShortlistScorer()>& make_scorer) {
   const MatrixView queries = request.queries;
   const SearchOptions& options = request.options;
-  BatchSearchResult result;
-  result.Prepare(queries.rows(), options);
+  TopKCollector out(request);
   ParallelFor(queries.rows(), 4, options.num_threads,
               [&](size_t q_begin, size_t q_end, size_t) {
     const ShortlistScorer score = make_scorer();
@@ -330,37 +344,20 @@ BatchSearchResult ShortlistKnn(
     for (size_t q = q_begin; q < q_end; ++q) {
       const float* prepared = dist.PrepareQuery(queries.Row(q), &scratch.query);
       shortlist.Reset(std::max(options.k, rerank_budget));
-      SetCounters(q, score(q, prepared, &shortlist), &result);
+      const QueryCounters counters = score(q, prepared, &shortlist);
       scratch.ids.clear();
       for (const Neighbor& pair : shortlist.Take()) {
         scratch.ids.push_back(pair.id);
       }
-      RerankCounts counts;
-      result.SetRow(q, RerankIds(dist, prepared, options.k, /*filter=*/nullptr,
-                                 &scratch, &counts));
+      ScoreCandidates(dist, prepared, &scratch.ids, /*filter=*/nullptr,
+                      &scratch.scores);
+      out.Set(q,
+              KeepScored(out.Keep(scratch.ids.size()), scratch.ids,
+                         scratch.scores),
+              counters);
     }
   });
-  return result;
-}
-
-RadiusResult GatherRadius(const DistanceComputer& dist,
-                          const RadiusRequest& request,
-                          const CandidateSource& source) {
-  const MatrixView queries = request.queries;
-  return CollectRadiusRows(
-      queries.rows(), request.options, [&](size_t q, RadiusResult* result) {
-        std::vector<uint32_t> ids;
-        QueryCounters counters;
-        counters.bins_probed = source(q, &ids);
-        RerankCounts counts;
-        std::vector<Neighbor> hits =
-            RangeFilterCandidates(dist, queries.Row(q), &ids, request.radius,
-                                  request.options.filter, &counts);
-        counters.scored = counts.scored;
-        counters.filtered_out = counts.filtered_out;
-        SetCounters(q, counters, result);
-        return hits;
-      });
+  return out.Take();
 }
 
 RadiusResult BruteForceRadius(MatrixView base, MatrixView queries,
@@ -372,8 +369,8 @@ RadiusResult BruteForceRadius(MatrixView base, MatrixView queries,
   request.radius = radius;
   request.options.num_threads = num_threads;
   request.options.filter = filter;
-  return FlatScanRadius(DistanceComputer(base, metric), request,
-                        /*bins_probed=*/0);
+  return FlatScan(DistanceComputer(base, metric), request,
+                  /*bins_probed=*/0);
 }
 
 KnnResult BuildKnnMatrix(const Matrix& data, size_t k) {
@@ -413,15 +410,15 @@ KnnResult FilterKnnToSubset(const KnnResult& global,
 std::vector<Neighbor> RerankCandidatesScored(
     const DistanceComputer& dist, const float* query,
     const std::vector<uint32_t>& candidates, size_t k,
-    const IdSelector* filter, RerankCounts* counts) {
+    const IdSelector* filter, QueryCounters* counts) {
   RerankScratch scratch;
   scratch.ids = candidates;
   const float* prepared = dist.PrepareQuery(query, &scratch.query);
-  RerankCounts tallies;
-  std::vector<Neighbor> top =
-      RerankIds(dist, prepared, k, filter, &scratch, &tallies);
+  const QueryCounters tallies = ScoreCandidates(dist, prepared, &scratch.ids,
+                                                filter, &scratch.scores);
   if (counts != nullptr) *counts = tallies;
-  return top;
+  return KeepScored(TopK(std::min(k, scratch.ids.size())), scratch.ids,
+                    scratch.scores);
 }
 
 std::vector<Neighbor> RangeFilterCandidates(const DistanceComputer& dist,
@@ -429,19 +426,13 @@ std::vector<Neighbor> RangeFilterCandidates(const DistanceComputer& dist,
                                             std::vector<uint32_t>* candidates,
                                             float radius,
                                             const IdSelector* filter,
-                                            RerankCounts* counts) {
+                                            QueryCounters* counts) {
   std::vector<float> scratch, scores;
   const float* prepared = dist.PrepareQuery(query, &scratch);
-  const RerankCounts tallies =
+  const QueryCounters tallies =
       ScoreCandidates(dist, prepared, candidates, filter, &scores);
   if (counts != nullptr) *counts = tallies;
-  const std::vector<uint32_t>& ids = *candidates;
-  std::vector<Neighbor> hits;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (scores[i] <= radius) hits.push_back(Neighbor{scores[i], ids[i]});
-  }
-  std::sort(hits.begin(), hits.end());  // (distance, id) total order
-  return hits;
+  return KeepScored(RadiusCollector::Keeper(radius), *candidates, scores);
 }
 
 }  // namespace usp

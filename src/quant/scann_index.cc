@@ -207,7 +207,7 @@ BatchSearchResult ScannIndex::SearchBatch(const SearchRequest& request) const {
 RadiusResult ScannIndex::RadiusSearchBatch(const RadiusRequest& request) const {
   if (partition_ != nullptr) return partition_->RadiusSearchBatch(request);
   // Without a partition the candidates are the whole base.
-  return FlatScanRadius(dist(), request, /*bins_probed=*/0);
+  return FlatScan(dist(), request, /*bins_probed=*/0);
 }
 
 }  // namespace usp

@@ -13,11 +13,12 @@
 //     (ProductQuantizer::AdcDistances, bit-identical to the per-code walk),
 //     for wider codebooks and for filtered requests, which prune candidates
 //     below block granularity and keep its bit-identity contracts.
-// Both paths feed the same exact re-rank (ShortlistKnn, knn/brute_force.h),
-// so at full budget with rerank_budget >= the candidate count the results
-// are exact either way. The partition is a PartitionIndex of the
-// partitioner and the base: the ADC stage probes its buckets, and radius
-// search is its RadiusSearchBatch.
+// Both paths feed the same exact re-rank (ShortlistKnn, knn/brute_force.h,
+// which writes through TopKCollector), so at full budget with
+// rerank_budget >= the candidate count the results are exact either way.
+// The partition is a PartitionIndex of the partitioner and the base: the
+// ADC stage probes its buckets, and radius search is its RadiusSearchBatch
+// (the partition's Gather or FlatScan).
 //
 // Metrics: squared L2 (the historical default), inner product (ADC ranks by
 // negated dot-product tables), and cosine (codes encode the unit-normalized
@@ -96,7 +97,7 @@ class ScannIndex : public Index {
   /// apply to radius requests; options.budget (probed bins) is the only knob.
   /// With a partition this is the partition's RadiusSearchBatch, which
   /// probes in SearchBatch's order (RankBins); without one, the candidates
-  /// are the whole base and the request runs FlatScanRadius.
+  /// are the whole base and the request runs FlatScan.
   RadiusResult RadiusSearchBatch(const RadiusRequest& request) const override;
 
   size_t dim() const override { return base_.cols(); }

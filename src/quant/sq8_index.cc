@@ -171,7 +171,7 @@ BatchSearchResult Sq8Index::SearchBatch(const SearchRequest& request) const {
 }
 
 RadiusResult Sq8Index::RadiusSearchBatch(const RadiusRequest& request) const {
-  return FlatScanRadius(dist_, request, /*bins_probed=*/0);
+  return FlatScan(dist_, request, /*bins_probed=*/0);
 }
 
 }  // namespace usp

@@ -18,7 +18,8 @@
 // weighting, so with rerank_budget >= size() the result is exact brute force
 // regardless of quantization; tests/sq8_test.cc pins that and the recall
 // floor at practical budgets. Radius search is exact: a flat scan of the
-// fp32 base (FlatScanRadius), since a range cut needs true distances.
+// fp32 base (FlatScan, through RadiusCollector), since a range cut needs
+// true distances.
 //
 // Under kCosine the codes quantize the unit-normalized base (queries are
 // normalized by DistanceComputer::PrepareQuery before encoding), matching
@@ -86,7 +87,7 @@ class Sq8Index : public Index {
   using Index::SearchBatch;
   BatchSearchResult SearchBatch(const SearchRequest& request) const override;
 
-  /// Radius search: FlatScanRadius (knn/brute_force.h) over the fp32 base
+  /// Radius search: FlatScan (knn/brute_force.h) over the fp32 base
   /// under the index metric, so every row equals BruteForceRadius's and the
   /// counters, stats included, are the scan's. options.budget is irrelevant,
   /// as for k-NN.

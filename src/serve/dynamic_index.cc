@@ -433,7 +433,7 @@ RadiusResult DynamicIndex::RadiusSearchBatch(
   std::shared_lock<std::shared_mutex> lock(mutex_);
   const DistanceComputer write(
       MatrixView(write_data_.data(), write_ids_.size(), dim_), config_.metric);
-  return FanOutRadiusSearch(Parts(write), &tombstones_, request);
+  return FanOutSearch(Parts(write), &tombstones_, request);
 }
 
 // ---------------------------------------------------------------------------

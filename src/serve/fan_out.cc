@@ -7,7 +7,6 @@
 #include "ivf/ivf.h"
 #include "knn/brute_force.h"
 #include "util/thread_pool.h"
-#include "workload/radius.h"
 
 namespace usp {
 
@@ -128,26 +127,18 @@ Scattered<Result> Scatter(const std::vector<FanOutPart>& parts,
   return out;
 }
 
-/// Writes query q's counters, summed over the parts, into `out`; the
-/// tombstoned hits the merge `dropped` count as filtered out.
+/// Query q's counters summed over the parts.
 template <typename Result>
-void SumCounters(const std::vector<Result>& hits, size_t q, uint32_t dropped,
-                 Result* out) {
-  uint32_t candidates = 0, bins = 0, filtered_out = dropped, visited = 0;
+QueryCounters SumCounters(const std::vector<Result>& hits, size_t q) {
+  QueryCounters sum;
   for (const Result& r : hits) {
-    candidates += r.candidate_counts[q];
+    sum.scored += r.candidate_counts[q];
     if (!r.stats) continue;
-    bins += r.stats->bins_probed[q];
-    filtered_out += r.stats->filtered_out[q];
-    visited += r.stats->nodes_visited[q];
+    sum.bins_probed += r.stats->bins_probed[q];
+    sum.filtered_out += r.stats->filtered_out[q];
+    sum.nodes_visited += r.stats->nodes_visited[q];
   }
-  out->candidate_counts[q] = candidates;
-  if (out->stats) {
-    out->stats->candidates_scored[q] = candidates;
-    out->stats->bins_probed[q] = bins;
-    out->stats->filtered_out[q] = filtered_out;
-    out->stats->nodes_visited[q] = visited;
-  }
+  return sum;
 }
 
 /// True when the merge must drop `gid`. Filtered hits were screened by the
@@ -159,106 +150,105 @@ bool DroppedAtMerge(const IdSelector* filter,
          tombstones->count(gid) > 0;
 }
 
+/// The k of a part's k-NN sub-request: at most the part's rows, plus the
+/// over-fetch `extra`. A radius row holds every in-range hit, so a radius
+/// sub-request needs no over-fetch.
+void FitToPart(size_t rows, size_t extra, SearchRequest* sub) {
+  sub->options.k = std::min(rows, sub->options.k + extra);
+}
+void FitToPart(size_t, size_t, RadiusRequest*) {}
+
+BatchSearchResult SearchPart(const Index& index, const SearchRequest& sub) {
+  return index.SearchBatch(sub);
+}
+RadiusResult SearchPart(const Index& index, const RadiusRequest& sub) {
+  return index.RadiusSearchBatch(sub);
+}
+
+/// Query q's row of a part's result: `size` (distance, local id) pairs, a
+/// k-NN row ending at its first kInvalidId padding slot.
+struct PartRow {
+  const uint32_t* ids;
+  const float* distances;
+  size_t size;
+};
+PartRow RowOf(const BatchSearchResult& r, size_t q) {
+  return {r.Row(q), r.DistanceRow(q), r.k};
+}
+PartRow RowOf(const RadiusResult& r, size_t q) {
+  return {r.RowIds(q), r.RowDistances(q), r.RowSize(q)};
+}
+
+/// The composite search of either query shape (see the file comment).
+template <typename Collector>
+typename Collector::Result FanOut(
+    const std::vector<FanOutPart>& parts,
+    const std::unordered_set<uint32_t>* tombstones,
+    const typename Collector::Request& request) {
+  using Result = typename Collector::Result;
+  const IdSelector* filter = request.options.filter;
+  const size_t nq = request.queries.rows();
+  Collector out(request);
+  if (nq == 0) return out.Take();
+
+  const Scattered<Result> scattered = Scatter<Result>(
+      parts, request.options.num_threads,
+      [&](const FanOutPart& part, size_t rows, size_t num_threads) {
+        // The local view is only consulted during this synchronous call.
+        const LocalSelector local(filter, *part.global_ids, tombstones);
+        typename Collector::Request sub = request;
+        sub.options.num_threads = num_threads;
+        if (filter != nullptr) sub.options.filter = &local;
+        // Unfiltered parts over-fetch by their own tombstones, so dropping
+        // them at the merge never surfaces fewer than k live neighbors while
+        // deeper live ones exist in the part.
+        FitToPart(rows, filter != nullptr ? 0 : part.tombstoned, &sub);
+        return part.index != nullptr
+                   ? SearchPart(*part.index, sub)
+                   : FlatScan(*part.flat, sub, /*bins_probed=*/0);
+      });
+
+  ParallelFor(nq, 8, request.options.num_threads,
+              [&](size_t begin, size_t end, size_t) {
+    for (size_t q = begin; q < end; ++q) {
+      size_t offered = 0;
+      for (const Result& hits : scattered.hits) offered += RowOf(hits, q).size;
+      auto keep = out.Keep(offered);
+      // Tombstoned hits dropped here count as filtered out.
+      QueryCounters counters = SumCounters(scattered.hits, q);
+      for (size_t i = 0; i < scattered.parts.size(); ++i) {
+        const PartRow row = RowOf(scattered.hits[i], q);
+        const std::vector<uint32_t>& to_global =
+            *scattered.parts[i]->global_ids;
+        for (size_t j = 0; j < row.size && row.ids[j] != kInvalidId; ++j) {
+          const uint32_t gid = to_global[row.ids[j]];
+          if (DroppedAtMerge(filter, tombstones, gid)) {
+            ++counters.filtered_out;
+            continue;
+          }
+          keep.Push(row.distances[j], gid);
+        }
+      }
+      out.Set(q, keep.TakeSorted(), counters);
+    }
+  });
+  return out.Take();
+}
+
 }  // namespace
 
 BatchSearchResult FanOutSearch(const std::vector<FanOutPart>& parts,
                                const std::unordered_set<uint32_t>* tombstones,
                                const SearchRequest& request) {
-  const SearchOptions& options = request.options;
-  const IdSelector* filter = options.filter;
-  const size_t k = options.k;
-  const size_t nq = request.queries.rows();
-  BatchSearchResult result;
-  result.Prepare(nq, options);
-  if (nq == 0 || k == 0) return result;
-
-  const Scattered<BatchSearchResult> scattered = Scatter<BatchSearchResult>(
-      parts, options.num_threads,
-      [&](const FanOutPart& part, size_t rows, size_t num_threads) {
-        // The local view is only consulted during this synchronous call.
-        const LocalSelector local(filter, *part.global_ids, tombstones);
-        SearchRequest sub = request;
-        sub.options.num_threads = num_threads;
-        if (filter != nullptr) {
-          sub.options.filter = &local;
-          sub.options.k = std::min(rows, k);
-        } else {
-          // Over-fetch by the part's own tombstones, so dropping them at the
-          // merge never surfaces fewer than k live neighbors while deeper
-          // live ones exist in the part.
-          sub.options.k = std::min(rows, k + part.tombstoned);
-        }
-        return part.index != nullptr
-                   ? part.index->SearchBatch(sub)
-                   : FlatScanKnn(*part.flat, sub, /*bins_probed=*/0);
-      });
-
-  ParallelFor(nq, 8, options.num_threads,
-              [&](size_t begin, size_t end, size_t) {
-    for (size_t q = begin; q < end; ++q) {
-      TopK heap(k);
-      uint32_t dropped = 0;
-      for (size_t i = 0; i < scattered.parts.size(); ++i) {
-        const BatchSearchResult& hits = scattered.hits[i];
-        const std::vector<uint32_t>& to_global =
-            *scattered.parts[i]->global_ids;
-        const uint32_t* ids = hits.Row(q);
-        const float* dists = hits.DistanceRow(q);
-        for (size_t j = 0; j < hits.k && ids[j] != kInvalidId; ++j) {
-          const uint32_t gid = to_global[ids[j]];
-          if (DroppedAtMerge(filter, tombstones, gid)) {
-            ++dropped;
-            continue;
-          }
-          heap.Push(dists[j], gid);
-        }
-      }
-      result.SetRow(q, heap.TakeSorted());
-      SumCounters(scattered.hits, q, dropped, &result);
-    }
-  });
-  return result;
+  // k = 0 asks for no neighbor: no part is searched.
+  if (request.options.k == 0) return TopKCollector(request).Take();
+  return FanOut<TopKCollector>(parts, tombstones, request);
 }
 
-RadiusResult FanOutRadiusSearch(const std::vector<FanOutPart>& parts,
-                                const std::unordered_set<uint32_t>* tombstones,
-                                const RadiusRequest& request) {
-  const RadiusOptions& options = request.options;
-  const IdSelector* filter = options.filter;
-
-  const Scattered<RadiusResult> scattered = Scatter<RadiusResult>(
-      parts, options.num_threads,
-      [&](const FanOutPart& part, size_t, size_t num_threads) {
-        const LocalSelector local(filter, *part.global_ids, tombstones);
-        RadiusRequest sub = request;
-        sub.options.num_threads = num_threads;
-        if (filter != nullptr) sub.options.filter = &local;
-        return part.index != nullptr
-                   ? part.index->RadiusSearchBatch(sub)
-                   : FlatScanRadius(*part.flat, sub, /*bins_probed=*/0);
-      });
-
-  return CollectRadiusRows(
-      request.queries.rows(), options, [&](size_t q, RadiusResult* out) {
-        std::vector<Neighbor> merged;
-        uint32_t dropped = 0;
-        for (size_t i = 0; i < scattered.parts.size(); ++i) {
-          const RadiusResult& r = scattered.hits[i];
-          const std::vector<uint32_t>& to_global =
-              *scattered.parts[i]->global_ids;
-          for (size_t j = r.offsets[q]; j < r.offsets[q + 1]; ++j) {
-            const uint32_t gid = to_global[r.ids[j]];
-            if (DroppedAtMerge(filter, tombstones, gid)) {
-              ++dropped;
-              continue;
-            }
-            merged.push_back(Neighbor{r.distances[j], gid});
-          }
-        }
-        std::sort(merged.begin(), merged.end());
-        SumCounters(scattered.hits, q, dropped, out);
-        return merged;
-      });
+RadiusResult FanOutSearch(const std::vector<FanOutPart>& parts,
+                          const std::unordered_set<uint32_t>* tombstones,
+                          const RadiusRequest& request) {
+  return FanOut<RadiusCollector>(parts, tombstones, request);
 }
 
 }  // namespace usp

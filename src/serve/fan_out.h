@@ -17,14 +17,18 @@
 // a multiple of their count get cap / count each. Every part's rows are
 // bit-identical at every thread count, and so is the merge.
 //
-// Merges. Every part returns exact distances. The kNN merge keeps a TopK on
-// (distance, global id). Unfiltered parts fetch min(rows, k + tombstoned)
-// and the tombstoned hits are dropped at the merge; filtered parts fetch
-// min(rows, k), their tombstones already checked inside the selector. The
-// radius merge remaps the ids, drops tombstoned hits and sorts; a radius row
-// holds every in-range hit, so it needs no over-fetch. Both merges sum
-// candidate_counts and the SearchStats counters over the parts, with
-// dropped tombstones counted as filtered_out.
+// Merge. Every part returns exact distances, and one merge serves both
+// query shapes: it remaps each part's row to global ids, drops tombstoned
+// hits, and offers the rest to the request's collector (knn/brute_force.h),
+// a TopK on (distance, global id) for k-NN and the radius cut and sort for
+// radius. Only two things differ per shape. One is the sub-request: a k-NN
+// part fetches min(rows, k + tombstoned) when unfiltered, its tombstoned
+// hits dropped at the merge, and min(rows, k) when filtered, its tombstones
+// already checked inside the selector; a radius row holds every in-range
+// hit, so it needs no over-fetch. The other is how a part's row is read.
+// The merge sums candidate_counts and the SearchStats counters over the
+// parts, with dropped tombstones counted as filtered_out. A k-NN request
+// with k = 0 searches no part.
 //
 // Part ids are disjoint and (distance, global id) is a total order, so the
 // merged row does not depend on the part order: at full budget it equals
@@ -59,8 +63,8 @@ std::unique_ptr<Index> BuildSegmentIndex(const SegmentBuilder& builder,
                                          const Matrix& base, Metric metric);
 
 /// One part of a composite search: exactly one of `index` (a sealed segment
-/// or a shard) and `flat` (rows scanned by FlatScanKnn / FlatScanRadius,
-/// knn/brute_force.h: the write segment) is set.
+/// or a shard) and `flat` (rows scanned by FlatScan, knn/brute_force.h: the
+/// write segment) is set.
 struct FanOutPart {
   const Index* index = nullptr;
   const DistanceComputer* flat = nullptr;
@@ -68,18 +72,17 @@ struct FanOutPart {
   size_t tombstoned = 0;  ///< live tombstones among the part's rows
 };
 
-/// k-NN over `parts` (see the file comment). `tombstones` is the set of
-/// deleted global ids, or null when every part drops its own deletes. The
-/// caller holds the lock that keeps the parts alive; options.plan travels
-/// with the sub-requests, so each part plans its own filtered search.
+/// k-NN or radius search over `parts` (see the file comment). `tombstones`
+/// is the set of deleted global ids, or null when every part drops its own
+/// deletes. The caller holds the lock that keeps the parts alive;
+/// options.plan travels with the k-NN sub-requests, so each part plans its
+/// own filtered search.
 BatchSearchResult FanOutSearch(const std::vector<FanOutPart>& parts,
                                const std::unordered_set<uint32_t>* tombstones,
                                const SearchRequest& request);
-
-/// Radius search over `parts`, with the same arguments.
-RadiusResult FanOutRadiusSearch(const std::vector<FanOutPart>& parts,
-                                const std::unordered_set<uint32_t>* tombstones,
-                                const RadiusRequest& request);
+RadiusResult FanOutSearch(const std::vector<FanOutPart>& parts,
+                          const std::unordered_set<uint32_t>* tombstones,
+                          const RadiusRequest& request);
 
 }  // namespace usp
 

@@ -209,7 +209,7 @@ RadiusResult ShardedIndex::RadiusSearchBatch(
     const RadiusRequest& request) const {
   USP_CHECK(request.queries.empty() || request.queries.cols() == dim_);
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  return FanOutRadiusSearch(Parts(), /*tombstones=*/nullptr, request);
+  return FanOutSearch(Parts(), /*tombstones=*/nullptr, request);
 }
 
 // ---------------------------------------------------------------------------

@@ -41,14 +41,13 @@
 #include "dataset/synthetic.h"
 #include "dataset/workload.h"
 
-// Exact search substrate.
+// Exact search substrate, and the collectors and stages every k-NN and
+// radius search ends with.
 #include "knn/brute_force.h"
 
-// Workloads beyond top-k: radius (range) search over every index type and
-// fast k-NN-graph construction (exact symmetric tiles, index-accelerated
+// Fast k-NN-graph construction (exact symmetric tiles, index-accelerated
 // approximate, out-of-core streaming).
 #include "workload/knn_graph.h"
-#include "workload/radius.h"
 
 // Baselines and companion indexes.
 #include "baselines/cross_polytope_lsh.h"

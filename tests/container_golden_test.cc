@@ -7,9 +7,10 @@
 // byte fails here. The other tests reopen every container in heap and mmap
 // mode: saving the loaded index reproduces the same bytes, and a patched
 // header or embedded model is rejected with a Status. The search outputs of
-// the code-scoring and partition layouts under L2 and inner product are
-// hashed the same way; the inputs are multiples of 1/8, so their arithmetic
-// is exact and the hashes hold in every build too.
+// every layout under L2 and inner product (rows, distance bits and counters,
+// at k = 5 and k = 0, k-NN and radius, at num_threads 1 and the pool
+// default) are hashed the same way; the inputs are multiples of 1/8, so
+// their arithmetic is exact and the hashes hold in every build too.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -471,93 +472,153 @@ void AppendBytes(const std::vector<T>& values, std::string* out) {
               values.size() * sizeof(T));
 }
 
-/// FNV-1a of every search output of `index` over GoldenQueries(): k-NN ids,
-/// distance bits, candidate_counts and stats at budgets 1, 2 and full,
-/// unfiltered and under a fixed bitmap with the planner's choice and with
-/// pushdown forced; radius offsets, ids, distance bits and candidate_counts
-/// at budget 1 and full, unfiltered and filtered.
-uint64_t SearchHash(const Index& index) {
-  const Matrix queries = GoldenQueries();
+void AppendStats(const SearchStats& stats, std::string* out) {
+  AppendBytes(stats.candidates_scored, out);
+  AppendBytes(stats.bins_probed, out);
+  AppendBytes(stats.filtered_out, out);
+  AppendBytes(stats.nodes_visited, out);
+}
+
+constexpr size_t kFull = size_t{1} << 20;
+
+/// The bitmap every filtered search runs under: two of every three ids.
+IdSelectorBitmap GoldenBitmap() {
   IdSelectorBitmap bitmap(kRows);
   for (uint32_t id = 0; id < kRows; ++id) {
     if (id % 3 != 1) bitmap.Set(id);
   }
-  const float radius = index.metric() == Metric::kSquaredL2 ? 9.0f : -1.0f;
-  constexpr size_t kFull = size_t{1} << 20;
-  std::string bytes;
+  return bitmap;
+}
+
+/// Appends the k-NN ids, distance bits, candidate_counts and stats of
+/// `index` over GoldenQueries() at budgets 1, 2 and full, unfiltered and,
+/// for k > 0, under GoldenBitmap() with the planner's choice and with
+/// pushdown forced.
+void AppendKnn(const Index& index, size_t k, size_t threads,
+               std::string* bytes) {
+  const Matrix queries = GoldenQueries();
+  const IdSelectorBitmap bitmap = GoldenBitmap();
   for (const size_t budget : {size_t{1}, size_t{2}, kFull}) {
     for (const IdSelector* filter :
          {static_cast<const IdSelector*>(nullptr),
           static_cast<const IdSelector*>(&bitmap)}) {
+      if (filter != nullptr && k == 0) continue;
       for (const PlanMode plan : {PlanMode::kAuto, PlanMode::kForcePushdown}) {
         if (filter == nullptr && plan != PlanMode::kAuto) continue;
         SearchRequest request;
         request.queries = queries;
-        request.options.k = 5;
+        request.options.k = k;
         request.options.budget = budget;
+        request.options.num_threads = threads;
         request.options.filter = filter;
         request.options.plan = plan;
         request.options.stats = true;
         const BatchSearchResult r = index.SearchBatch(request);
-        AppendBytes(r.ids, &bytes);
-        AppendBytes(r.distances, &bytes);
-        AppendBytes(r.candidate_counts, &bytes);
-        AppendBytes(r.stats->candidates_scored, &bytes);
-        AppendBytes(r.stats->bins_probed, &bytes);
-        AppendBytes(r.stats->filtered_out, &bytes);
-        AppendBytes(r.stats->nodes_visited, &bytes);
+        AppendBytes(r.ids, bytes);
+        AppendBytes(r.distances, bytes);
+        AppendBytes(r.candidate_counts, bytes);
+        AppendStats(*r.stats, bytes);
       }
     }
   }
+}
+
+/// Appends the radius offsets, ids, distance bits and candidate_counts of
+/// `index` over GoldenQueries() at budget 1 and full, unfiltered and under
+/// GoldenBitmap(), and with `stats` the stats block too.
+void AppendRadius(const Index& index, size_t threads, bool stats,
+                  std::string* bytes) {
+  const Matrix queries = GoldenQueries();
+  const IdSelectorBitmap bitmap = GoldenBitmap();
+  const float radius = index.metric() == Metric::kSquaredL2 ? 9.0f : -1.0f;
   for (const size_t budget : {size_t{1}, kFull}) {
     for (const IdSelector* filter :
          {static_cast<const IdSelector*>(nullptr),
           static_cast<const IdSelector*>(&bitmap)}) {
       RadiusOptions options;
       options.budget = budget;
+      options.num_threads = threads;
       options.filter = filter;
+      options.stats = stats;
       const RadiusResult r = index.RadiusSearch(queries, radius, options);
       const std::vector<uint64_t> offsets(r.offsets.begin(), r.offsets.end());
-      AppendBytes(offsets, &bytes);
-      AppendBytes(r.ids, &bytes);
-      AppendBytes(r.distances, &bytes);
-      AppendBytes(r.candidate_counts, &bytes);
+      AppendBytes(offsets, bytes);
+      AppendBytes(r.ids, bytes);
+      AppendBytes(r.distances, bytes);
+      AppendBytes(r.candidate_counts, bytes);
+      if (stats) AppendStats(*r.stats, bytes);
     }
+  }
+}
+
+/// FNV-1a of the k = 5 k-NN outputs and the radius rows and counts, at the
+/// pool's default thread count.
+uint64_t SearchHash(const Index& index) {
+  std::string bytes;
+  AppendKnn(index, 5, /*threads=*/0, &bytes);
+  AppendRadius(index, /*threads=*/0, /*stats=*/false, &bytes);
+  return Fnv1a(bytes);
+}
+
+/// FNV-1a of what SearchHash leaves out, at num_threads 1 and at the pool
+/// default: unfiltered k = 0 requests (zero-width rows; their counters), the
+/// k = 5 outputs again, and the radius outputs with their stats blocks.
+uint64_t CountersHash(const Index& index) {
+  std::string bytes;
+  for (const size_t threads : {size_t{1}, size_t{0}}) {
+    AppendKnn(index, 0, threads, &bytes);
+    AppendKnn(index, 5, threads, &bytes);
+    AppendRadius(index, threads, /*stats=*/true, &bytes);
   }
   return Fnv1a(bytes);
 }
 
-// The search outputs of the layouts whose k-NN or radius path runs the
-// shortlist stage (ScaNN, IVF-PQ, SQ8) or the partition's gather and radius
-// stages (partition, IVF-Flat), against constants recorded before those
-// paths were shared. The cosine layouts are left out: normalizing rounds,
-// and a build that may fuse multiply-adds (-march=native) rounds it
+// The search outputs of every layout whose search runs one of the shared
+// stages: the flat scan, the gather, the shortlist, the HNSW walk and the
+// serving fan-out, against constants recorded before those stages were
+// shared. Each layout has two hashes: SearchHash and CountersHash. The
+// cosine layouts (partition_usp among them) are left out: normalizing
+// rounds, and a build that may fuse multiply-adds (-march=native) rounds it
 // differently, so their distance bits are not the same in every build.
 TEST(ContainerGoldenTest, SearchOutputsMatchRecordedHashes) {
-  const std::vector<std::pair<const char*, uint64_t>> expected = {
-      {"partition_kmeans", 0x4b5f54459ce99d89ull},
-      {"ivf_flat_l2", 0x84dac23bcba3ba62ull},
-      {"ivf_flat_ip", 0x426427850aced6a3ull},
-      {"ivf_pq_4bit", 0xd3173bffb3b904e8ull},
-      {"ivf_pq_8bit", 0xfe07b01b232f06c8ull},
-      {"scann_flat", 0xb997b0ec3de47583ull},
-      {"scann_kmeans", 0x27f1ff8acfb9a41bull},
-      {"scann_usp", 0xef55f5798d5b0bb8ull},
-      {"sq8_l2", 0xf949d2e647ca8cc1ull},
-      {"sq8_ip", 0xdc0f580f794e61fbull},
+  struct Expected {
+    const char* name;
+    uint64_t search;
+    uint64_t counters;
+  };
+  const std::vector<Expected> expected = {
+      {"partition_kmeans", 0x4b5f54459ce99d89ull, 0x4313d099e33b09a5ull},
+      {"ivf_flat_l2", 0x84dac23bcba3ba62ull, 0xc1f9b0f48e790d09ull},
+      {"ivf_flat_ip", 0x426427850aced6a3ull, 0x39662aa5ae2df87dull},
+      {"ivf_pq_4bit", 0xd3173bffb3b904e8ull, 0x04a742f8a51bafd5ull},
+      {"ivf_pq_8bit", 0xfe07b01b232f06c8ull, 0x0f97f155d9828fe5ull},
+      {"scann_flat", 0xb997b0ec3de47583ull, 0x598a6f6da2392cb5ull},
+      {"scann_kmeans", 0x27f1ff8acfb9a41bull, 0xf19dcb5fb8ffc3f5ull},
+      {"scann_usp", 0xef55f5798d5b0bb8ull, 0x2018483c2f766ba9ull},
+      {"sq8_l2", 0xf949d2e647ca8cc1ull, 0x322121888c3cb695ull},
+      {"sq8_ip", 0xdc0f580f794e61fbull, 0x63a3ee5076ede74dull},
+      {"hnsw", 0x6942dbdd3651188eull, 0x6ef0b6c93485105dull},
+      {"ensemble", 0x5b9cec2e9c0d82ddull, 0x64e51d630b59e7c5ull},
+      {"dynamic", 0x93c7ea9989eb8b3eull, 0xe97a7e8bb38b079dull},
+      {"sharded_static", 0x6ce9faf7b0d1da84ull, 0x6b83780a982329e9ull},
+      {"sharded_mutable", 0xaf974928dec8b522ull, 0xd11a576dc35a5969ull},
   };
   const Matrix base = Grid(kRows, kDim, 0);
   const std::vector<GoldenCase> cases = GoldenCases();
-  for (const auto& [name, hash] : expected) {
+  for (const Expected& want : expected) {
     const auto golden =
         std::find_if(cases.begin(), cases.end(), [&](const GoldenCase& c) {
-          return std::string(c.name) == name;
+          return std::string(c.name) == want.name;
         });
-    ASSERT_NE(golden, cases.end()) << name;
+    ASSERT_NE(golden, cases.end()) << want.name;
     Built built;
     golden->build(base, &built);
-    const uint64_t got = SearchHash(*built.index);
-    EXPECT_EQ(got, hash) << name << " hashes to 0x" << std::hex << got;
+    const uint64_t search = SearchHash(*built.index);
+    EXPECT_EQ(search, want.search)
+        << want.name << " search outputs hash to 0x" << std::hex << search;
+    const uint64_t counters = CountersHash(*built.index);
+    EXPECT_EQ(counters, want.counters)
+        << want.name << " counters hash to 0x" << std::hex << counters;
   }
 }
 

@@ -393,6 +393,42 @@ TEST(FilteredSearchTest, DynamicFilterComposesWithTombstonesAcrossSeal) {
   }
 }
 
+// A request for k = 0 neighbors returns zero-width rows under every plan and
+// budget. At 1% selectivity the planner picks the allowed-set scan itself at
+// full budget; that scan must not run filtered BruteForceKnn, which requires
+// k > 0. At budget 0 HNSW's beam still holds one node.
+TEST(FilteredSearchTest, ZeroKReturnsZeroWidthRowsUnderEveryPlan) {
+  const AllIndexes& all = Indexes();
+  const size_t nq = all.w.queries.rows();
+  const IdSelectorBitmap filter =
+      RandomSubset(all.w.base.rows(), 0.01, /*seed=*/1001);
+  for (const Index* index : all.All()) {
+    for (const PlanMode plan :
+         {PlanMode::kAuto, PlanMode::kForcePushdown,
+          PlanMode::kForceAllowedScan, PlanMode::kForcePostFilter}) {
+      for (const size_t budget : {size_t{0}, size_t{2}, kFullBudget}) {
+        SCOPED_TRACE(testing::Message()
+                     << IndexTypeName(index->type()) << " plan="
+                     << static_cast<int>(plan) << " budget=" << budget);
+        SearchRequest request;
+        request.queries = all.w.queries;
+        request.options.k = 0;
+        request.options.budget = budget;
+        request.options.filter = &filter;
+        request.options.plan = plan;
+        request.options.stats = true;
+        const BatchSearchResult result = index->SearchBatch(request);
+        EXPECT_EQ(result.k, 0u);
+        EXPECT_TRUE(result.ids.empty());
+        EXPECT_TRUE(result.distances.empty());
+        EXPECT_EQ(result.candidate_counts.size(), nq);
+        ASSERT_TRUE(result.stats.has_value());
+        EXPECT_EQ(result.stats->candidates_scored, result.candidate_counts);
+      }
+    }
+  }
+}
+
 TEST(FilteredSearchTest, FilteredBruteForceMatchesManualSubsetScan) {
   const Workload& w = FilterWorkload();
   const size_t n = w.base.rows();

@@ -1,7 +1,7 @@
-// Pins the full-budget flat scan (knn/brute_force.h FlatScanKnn and
-// FlatScanRadius) against the gather stage it stands in for, and the gather
-// stage (GatherKnn and GatherRadius) against the per-query rerank and range
-// filter it runs. When a
+// Pins the full-budget flat scan (knn/brute_force.h FlatScan, both query
+// shapes) against the gather stage it stands in for, and the gather stage
+// (Gather, both shapes) against the per-query rerank and range filter it
+// runs. When a
 // request's probes cover every bin, PartitionIndex (k-NN and radius),
 // UspEnsemble (k-NN and radius) and ScannIndex (radius) score the base rows
 // in id order instead of building, sorting and gathering the list of every
@@ -18,8 +18,10 @@
 // above one leaves a partial ParallelFor chunk. Each check runs at
 // num_threads 1 and at the pool default.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -32,8 +34,8 @@
 #include "dataset/workload.h"
 #include "knn/brute_force.h"
 #include "quant/scann_index.h"
+#include "serve/dynamic_index.h"
 #include "util/rng.h"
-#include "workload/radius.h"
 
 namespace usp {
 namespace {
@@ -433,7 +435,7 @@ TEST(GatherTest, MatchesPerQueryRerankAndRangeFilter) {
         request.options.num_threads = threads;
         request.options.filter = filter;
         request.options.stats = true;
-        ExpectKnnMatchesSource(GatherKnn(dist, request, TwoBuckets), dist,
+        ExpectKnnMatchesSource(Gather(dist, request, TwoBuckets), dist,
                                TwoBuckets, filter);
         RadiusRequest radius_request;
         radius_request.queries = w.queries;
@@ -441,9 +443,66 @@ TEST(GatherTest, MatchesPerQueryRerankAndRangeFilter) {
         radius_request.options.num_threads = threads;
         radius_request.options.filter = filter;
         radius_request.options.stats = true;
-        ExpectRadiusMatchesSource(GatherRadius(dist, radius_request,
+        ExpectRadiusMatchesSource(Gather(dist, radius_request,
                                                TwoBuckets),
                                   dist, TwoBuckets, radius, filter);
+      }
+    }
+  }
+}
+
+// A NaN distance is within no radius. Over a base with a NaN coordinate in
+// row 5, BruteForceRadius, the flat scan, the gather fed every id and a
+// DynamicIndex write segment return the rows RangeFilterCandidates keeps,
+// bit for bit, and none of them holds row 5.
+TEST(FlatScanTest, RadiusDropsNanDistances) {
+  constexpr size_t kRows = 64, kDim = 8;
+  constexpr float kRadius = 1.0f;
+  Rng rng(96);
+  Matrix base(kRows, kDim), queries(3, kDim);
+  for (Matrix* m : {&base, &queries}) {
+    for (size_t i = 0; i < m->rows(); ++i) {
+      for (size_t j = 0; j < kDim; ++j) {
+        (*m)(i, j) = static_cast<float>(rng.Uniform());
+      }
+    }
+  }
+  base(5, 3) = std::numeric_limits<float>::quiet_NaN();
+  const DistanceComputer dist(base, Metric::kSquaredL2);
+  RadiusRequest request;
+  request.queries = queries;
+  request.radius = kRadius;
+  const CandidateSource every_id = [&](size_t, std::vector<uint32_t>* ids) {
+    for (uint32_t id = 0; id < kRows; ++id) ids->push_back(id);
+    return 0u;
+  };
+  DynamicIndex dynamic(kDim);
+  dynamic.AddBatch(base);  // global ids 0 .. kRows - 1, all in the write segment
+  const RadiusResult results[] = {
+      BruteForceRadius(base, queries, kRadius, Metric::kSquaredL2),
+      FlatScan(dist, request, /*bins_probed=*/0),
+      Gather(dist, request, every_id),
+      dynamic.RadiusSearch(queries, kRadius),
+  };
+  const char* names[] = {"brute_force", "flat_scan", "gather", "dynamic"};
+  for (size_t r = 0; r < 4; ++r) {
+    SCOPED_TRACE(names[r]);
+    const RadiusResult& got = results[r];
+    ASSERT_EQ(got.num_queries(), queries.rows());
+    for (size_t q = 0; q < queries.rows(); ++q) {
+      std::vector<uint32_t> ids(kRows);
+      std::iota(ids.begin(), ids.end(), 0u);
+      const std::vector<Neighbor> want = RangeFilterCandidates(
+          dist, queries.Row(q), &ids, kRadius);
+      ASSERT_GT(want.size(), 0u);
+      ASSERT_LT(want.size(), kRows - 1);
+      ASSERT_EQ(got.RowSize(q), want.size()) << "q=" << q;
+      for (size_t j = 0; j < want.size(); ++j) {
+        EXPECT_NE(got.RowIds(q)[j], 5u);
+        EXPECT_FALSE(std::isnan(got.RowDistances(q)[j]));
+        EXPECT_EQ(got.RowIds(q)[j], want[j].id) << "q=" << q << " j=" << j;
+        EXPECT_EQ(Bits(got.RowDistances(q)[j]), Bits(want[j].distance))
+            << "q=" << q << " j=" << j;
       }
     }
   }

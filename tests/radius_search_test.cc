@@ -1,5 +1,5 @@
 // Pins the RadiusSearchBatch contract (index/index.h) and the shared radius
-// stages (workload/radius.h):
+// collector and stages (knn/brute_force.h):
 //
 //   - For every index type — all nine, plus a container-loaded index — radius
 //     search at full budget is bit-identical (offsets, ids, AND distances) to
@@ -33,7 +33,6 @@
 #include "serve/dynamic_index.h"
 #include "serve/sharded_index.h"
 #include "util/rng.h"
-#include "workload/radius.h"
 
 namespace usp {
 namespace {
