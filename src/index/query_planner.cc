@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "core/partition_index.h"
 #include "knn/brute_force.h"
 
 namespace usp {
@@ -28,30 +29,6 @@ size_t PostFilterWindow(size_t n, size_t k, size_t allowed) {
   return std::min(n, std::max(2 * k, expected_window));
 }
 
-/// recall@k of `result` against exact ground truth, macro-averaged over all
-/// real (non-padded) truth entries.
-double RecallAtK(const KnnResult& truth, const BatchSearchResult& result,
-                 size_t nq, size_t k) {
-  size_t hits = 0;
-  size_t total = 0;
-  for (size_t q = 0; q < nq; ++q) {
-    const uint32_t* want = truth.Row(q);
-    const uint32_t* got = result.Row(q);
-    for (size_t j = 0; j < k; ++j) {
-      if (want[j] == kInvalidId) break;
-      ++total;
-      for (size_t i = 0; i < k; ++i) {
-        if (got[i] == want[j]) {
-          ++hits;
-          break;
-        }
-      }
-    }
-  }
-  return total == 0 ? 1.0
-                    : static_cast<double>(hits) / static_cast<double>(total);
-}
-
 }  // namespace
 
 const char* PlanStrategyName(PlanStrategy strategy) {
@@ -70,9 +47,15 @@ PlanDecision PlanFilteredSearch(const Index& index,
                                 const SearchOptions& options) {
   USP_CHECK(options.filter != nullptr);
   PlanDecision decision;
+  // No base to scan means a router (DynamicIndex, ShardedIndex): its ids are
+  // not dense, so it plans nothing and each of its parts plans its own
+  // sub-request over its own ids.
+  if (index.base_view().data() == nullptr) {
+    decision.cost_allowed_scan = kInfiniteCost;
+    return decision;
+  }
   const size_t n = index.size();
   if (n == 0) return decision;  // every path returns pure padding
-  const bool scannable = index.base_view().data() != nullptr;
 
   const size_t budget = std::max<size_t>(options.budget, 1);
   const size_t expected =
@@ -109,8 +92,7 @@ PlanDecision PlanFilteredSearch(const Index& index,
     // Test every generated candidate, score the allowed fraction.
     decision.cost_pushdown = e * (kCostMembershipTest + s);
   }
-  decision.cost_allowed_scan =
-      scannable ? static_cast<double>(allowed) : kInfiniteCost;
+  decision.cost_allowed_scan = static_cast<double>(allowed);
   // Post-filter guarantees per-row escalation when the window cannot hold k
   // allowed rows, so it is never auto-picked with allowed < k.
   const size_t window = PostFilterWindow(n, options.k, allowed);
@@ -124,10 +106,7 @@ PlanDecision PlanFilteredSearch(const Index& index,
       decision.strategy = PlanStrategy::kPushdown;
       return decision;
     case PlanMode::kForceAllowedScan:
-      // Indexes with no base to scan (DynamicIndex at the top level — its
-      // segments plan for themselves) fall back to pushdown.
-      decision.strategy =
-          scannable ? PlanStrategy::kAllowedScan : PlanStrategy::kPushdown;
+      decision.strategy = PlanStrategy::kAllowedScan;
       return decision;
     case PlanMode::kForcePostFilter:
       decision.strategy = PlanStrategy::kPostFilter;
@@ -285,6 +264,11 @@ Status QueryPlanner::Calibrate(MatrixView sample_queries, size_t k) {
         "QueryPlanner::Calibrate: index exposes no base_view to take exact "
         "ground truth from");
   }
+  // k <= n keeps the ground truth free of padding, which KnnAccuracy needs.
+  if (k > base.rows()) {
+    return Status::InvalidArgument(
+        "QueryPlanner::Calibrate: k exceeds the index size");
+  }
 
   k_ = k;
   curve_.clear();
@@ -306,7 +290,7 @@ Status QueryPlanner::Calibrate(MatrixView sample_queries, size_t k) {
 
     CalibrationPoint point;
     point.budget = budget;
-    point.recall = RecallAtK(truth, result, nq, k);
+    point.recall = KnnAccuracy(result, truth.indices, k);
     double sum = 0.0;
     for (size_t q = 0; q < nq; ++q) {
       sum += static_cast<double>(result.stats->candidates_scored[q]);

@@ -95,17 +95,22 @@ struct PlanDecision {
 /// Plans one filtered request against `index` without executing it: probes
 /// the selector (bounded; never more expensive than the work it arbitrates),
 /// evaluates the cost model, and applies any kForce* override in
-/// `options.plan`. Requires options.filter != nullptr.
+/// `options.plan`. Requires options.filter != nullptr. An index with no
+/// base_view is a router (DynamicIndex, ShardedIndex) whose ids are not
+/// dense: it gets pushdown, with no probe and cost_allowed_scan = +inf,
+/// whatever `options.plan` says, because each of its parts plans its own
+/// sub-request over its own ids.
 PlanDecision PlanFilteredSearch(const Index& index,
                                 const SearchOptions& options);
 
-/// The planner's hook into every concrete SearchBatch: returns a full result
-/// when the plan routes the request away from pushdown (allowed-scan or
-/// post-filter, executed here), or std::nullopt when the implementation
+/// The planner's hook into every leaf index's SearchBatch: returns a full
+/// result when the plan routes the request away from pushdown (allowed-scan
+/// or post-filter, executed here), or std::nullopt when the implementation
 /// should proceed with its own pushdown path (unfiltered requests,
 /// kForcePushdown, or a plan that picked pushdown). Sub-searches issued by
 /// the executors pin plan = kForcePushdown, so implementations calling this
-/// first cannot recurse.
+/// first cannot recurse. Routers do not call it: the filter and
+/// options.plan reach every part, and each part calls it.
 std::optional<BatchSearchResult> MaybeReroute(const Index& index,
                                               const SearchRequest& request);
 
@@ -132,10 +137,11 @@ BatchSearchResult PostFilterSearch(const Index& index,
 
 /// Recall-target search: the Eq. 4 feedback loop as a serving policy.
 /// Calibrate() sweeps budget over a doubling schedule on a sample of
-/// queries, measuring recall@k against exact brute force (via base_view) and
-/// the mean candidate volume S(R); BudgetForRecall() then answers "smallest
-/// calibrated budget whose recall meets the target", and Search() serves a
-/// request at that budget (planner still active for filtered requests).
+/// queries, measuring recall@k (KnnAccuracy, Eq. 1) against exact brute
+/// force (via base_view) and the mean candidate volume S(R);
+/// BudgetForRecall() then answers "smallest calibrated budget whose recall
+/// meets the target", and Search() serves a request at that budget (planner
+/// still active for filtered requests).
 /// Calibration is offline/amortized; serving adds zero per-query overhead.
 class QueryPlanner {
  public:
@@ -152,7 +158,8 @@ class QueryPlanner {
   /// Calibrates on `sample_queries` at recall@`k`. Budgets double from 1
   /// until recall reaches 1.0 or the budget covers the index (bins for
   /// partition types, size() for HNSW's ef). Fails when the index has no
-  /// base_view to take ground truth from, or the sample is empty.
+  /// base_view to take ground truth from, the sample is empty, or k is 0 or
+  /// exceeds size().
   Status Calibrate(MatrixView sample_queries, size_t k);
 
   /// Smallest calibrated budget with recall >= target; the largest

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "index/query_planner.h"
 #include "quant/sq8_index.h"
 #include "util/thread_pool.h"
 
@@ -39,40 +38,29 @@ DynamicIndex::DynamicIndex(size_t dim, DynamicIndexConfig config,
     USP_CHECK(seg.index->dim() == dim_);
     USP_CHECK(seg.index->metric() == config_.metric);
     USP_CHECK(seg.index->size() == seg.global_ids.size());
-    for (size_t i = 0; i < seg.global_ids.size(); ++i) {
-      USP_CHECK(seg.global_ids[i] < next_id_);
-      const bool inserted =
-          id_map_
-              .emplace(seg.global_ids[i],
-                       SegmentRef{static_cast<uint32_t>(s),
-                                  static_cast<uint32_t>(i)})
-              .second;
-      USP_CHECK(inserted);  // ids must be globally unique
+    for (const uint32_t gid : seg.global_ids) {
+      USP_CHECK(gid < next_id_);
+      // ids must be globally unique
+      USP_CHECK(id_map_.emplace(gid, static_cast<uint32_t>(s)).second);
     }
   }
   write_ids_ = std::move(write_ids);
   write_data_.assign(write_rows.data(),
                      write_rows.data() + write_rows.size());
-  for (size_t i = 0; i < write_ids_.size(); ++i) {
-    USP_CHECK(write_ids_[i] < next_id_);
-    const bool inserted =
-        id_map_
-            .emplace(write_ids_[i],
-                     SegmentRef{kWriteSegment, static_cast<uint32_t>(i)})
-            .second;
-    USP_CHECK(inserted);
+  for (const uint32_t gid : write_ids_) {
+    USP_CHECK(gid < next_id_);
+    USP_CHECK(id_map_.emplace(gid, kWriteSegment).second);
   }
   for (uint32_t id : tombstones) {
     const auto it = id_map_.find(id);
     USP_CHECK(it != id_map_.end());
     USP_CHECK(tombstones_.insert(id).second);
-    if (it->second.segment == kWriteSegment) {
+    if (it->second == kWriteSegment) {
       ++write_tombstoned_;
     } else {
-      ++sealed_[it->second.segment]->tombstoned;
+      ++sealed_[it->second]->tombstoned;
     }
   }
-  live_ = id_map_.size() - tombstones_.size();
 }
 
 DynamicIndex::~DynamicIndex() { WaitForMaintenance(); }
@@ -91,11 +79,8 @@ uint32_t DynamicIndex::Add(const float* vector) {
     USP_CHECK(next_id_ < kInvalidId);
     id = next_id_++;
     write_data_.insert(write_data_.end(), vector, vector + dim_);
-    id_map_.emplace(
-        id, SegmentRef{kWriteSegment,
-                       static_cast<uint32_t>(write_ids_.size())});
+    id_map_.emplace(id, kWriteSegment);
     write_ids_.push_back(id);
-    ++live_;
     if (config_.seal_threshold > 0 && !seal_scheduled_ &&
         write_ids_.size() >= config_.seal_threshold) {
       seal_scheduled_ = true;
@@ -118,13 +103,10 @@ std::vector<uint32_t> DynamicIndex::AddBatch(MatrixView vectors) {
                        vectors.data() + vectors.size());
     for (size_t i = 0; i < vectors.rows(); ++i) {
       const uint32_t id = next_id_++;
-      id_map_.emplace(
-          id, SegmentRef{kWriteSegment,
-                         static_cast<uint32_t>(write_ids_.size())});
+      id_map_.emplace(id, kWriteSegment);
       write_ids_.push_back(id);
       ids.push_back(id);
     }
-    live_ += vectors.rows();
     if (config_.seal_threshold > 0 && !seal_scheduled_ &&
         write_ids_.size() >= config_.seal_threshold) {
       seal_scheduled_ = true;
@@ -140,12 +122,11 @@ bool DynamicIndex::Delete(uint32_t global_id) {
   const auto it = id_map_.find(global_id);
   if (it == id_map_.end()) return false;
   if (!tombstones_.insert(global_id).second) return false;  // already deleted
-  if (it->second.segment == kWriteSegment) {
+  if (it->second == kWriteSegment) {
     ++write_tombstoned_;
   } else {
-    ++sealed_[it->second.segment]->tombstoned;
+    ++sealed_[it->second]->tombstoned;
   }
-  --live_;
   return true;
 }
 
@@ -178,10 +159,8 @@ uint32_t DynamicIndex::AddSealedSegment(std::unique_ptr<Index> segment,
   for (size_t i = 0; i < n; ++i) {
     const uint32_t id = next_id_++;
     seg->global_ids.push_back(id);
-    id_map_.emplace(id,
-                    SegmentRef{seg_index, static_cast<uint32_t>(i)});
+    id_map_.emplace(id, seg_index);
   }
-  live_ += n;
   sealed_.push_back(std::move(seg));
   return first;
 }
@@ -255,16 +234,11 @@ void DynamicIndex::Seal() {
                       write_data_.begin() + snap_rows * dim_);
     write_ids_.erase(write_ids_.begin(), write_ids_.begin() + snap_rows);
     const uint32_t seg_index = static_cast<uint32_t>(sealed_.size());
-    for (size_t i = 0; i < seg->global_ids.size(); ++i) {
-      id_map_[seg->global_ids[i]] =
-          SegmentRef{seg_index, static_cast<uint32_t>(i)};
-      if (tombstones_.count(seg->global_ids[i]) > 0) ++seg->tombstoned;
+    for (const uint32_t gid : seg->global_ids) {
+      id_map_[gid] = seg_index;
+      if (tombstones_.count(gid) > 0) ++seg->tombstoned;
     }
     write_tombstoned_ -= seg->tombstoned;
-    for (size_t i = 0; i < write_ids_.size(); ++i) {
-      id_map_[write_ids_[i]] =
-          SegmentRef{kWriteSegment, static_cast<uint32_t>(i)};
-    }
     sealed_.push_back(std::move(seg));
     seal_scheduled_ = false;
     if (config_.max_sealed_segments > 0 && !compact_scheduled_ &&
@@ -349,12 +323,9 @@ void DynamicIndex::Compact() {
     for (size_t s = 0; s < sealed_.size(); ++s) {
       SealedSegment& segment = *sealed_[s];
       segment.tombstoned = 0;
-      for (size_t i = 0; i < segment.global_ids.size(); ++i) {
-        id_map_[segment.global_ids[i]] =
-            SegmentRef{static_cast<uint32_t>(s), static_cast<uint32_t>(i)};
-        if (tombstones_.count(segment.global_ids[i]) > 0) {
-          ++segment.tombstoned;
-        }
+      for (const uint32_t gid : segment.global_ids) {
+        id_map_[gid] = static_cast<uint32_t>(s);
+        if (tombstones_.count(gid) > 0) ++segment.tombstoned;
       }
     }
     compact_scheduled_ = false;
@@ -410,13 +381,6 @@ std::vector<FanOutPart> DynamicIndex::Parts(
 }
 
 BatchSearchResult DynamicIndex::SearchBatch(const SearchRequest& request) const {
-  // Planner hook. With no base_view to scan, the top level only ever chooses
-  // between pushdown and post-filter; under pushdown the filter fans out as
-  // per-segment sub-requests that keep options.plan, so each sealed segment
-  // re-plans against its own translated (filter && !tombstone) selector —
-  // a sparse global filter can brute-force one segment's allowed rows while
-  // another segment still probes (index/query_planner.h).
-  if (auto planned = MaybeReroute(*this, request)) return std::move(*planned);
   USP_CHECK(request.queries.empty() || request.queries.cols() == dim_);
   // The lock is held shared across the whole fan-out + merge: segments and
   // the write buffer cannot change under us; appends briefly queue behind the
@@ -442,16 +406,7 @@ RadiusResult DynamicIndex::RadiusSearchBatch(
 
 size_t DynamicIndex::size() const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  return live_;
-}
-
-size_t DynamicIndex::EstimateCandidates(size_t budget) const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  size_t total = write_ids_.size();
-  for (const auto& segment : sealed_) {
-    total += segment->index->EstimateCandidates(budget);
-  }
-  return total;
+  return id_map_.size() - tombstones_.size();
 }
 
 size_t DynamicIndex::num_sealed_segments() const {

@@ -160,7 +160,9 @@ class DynamicIndex : public Index {
   /// segment are the parts of one composite search (serve/fan_out.h). An
   /// options.filter operates on the *stable global ids* this index reports
   /// and is composed with the tombstone set, so at full budget the result
-  /// equals brute force over the live allowed set.
+  /// equals brute force over the live allowed set. The index plans nothing
+  /// itself: the filter and options.plan reach every sealed segment, which
+  /// plans over its own rows (index/query_planner.h).
   using Index::SearchBatch;
   BatchSearchResult SearchBatch(const SearchRequest& request) const override;
 
@@ -170,12 +172,6 @@ class DynamicIndex : public Index {
   size_t dim() const override { return dim_; }
   /// Number of live (non-tombstoned) points.
   size_t size() const override;
-
-  /// Planner cost input (index/query_planner.h): summed sealed-segment
-  /// estimates plus the always-scanned write segment. Note the top level
-  /// never reroutes itself (no base_view to scan); each sealed segment plans
-  /// its own sub-request against its translated selector.
-  size_t EstimateCandidates(size_t budget) const override;
   Metric metric() const override { return config_.metric; }
   IndexType type() const override { return IndexType::kDynamic; }
 
@@ -203,12 +199,7 @@ class DynamicIndex : public Index {
       const std::function<Status(const FrozenState&)>& fn) const;
 
  private:
-  /// id_map_ value: which segment a global id lives in (kWriteSegment for
-  /// the write segment) and its local row there.
-  struct SegmentRef {
-    uint32_t segment;
-    uint32_t local;
-  };
+  /// id_map_ value for a global id in the write segment.
   static constexpr uint32_t kWriteSegment = 0xFFFFFFFFu;
 
   /// The sealed segments and the write segment (scanned through `write`) as
@@ -227,9 +218,10 @@ class DynamicIndex : public Index {
   std::vector<uint32_t> write_ids_;    ///< write row -> global id
   std::unordered_set<uint32_t> tombstones_;
   size_t write_tombstoned_ = 0;  ///< tombstones among write-segment rows
-  std::unordered_map<uint32_t, SegmentRef> id_map_;
+  /// Every assigned id not yet reclaimed -> its sealed segment's index, or
+  /// kWriteSegment; size() is its size minus the tombstones.
+  std::unordered_map<uint32_t, uint32_t> id_map_;
   uint32_t next_id_ = 0;
-  size_t live_ = 0;
   bool seal_scheduled_ = false;
   bool compact_scheduled_ = false;
 

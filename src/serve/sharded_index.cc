@@ -1,10 +1,23 @@
 #include "serve/sharded_index.h"
 
+#include <algorithm>
 #include <utility>
 
-#include "index/query_planner.h"
-
 namespace usp {
+namespace {
+
+/// `global_id`'s local id in `shard`, or kInvalidId when the shard does not
+/// hold it. local_to_global is ascending: every construction path keeps it
+/// so, and the loader and the rehydrate constructor check it.
+uint32_t LocalId(const ShardedIndex::Shard& shard, uint32_t global_id) {
+  const std::vector<uint32_t>& ids = shard.local_to_global;
+  const auto it = std::lower_bound(ids.begin(), ids.end(), global_id);
+  return it != ids.end() && *it == global_id
+             ? static_cast<uint32_t>(it - ids.begin())
+             : kInvalidId;
+}
+
+}  // namespace
 
 uint32_t ShardedIndex::Place(uint32_t global_id, size_t num_shards) {
   // Fibonacci multiplicative hash: cheap, stateless, and spreads the dense
@@ -39,7 +52,6 @@ ShardedIndex::ShardedIndex(MatrixView base, ShardedIndexConfig config)
   const size_t n = base.rows();
   next_id_ = static_cast<uint32_t>(n);
   shards_.resize(config_.num_shards);
-  placement_.resize(n, ShardRef{kUnplaced, 0});
 
   // Hash-partition the base rows. Row order is preserved within each shard,
   // so every shard's local_to_global is ascending: a shard's own tie-break on
@@ -48,8 +60,6 @@ ShardedIndex::ShardedIndex(MatrixView base, ShardedIndexConfig config)
   for (size_t i = 0; i < n; ++i) {
     const uint32_t gid = static_cast<uint32_t>(i);
     const uint32_t s = Place(gid, config_.num_shards);
-    placement_[i] = ShardRef{
-        s, static_cast<uint32_t>(shards_[s].local_to_global.size())};
     shards_[s].local_to_global.push_back(gid);
     rows[s].insert(rows[s].end(), base.Row(i), base.Row(i) + dim_);
   }
@@ -70,7 +80,6 @@ ShardedIndex::ShardedIndex(size_t dim, ShardedIndexConfig config,
   USP_CHECK(dim_ > 0);
   USP_CHECK(!shards.empty());
   shards_ = std::move(shards);
-  placement_.resize(next_id_, ShardRef{kUnplaced, 0});
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = shards_[s];
     if (shard.index != nullptr) {
@@ -84,14 +93,12 @@ ShardedIndex::ShardedIndex(size_t dim, ShardedIndexConfig config,
       const uint32_t gid = shard.local_to_global[i];
       USP_CHECK(gid < next_id_);
       // Ascending ids keep the per-shard tie-break (local order) identical
-      // to the global-id tie-break a single index would apply; duplicates
-      // across shards are impossible because each gid hashes to one shard.
+      // to the global-id tie-break a single index would apply, and let
+      // Delete/Contains binary-search the map; duplicates across shards are
+      // impossible because each gid hashes to one shard.
       USP_CHECK(i == 0 || gid > prev);
       prev = gid;
       USP_CHECK(Place(gid, shards_.size()) == s);
-      USP_CHECK(placement_[gid].shard == kUnplaced);
-      placement_[gid] = ShardRef{static_cast<uint32_t>(s),
-                                 static_cast<uint32_t>(i)};
     }
   }
 }
@@ -117,7 +124,6 @@ uint32_t ShardedIndex::Add(const float* vector) {
   const uint32_t local = shard.dynamic->Add(vector);
   USP_CHECK(local == shard.local_to_global.size());
   shard.local_to_global.push_back(gid);
-  placement_.push_back(ShardRef{s, local});
   return gid;
 }
 
@@ -139,7 +145,6 @@ std::vector<uint32_t> ShardedIndex::AddBatch(MatrixView vectors) {
     gids[s].push_back(gid);
     ids.push_back(gid);
   }
-  placement_.resize(next_id_, ShardRef{kUnplaced, 0});
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (gids[s].empty()) continue;
     Shard& shard = shards_[s];
@@ -149,8 +154,6 @@ std::vector<uint32_t> ShardedIndex::AddBatch(MatrixView vectors) {
     for (size_t i = 0; i < locals.size(); ++i) {
       USP_CHECK(locals[i] == shard.local_to_global.size());
       shard.local_to_global.push_back(gids[s][i]);
-      placement_[gids[s][i]] =
-          ShardRef{static_cast<uint32_t>(s), locals[i]};
     }
   }
   return ids;
@@ -158,21 +161,18 @@ std::vector<uint32_t> ShardedIndex::AddBatch(MatrixView vectors) {
 
 bool ShardedIndex::Delete(uint32_t global_id) {
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  if (global_id >= placement_.size()) return false;
-  const ShardRef ref = placement_[global_id];
-  if (ref.shard == kUnplaced) return false;
-  Shard& shard = shards_[ref.shard];
-  USP_CHECK(shard.dynamic != nullptr);  // mutable configuration only
-  return shard.dynamic->Delete(ref.local);
+  const Shard& shard = shards_[Place(global_id, shards_.size())];
+  if (shard.dynamic == nullptr) return false;  // a static shard cannot delete
+  const uint32_t local = LocalId(shard, global_id);
+  return local != kInvalidId && shard.dynamic->Delete(local);
 }
 
 bool ShardedIndex::Contains(uint32_t global_id) const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  if (global_id >= placement_.size()) return false;
-  const ShardRef ref = placement_[global_id];
-  if (ref.shard == kUnplaced) return false;
-  const Shard& shard = shards_[ref.shard];
-  return shard.dynamic == nullptr || shard.dynamic->Contains(ref.local);
+  const Shard& shard = shards_[Place(global_id, shards_.size())];
+  const uint32_t local = LocalId(shard, global_id);
+  return local != kInvalidId &&
+         (shard.dynamic == nullptr || shard.dynamic->Contains(local));
 }
 
 // ---------------------------------------------------------------------------
@@ -191,13 +191,8 @@ std::vector<FanOutPart> ShardedIndex::Parts() const {
 }
 
 BatchSearchResult ShardedIndex::SearchBatch(const SearchRequest& request) const {
-  // Planner hook. Like DynamicIndex, the router has no base_view, so the top
-  // level only chooses between pushdown and post-filter; under pushdown the
-  // filter fans out per shard (keeping options.plan), and each shard
-  // re-plans its own sub-request against its translated selector.
-  if (auto planned = MaybeReroute(*this, request)) return std::move(*planned);
   USP_CHECK(request.queries.empty() || request.queries.cols() == dim_);
-  // The placement lock is held shared across the whole fan-out + merge, so
+  // The routing lock is held shared across the whole fan-out + merge, so
   // local_to_global and the shard set cannot change under us. Shard-internal
   // mutation (a concurrent Add on another shard) queues behind its own
   // shard's lock, not this batch.
@@ -221,17 +216,6 @@ size_t ShardedIndex::size() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
     if (shard.index != nullptr) total += shard.index->size();
-  }
-  return total;
-}
-
-size_t ShardedIndex::EstimateCandidates(size_t budget) const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    if (shard.index != nullptr) {
-      total += shard.index->EstimateCandidates(budget);
-    }
   }
   return total;
 }

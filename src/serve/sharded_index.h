@@ -6,8 +6,9 @@
 // traffic those shards see.
 //
 // Placement. Every point has a stable *global id*. A multiplicative hash of
-// the global id picks its shard (`Place`), and a dense placement table maps
-// global id -> (shard, shard-local id) so Add/Delete/Contains route in O(1).
+// the global id picks its shard (`Place`), and a binary search of that
+// shard's ascending local->global id map finds its shard-local id, so
+// Delete/Contains route without a stored placement table.
 // In the mutable configuration every shard is a DynamicIndex and global ids
 // are assigned densely by Add; in the static configuration the shards are
 // built up front by hash-partitioning an existing base matrix and global ids
@@ -68,7 +69,7 @@ struct ShardedIndexConfig {
 
 /// N-shard scatter-gather index. Thread-safe the same way DynamicIndex is:
 /// searches hold a reader lock across the whole fan-out + merge, mutations
-/// take it exclusively for O(1) routing work (the per-shard mutation then
+/// take it exclusively for routing work (the per-shard mutation then
 /// runs under the shard's own lock).
 class ShardedIndex : public Index {
  public:
@@ -115,12 +116,13 @@ class ShardedIndex : public Index {
   /// to; returns the global id.
   uint32_t Add(const float* vector);
 
-  /// Appends a batch; one placement-lock acquisition, then one grouped
+  /// Appends a batch; one routing-lock acquisition, then one grouped
   /// AddBatch per target shard. Returned ids are contiguous.
   std::vector<uint32_t> AddBatch(MatrixView vectors);
 
   /// Tombstones a point in its shard. Returns false when the id was never
-  /// assigned or was already deleted.
+  /// assigned, was already deleted or reclaimed, or lives in a static shard
+  /// (a static shard cannot delete).
   bool Delete(uint32_t global_id);
 
   /// True while `global_id` is live.
@@ -130,8 +132,9 @@ class ShardedIndex : public Index {
 
   /// Scatter-gather search; see file comment. options.filter speaks global
   /// ids; options.num_threads caps the *total* parallelism (split across
-  /// shards). Results are bit-identical at every thread count and every
-  /// shard count.
+  /// shards). The index plans nothing itself: the filter and options.plan
+  /// reach every shard, which plans over its own rows. Results are
+  /// bit-identical at every thread count and every shard count.
   using Index::SearchBatch;
   BatchSearchResult SearchBatch(const SearchRequest& request) const override;
 
@@ -142,9 +145,6 @@ class ShardedIndex : public Index {
   size_t dim() const override { return dim_; }
   /// Number of live points across all shards.
   size_t size() const override;
-  /// Summed shard estimates (planner cost input). Like DynamicIndex, the top
-  /// level has no base_view; each shard re-plans its own sub-request.
-  size_t EstimateCandidates(size_t budget) const override;
   Metric metric() const override { return config_.metric; }
   IndexType type() const override { return IndexType::kSharded; }
 
@@ -159,7 +159,7 @@ class ShardedIndex : public Index {
   /// A consistent, lock-held view for the serializer (index/serialize.cc):
   /// no mutation can run while the callback executes. For mutable shards the
   /// callback must snapshot through each shard's own WithFrozenState (shard
-  /// pointers stay valid; the placement lock does not freeze shard-internal
+  /// pointers stay valid; the routing lock does not freeze shard-internal
   /// state, SaveIndex on the shard does).
   struct FrozenState {
     uint32_t next_global_id;
@@ -169,28 +169,17 @@ class ShardedIndex : public Index {
       const std::function<Status(const FrozenState&)>& fn) const;
 
  private:
-  /// placement_ entry: which shard a global id lives in and its local id
-  /// there. kUnplaced marks a slot the constructor has not filled yet; ids
-  /// are dense, and the loader rejects a container whose next_global_id
-  /// exceeds its id-map entries, so every id below next_id_ ends up placed.
-  struct ShardRef {
-    uint32_t shard;
-    uint32_t local;
-  };
-  static constexpr uint32_t kUnplaced = 0xFFFFFFFFu;
-
   /// The shards as fan-out parts; the caller holds mutex_.
   std::vector<FanOutPart> Parts() const;
 
   const size_t dim_;
   const ShardedIndexConfig config_;
 
-  /// Guards placement_ / next_id_ / the shard vector's shape. Shard-internal
-  /// state has its own synchronization (DynamicIndex locks), so this lock is
-  /// only about routing consistency.
+  /// Guards next_id_, the shard vector's shape and every local_to_global.
+  /// Shard-internal state has its own synchronization (DynamicIndex locks),
+  /// so this lock is only about routing consistency.
   mutable std::shared_mutex mutex_;
   std::vector<Shard> shards_;
-  std::vector<ShardRef> placement_;  ///< indexed by global id
   uint32_t next_id_ = 0;
 };
 

@@ -267,6 +267,21 @@ TEST(DynamicIndexTest, WriteSegmentScoresLikeSealedSegments) {
   EXPECT_EQ(sealed_rows.distances, want_radius.distances);
 }
 
+// A delete after Seal counts against the sealed segment that holds the row,
+// which over-fetches by its tombstones: of twelve copies of one row, eleven
+// deleted after the seal, the twelfth stays a k = 1 query's nearest neighbor.
+TEST(DynamicIndexTest, DeletesAfterSealCountAgainstTheirSegment) {
+  const Workload& w = DynWorkload();
+  DynamicIndex index(w.base.cols());
+  for (int i = 0; i < 12; ++i) index.Add(w.base.Row(0));
+  index.AddBatch(MatrixView(w.base.Row(1), 100, w.base.cols()));
+  index.Seal();
+  for (uint32_t id = 0; id < 11; ++id) ASSERT_TRUE(index.Delete(id));
+  const BatchSearchResult result = index.SearchBatch(
+      MatrixView(w.base.Row(0), 1, w.base.cols()), 1, kFullBudget);
+  EXPECT_EQ(result.Row(0)[0], 11u);
+}
+
 TEST(DynamicIndexTest, CompactDropsTombstonesAndReclaimsIds) {
   const Workload& w = DynWorkload();
   const size_t n = w.base.rows();

@@ -10,6 +10,9 @@
 //   - IdSelector::count / CountUpTo probe semantics, including Not,
 //     out-of-universe ids, bitmap word boundaries, and the bounded scan over
 //     selectors that cannot count themselves.
+//   - The routers (DynamicIndex, ShardedIndex) plan nothing: their ids are
+//     not dense, so a filter reaches every part and each part plans over its
+//     own rows.
 //   - QueryPlanner's recall-target mode: the calibrated budget curve is
 //     monotone in recall and Search(target=1.0) is exact.
 //   - The algorithm='auto' factory (index/auto_index.h) decision table and
@@ -25,6 +28,7 @@
 #include "baselines/kmeans.h"
 #include "core/ensemble.h"
 #include "core/partition_index.h"
+#include "dataset/synthetic.h"
 #include "dataset/workload.h"
 #include "hnsw/hnsw.h"
 #include "index/auto_index.h"
@@ -33,6 +37,7 @@
 #include "knn/brute_force.h"
 #include "quant/scann_index.h"
 #include "serve/dynamic_index.h"
+#include "serve/sharded_index.h"
 #include "util/rng.h"
 
 namespace usp {
@@ -360,6 +365,57 @@ TEST(QueryPlannerTest, ForcedAllowedScanFallsBackToPushdownWithoutBaseView) {
   const PlanDecision decision = PlanFilteredSearch(all.dynamic, options);
   EXPECT_EQ(decision.strategy, PlanStrategy::kPushdown);
   EXPECT_TRUE(std::isinf(decision.cost_allowed_scan));
+}
+
+// A router's ids are not dense. With ids 0-999 of 2,000 deleted and
+// compacted away, a filter admitting only those ids admits nothing, though
+// counted over [0, size()) it looks like selectivity 1.0. Each part plans over
+// its own rows instead, where the filter admits none: no row is scored.
+TEST(QueryPlannerTest, RoutersLeavePlanningToTheirParts) {
+  const Matrix base = MakeSiftLike(2000, /*seed=*/41);
+  const Matrix queries = MakeSiftLike(64, /*seed=*/42);
+  DynamicIndex dynamic(base.cols());
+  ShardedIndexConfig config;
+  config.num_shards = 3;
+  ShardedIndex sharded(base.cols(), config);
+  dynamic.AddBatch(base);
+  sharded.AddBatch(base);
+  for (uint32_t id = 0; id < 1000; ++id) {
+    ASSERT_TRUE(dynamic.Delete(id));
+    ASSERT_TRUE(sharded.Delete(id));
+  }
+  dynamic.Seal();
+  dynamic.Compact();
+  ASSERT_TRUE(sharded
+                  .WithFrozenState([](const ShardedIndex::FrozenState& state) {
+                    for (const ShardedIndex::Shard& shard : state.shards) {
+                      shard.dynamic->Seal();
+                      shard.dynamic->Compact();
+                    }
+                    return Status::Ok();
+                  })
+                  .ok());
+  ASSERT_EQ(dynamic.num_tombstones(), 0u);
+
+  const IdSelectorRange reclaimed(0, 1000);
+  SearchRequest request;
+  request.queries = queries;
+  request.options.k = 10;
+  request.options.budget = 2;
+  request.options.filter = &reclaimed;
+  request.options.plan = PlanMode::kAuto;
+  for (const Index* router : {static_cast<const Index*>(&dynamic),
+                              static_cast<const Index*>(&sharded)}) {
+    SCOPED_TRACE(IndexTypeName(router->type()));
+    ASSERT_EQ(router->size(), 1000u);
+    EXPECT_EQ(PlanFilteredSearch(*router, request.options).strategy,
+              PlanStrategy::kPushdown);
+    const BatchSearchResult result = router->SearchBatch(request);
+    for (const uint32_t id : result.ids) EXPECT_EQ(id, kInvalidId);
+    for (const uint32_t scored : result.candidate_counts) {
+      EXPECT_EQ(scored, 0u);
+    }
+  }
 }
 
 // --- Recall-target mode -----------------------------------------------------

@@ -3,7 +3,8 @@
 // equivalent single-index search at shard counts {1, 3, 8}, filtered and
 // unfiltered, plus save/OpenIndex round-trips (heap and mmap), the
 // cross-shard TopK merge edge cases (fewer-than-k shards, duplicate-distance
-// ties, empty shards), and SearchStats aggregation across the fan-out.
+// ties, empty shards), SearchStats aggregation across the fan-out, and
+// Delete on static shards (returns false).
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -371,6 +372,25 @@ TEST(ShardedIndexTest, MutableRoundTripKeepsDeletesAndEmptyShards) {
       EXPECT_NE(got.ids[i], 11u);
     }
   }
+}
+
+// A static shard cannot delete: Delete returns false and changes nothing.
+TEST(ShardedIndexTest, DeleteOnStaticShardsReturnsFalse) {
+  const Workload& w = ShardWorkload();
+  const size_t k = 10;
+  ShardedIndexConfig config;
+  config.num_shards = 3;
+  ShardedIndex index(MatrixView(w.base.data(), 500, w.base.cols()), config);
+  ASSERT_FALSE(index.is_mutable());
+  const BatchSearchResult before = index.SearchBatch(w.queries, k, kFullBudget);
+
+  EXPECT_FALSE(index.Delete(5));
+  EXPECT_TRUE(index.Contains(5));
+  EXPECT_FALSE(index.Delete(500));  // never assigned
+  EXPECT_FALSE(index.Contains(500));
+  EXPECT_EQ(index.size(), 500u);
+  const BatchSearchResult after = index.SearchBatch(w.queries, k, kFullBudget);
+  ExpectBitIdentical(after, before, "static delete");
 }
 
 TEST(ShardedIndexTest, HashPlacementIsStableAndCoversAllShards) {
